@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import SizeCapError
 from .ising import SpinHamiltonian, diagonalize
-from .simulator import StateVector, basis_state
+from .simulator import basis_state
 
 DENSE_CAP = 8
 
@@ -89,11 +89,6 @@ def operator_of(apply_fn, n: int) -> np.ndarray:
         apply_fn(psi)
         u[:, z] = psi.amp
     return u
-
-
-def apply_matrix(psi: StateVector, u: np.ndarray) -> StateVector:
-    """Fresh state u |psi>, for oracle comparisons."""
-    return StateVector(psi.n, u @ psi.amp)
 
 
 def trotter_compare(h_f: SpinHamiltonian, p: int, steps_exact: int = 4096) -> float:

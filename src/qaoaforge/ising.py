@@ -221,10 +221,19 @@ def diagonalize(h: SpinHamiltonian) -> np.ndarray:
     z = np.arange(1 << h.n, dtype=np.uint64)
     vals = np.zeros(1 << h.n)
     for idx, coef in h.terms.items():
-        mask = np.uint64(sum(1 << i for i in idx))
-        parity = (np.bitwise_count(z & mask) & np.uint64(1)).astype(np.float64)
-        vals += coef * (1.0 - 2.0 * parity)
+        vals += coef * parity_sign(z, idx)
     return vals
+
+
+def parity_sign(z: np.ndarray, idx) -> np.ndarray:
+    """Eigenvalue of the sigma_z product on qubits idx, per basis index in z.
+
+    (-1)^popcount(z & mask) as float64, mask holding the bits in idx: +1
+    where an even number of the selected bits are set.  z is uint64.
+    """
+    mask = np.uint64(sum(1 << i for i in idx))
+    parity = (np.bitwise_count(z & mask) & np.uint64(1)).astype(np.float64)
+    return 1.0 - 2.0 * parity
 
 
 def spin_vector(z: int, n: int) -> tuple[int, ...]:

@@ -57,11 +57,6 @@ def bits_to_string(bits) -> str:
     return "".join(str(int(b)) for b in bits)
 
 
-def assignment_index(bits) -> int:
-    """Pack an assignment into an integer, variable 0 as least-significant bit."""
-    return sum(int(b) << i for i, b in enumerate(bits))
-
-
 def index_assignment(m: int, n: int) -> tuple[int, ...]:
     """Unpack an integer into an assignment (variable 0 = least-significant bit)."""
     return tuple((m >> i) & 1 for i in range(n))

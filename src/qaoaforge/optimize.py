@@ -298,9 +298,8 @@ def _gd_restart(spec, config: OptimizerConfig, domain, restart: int, initial_par
     return trace, e0, best_e, best_vec, decode, None
 
 
-def _final_histogram(spec, params: qaoa.QaoaParams, config: OptimizerConfig):
-    """Distribution at the returned params and its argmax (ties: lowest index)."""
-    psi = qaoa.run(spec, params)
+def _final_histogram(psi: sim.StateVector, config: OptimizerConfig):
+    """Distribution of the final state and its argmax (ties: lowest index)."""
     if config.shots > 0:
         rng = np.random.default_rng([config.seed, config.restarts])
         hist = sim.sample(psi, config.shots, rng)
@@ -337,8 +336,9 @@ def _run_restarts(spec, config: OptimizerConfig, restart_fn, initial_params=None
         a0s.append(a0)
     best_r = int(np.argmin(finals))
     final_params = decode(vectors[best_r])
-    hist, best_z, mode = _final_histogram(spec, final_params, config)
-    breakdown = qaoa.energy_breakdown(spec, final_params)
+    psi = qaoa.run(spec, final_params)
+    final_unscaled = sim.expectation_diagonal(psi, spec.energies) * spec.k_scale
+    hist, best_z, mode = _final_histogram(psi, config)
     best_bits = assignment_of_basis_index(best_z, spec.n)
     config_echo = asdict(config)
     config_echo["A_resolved"] = config.A if config.A is not None else 0.1 * config.max_iters
@@ -347,8 +347,8 @@ def _run_restarts(spec, config: OptimizerConfig, restart_fn, initial_params=None
     return RunRecord(
         method=config.method,
         best_energy=float(finals[best_r]),
-        best_energy_unscaled=breakdown["unscaled"],
-        best_objective=breakdown["objective"],
+        best_energy_unscaled=final_unscaled,
+        best_objective=final_unscaled + spec.constant,
         best_bitstring=bits_to_string(best_bits),
         best_basis_index=best_z,
         best_cost=float(spec.energies[best_z] * spec.k_scale + spec.constant),
@@ -361,7 +361,7 @@ def _run_restarts(spec, config: OptimizerConfig, restart_fn, initial_params=None
         histogram_mode=mode,
         iterations=config.max_iters,
         config=config_echo,
-        domain=qaoa.restricted_domain(spec).to_dict(),
+        domain=domain.to_dict(),
         wall_time_s=time.perf_counter() - t_start,
     )
 

@@ -9,7 +9,7 @@ the scale factor and adding the dropped constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -77,7 +77,6 @@ class QaoaCircuitSpec:
     energies: np.ndarray
     term_keys: list[tuple[int, ...]]
     term_coefs: np.ndarray
-    _term_signs: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -86,18 +85,6 @@ class QaoaCircuitSpec:
     @property
     def constant(self) -> float:
         return self.hamiltonian.constant
-
-    def term_signs(self) -> np.ndarray:
-        """Per-term diagonal sign vectors, (terms x 2^n), built on first use."""
-        if self._term_signs is None:
-            z = np.arange(self.energies.size, dtype=np.uint64)
-            rows = []
-            for idx in self.term_keys:
-                mask = np.uint64(sum(1 << i for i in idx))
-                parity = (np.bitwise_count(z & mask) & np.uint64(1)).astype(np.float64)
-                rows.append(1.0 - 2.0 * parity)
-            self._term_signs = np.array(rows)
-        return self._term_signs
 
 
 def build_circuit(
@@ -141,11 +128,7 @@ def _apply_uf(spec: QaoaCircuitSpec, psi: sim.StateVector, gamma: float) -> None
         return
     # gate path: one rotation per term, all diagonal so order is irrelevant
     for idx, coef in zip(spec.term_keys, spec.term_coefs):
-        angle = gamma * coef
-        if len(idx) == 1:
-            sim.apply_rz(psi, idx[0], angle)
-        else:
-            sim.apply_rzk_ladder(psi, idx, angle)
+        sim.apply_rzk_ladder(psi, idx, gamma * coef)
 
 
 def _apply_ui(spec: QaoaCircuitSpec, psi: sim.StateVector, beta: float) -> None:
@@ -153,17 +136,28 @@ def _apply_ui(spec: QaoaCircuitSpec, psi: sim.StateVector, beta: float) -> None:
         sim.apply_rx(psi, q, beta)
 
 
+def _evolve(spec: QaoaCircuitSpec, params: QaoaParams, extra=None) -> sim.StateVector:
+    """The one layer loop: all layers on the uniform superposition, layer 1 first.
+
+    extra = (k, half, gate) calls gate(psi) right after half "uf" or "ui" of
+    layer k; None runs the plain circuit.
+    """
+    psi = sim.init_plus(spec.n)
+    halves = ("uf", "ui") if spec.layer_order is LayerOrder.UF_THEN_UI else ("ui", "uf")
+    for k in range(params.p):
+        for half in halves:
+            if half == "uf":
+                _apply_uf(spec, psi, float(params.gamma[k]))
+            else:
+                _apply_ui(spec, psi, float(params.beta[k]))
+            if extra is not None and extra[0] == k and extra[1] == half:
+                extra[2](psi)
+    return psi
+
+
 def run(spec: QaoaCircuitSpec, params: QaoaParams) -> sim.StateVector:
     """Apply all layers to the uniform superposition, layer 1 first."""
-    psi = sim.init_plus(spec.n)
-    for k in range(params.p):
-        if spec.layer_order is LayerOrder.UF_THEN_UI:
-            _apply_uf(spec, psi, float(params.gamma[k]))
-            _apply_ui(spec, psi, float(params.beta[k]))
-        else:
-            _apply_ui(spec, psi, float(params.beta[k]))
-            _apply_uf(spec, psi, float(params.gamma[k]))
-    return psi
+    return _evolve(spec, params)
 
 
 def energy(spec: QaoaCircuitSpec, params: QaoaParams) -> float:
@@ -191,27 +185,6 @@ def shot_energy(spec: QaoaCircuitSpec, params: QaoaParams, shots: int, seed) -> 
     return float(total / shots)
 
 
-def _energy_per_gate(spec: QaoaCircuitSpec, beta_angles: np.ndarray, term_angles: np.ndarray) -> float:
-    """Energy with every gate angle free: beta_angles is (p, n), term_angles (p, T).
-
-    Uses the diagonal representation for U_f, so each term's rotation angle
-    can be shifted independently.  Layer order follows the spec.
-    """
-    signs = spec.term_signs()
-    psi = sim.init_plus(spec.n)
-    p = beta_angles.shape[0]
-    for k in range(p):
-        if spec.layer_order is LayerOrder.UF_THEN_UI:
-            psi.amp *= np.exp(-0.5j * (term_angles[k] @ signs))
-            for q in range(spec.n):
-                sim.apply_rx(psi, q, float(beta_angles[k, q]))
-        else:
-            for q in range(spec.n):
-                sim.apply_rx(psi, q, float(beta_angles[k, q]))
-            psi.amp *= np.exp(-0.5j * (term_angles[k] @ signs))
-    return sim.expectation_diagonal(psi, spec.energies)
-
-
 def parameter_shift_gradient(
     spec: QaoaCircuitSpec,
     params: QaoaParams,
@@ -225,11 +198,15 @@ def parameter_shift_gradient(
     unequal coefficients, so a literal two-point shift per layer parameter
     is not exact; finite differences are correct for any generator.
 
-    method="shift": exact per-gate decomposition.  Every gate angle is a
-    rotation by a single +/-1-spectrum generator, so d/d(angle) is half the
-    difference of the angle shifted by +/- pi/2; summing over the gates a
-    layer parameter feeds (chain rule: d(angle)/d(gamma_k) = coef) gives the
-    exact derivative from 2 p (n + T) evaluations.
+    method="shift": exact per-gate parameter-shift rule.  U_i(beta_k) is a
+    product of commuting R_x(beta_k) and U_f(gamma_k) a product of commuting
+    Z-product rotations by gamma_k * coef, each generated by a +/-1-spectrum
+    operator.  Shifting one gate angle by +/- pi/2 therefore equals running
+    the plain circuit with one extra R_x (or Z-product rotation) of +/- pi/2
+    inserted right after that half-layer; d/d(angle) is half the difference
+    of the two energies.  Summing over the gates a layer parameter feeds
+    (chain rule: d(angle)/d(gamma_k) = coef) gives the exact derivative from
+    2 p (n + T) circuit runs, each holding O(2^n) memory.
     """
     p = params.p
     if method == "fd":
@@ -247,30 +224,24 @@ def parameter_shift_gradient(
     if method != "shift":
         raise ValueError(f"unknown gradient method: {method!r}")
 
-    n = spec.n
-    coefs = spec.term_coefs
-    beta_base = np.repeat(params.beta[:, None], n, axis=1)
-    term_base = params.gamma[:, None] * coefs[None, :]
-    grad = np.zeros(2 * p)
     half_pi = math.pi / 2.0
+
+    def energy_with(k: int, half: str, extra_gate) -> float:
+        return sim.expectation_diagonal(_evolve(spec, params, (k, half, extra_gate)), spec.energies)
+
+    def shift_diff(k: int, half: str, gate, target) -> float:
+        """Half the energy difference with gate(psi, target, +/- pi/2) inserted."""
+        up = energy_with(k, half, lambda psi: gate(psi, target, half_pi))
+        dn = energy_with(k, half, lambda psi: gate(psi, target, -half_pi))
+        return 0.5 * up - 0.5 * dn
+
+    grad = np.zeros(2 * p)
     for k in range(p):
-        total = 0.0
-        for q in range(n):
-            for sgn in (half_pi, -half_pi):
-                shifted = beta_base.copy()
-                shifted[k, q] += sgn
-                e = _energy_per_gate(spec, shifted, term_base)
-                total += 0.5 * e if sgn > 0 else -0.5 * e
-        grad[k] = total
-    for k in range(p):
-        total = 0.0
-        for t in range(coefs.size):
-            for sgn in (half_pi, -half_pi):
-                shifted = term_base.copy()
-                shifted[k, t] += sgn
-                e = _energy_per_gate(spec, beta_base, shifted)
-                total += (0.5 * e if sgn > 0 else -0.5 * e) * coefs[t]
-        grad[p + k] = total
+        grad[k] = sum(shift_diff(k, "ui", sim.apply_rx, q) for q in range(spec.n))
+        grad[p + k] = sum(
+            coef * shift_diff(k, "uf", sim.apply_rzk, idx)
+            for idx, coef in zip(spec.term_keys, spec.term_coefs)
+        )
     return grad
 
 
@@ -282,7 +253,6 @@ class LandscapeGrid:
     gamma_axis: np.ndarray
     values: np.ndarray
     scaled: bool
-    problem_id: str = ""
 
     def to_csv(self) -> str:
         """First row 'beta\\gamma' then the gamma axis; one row per beta."""

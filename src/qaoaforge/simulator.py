@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError
+from .ising import parity_sign
 
 STATEVECTOR_CAP = 24
 
@@ -141,11 +142,8 @@ def apply_rzk(psi: StateVector, qubits, theta: float) -> None:
     i.e. the sign is fixed by the Hamming weight of the selected bits.
     """
     qs = _check_tuple(psi, qubits)
-    mask = np.uint64(sum(1 << q for q in qs))
-    z = np.arange(psi.amp.size, dtype=np.uint64)
-    parity = (np.bitwise_count(z & mask) & np.uint64(1)).astype(np.float64)
-    sign = 1.0 - 2.0 * parity
-    psi.amp *= np.exp(-0.5j * theta * sign)
+    sign = parity_sign(np.arange(psi.amp.size, dtype=np.uint64), qs)
+    apply_diagonal_phase(psi, sign, theta)
 
 
 def apply_rzk_ladder(psi: StateVector, qubits, theta: float) -> None:

@@ -455,7 +455,6 @@ def check_pubo_conversion_paths(instances: int = 50, nmax: int = 8, tol: float =
     """Expansion route vs closed-form route produce the same Hamiltonian."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    same_keys = True
     for _ in range(instances):
         p = random_pubo(rng, int(rng.integers(2, nmax + 1)))
         ha = pubo_to_spin(p, method="expand")
@@ -464,7 +463,7 @@ def check_pubo_conversion_paths(instances: int = 50, nmax: int = 8, tol: float =
         for k in keys:
             worst = max(worst, abs(ha.terms.get(k, 0.0) - hb.terms.get(k, 0.0)))
         worst = max(worst, abs(ha.constant - hb.constant))
-    return _result("pubo_conversion_paths", worst, tol, "keys compared on union" if same_keys else "")
+    return _result("pubo_conversion_paths", worst, tol, "keys compared on union")
 
 
 def check_diagonal_matches_brute(instances: int = 20, nmax: int = 8, tol: float = 1e-9, seed: int = 0) -> CheckResult:
@@ -488,10 +487,6 @@ def check_penalties_exact(seed: int = 0) -> CheckResult:
     def base(n):
         return build_qubo(np.zeros((n, n)), np.zeros(n))
 
-    def penalty_values(spec, n):
-        pen = apply_penalty(base(n), spec)
-        return pen
-
     # pairwise and set penalties: enumerate every assignment
     cases = [
         (ConstraintSpec(ConstraintKind.AT_MOST_ONE_PAIR, (0, 1)), 3,
@@ -506,7 +501,7 @@ def check_penalties_exact(seed: int = 0) -> CheckResult:
          lambda bits: bits[0] + bits[1] + bits[2] == 2),
     ]
     for spec, n, feasible in cases:
-        pen = penalty_values(spec, n)
+        pen = apply_penalty(base(n), spec)
         for m in range(1 << n):
             bits = tuple((m >> i) & 1 for i in range(n))
             v = evaluate_qubo(pen, bits)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qaoaforge import qaoa
 from qaoaforge import simulator as sim
-from qaoaforge.ising import SpinHamiltonian, qubo_to_spin
+from qaoaforge.ising import SpinHamiltonian, parity_sign, qubo_to_spin
 from qaoaforge.model import build_maxcut, build_qubo
 
 
@@ -111,14 +112,16 @@ def test_gate_execution_matches_fast_path():
 
 
 def test_term_signs():
-    h = SpinHamiltonian(3, {(0,): 1.0, (1, 2): 2.0})
-    spec = qaoa.build_circuit(h)
-    signs = spec.term_signs()
-    assert signs.shape == (2, 8)
-    for z in range(8):
-        assert signs[0, z] == (1.0 if (z & 1) == 0 else -1.0)
-        parity = (bin(z & 0b110).count("1")) % 2
-        assert signs[1, z] == (1.0 - 2.0 * parity)
+    h = SpinHamiltonian(4, {(0,): 1.0, (1, 2): 2.0, (0, 1, 3): -0.5})
+    z = np.arange(16, dtype=np.uint64)
+    signs = {idx: parity_sign(z, idx) for idx in h.terms}
+    for idx, mask in (((0,), 0b1), ((1, 2), 0b110), ((0, 1, 3), 0b1011)):
+        assert signs[idx].dtype == np.float64 and signs[idx].shape == (16,)
+        for zi in range(16):
+            parity = bin(zi & mask).count("1") % 2
+            assert signs[idx][zi] == 1.0 - 2.0 * parity
+    spec = qaoa.build_circuit(h, scaled=False)
+    assert np.array_equal(spec.energies, 1.0 * signs[(0,)] + 2.0 * signs[(1, 2)] - 0.5 * signs[(0, 1, 3)])
 
 
 def test_shot_energy_converges():
@@ -133,15 +136,38 @@ def test_shot_energy_converges():
 
 def test_gradient_fd_matches_shift():
     rng = np.random.default_rng(46)
+    variants = (
+        {},
+        {"layer_order": qaoa.LayerOrder.UI_THEN_UF},
+        {"execution": qaoa.Execution.GATE_DECOMPOSED},
+    )
     for _ in range(5):
         h = random_hamiltonian(rng, int(rng.integers(2, 5)))
-        spec = qaoa.build_circuit(h)
         p = int(rng.integers(1, 3))
         params = qaoa.QaoaParams(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
-        g_fd = qaoa.parameter_shift_gradient(spec, params, method="fd")
-        g_sh = qaoa.parameter_shift_gradient(spec, params, method="shift")
-        assert g_fd.shape == (2 * p,)
-        assert np.abs(g_fd - g_sh).max() < 1e-7
+        for options in variants:
+            spec = qaoa.build_circuit(h, **options)
+            g_fd = qaoa.parameter_shift_gradient(spec, params, method="fd")
+            g_sh = qaoa.parameter_shift_gradient(spec, params, method="shift")
+            assert g_fd.shape == (2 * p,)
+            assert np.abs(g_fd - g_sh).max() < 1e-7
+
+
+def test_shift_gradient_memory_is_a_few_states():
+    # one gradient of a dense n=12 QUBO must not hold a per-term sign table
+    # (78 terms x 2^12 float64, about 2.5 MB)
+    rng = np.random.default_rng(47)
+    spec = qaoa.build_circuit(random_hamiltonian(rng, 12))
+    assert len(spec.term_keys) == 78
+    params = qaoa.QaoaParams([0.4], [0.9])
+    state_bytes = 16 << 12
+    tracemalloc.start()
+    try:
+        qaoa.parameter_shift_gradient(spec, params, method="shift")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * state_bytes, peak
 
 
 def test_gradient_matches_energy_slope():
