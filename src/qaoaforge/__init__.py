@@ -55,8 +55,6 @@ from .optimize import (
     RunRecord,
     init_params,
     optimize,
-    optimize_gd,
-    optimize_spsa,
 )
 
 __all__ = [
@@ -97,8 +95,6 @@ __all__ = [
     "landscape_scan",
     "load_problem",
     "optimize",
-    "optimize_gd",
-    "optimize_spsa",
     "parameter_shift_gradient",
     "problem_from_dict",
     "pubo_to_spin",

@@ -420,16 +420,15 @@ def brute_force_solve(problem, cap: int = BRUTE_FORCE_CAP, full_table: bool = Fa
     total = 1 << n
     chunk = min(total, 1 << 16)
     best = math.inf
-    for lo in range(0, total, chunk):
-        c = _chunk_costs(problem, lo, min(lo + chunk, total))
-        m = float(c.min())
-        if m < best:
-            best = m
     optima: list[int] = []
     parts: list[np.ndarray] = []
     for lo in range(0, total, chunk):
         c = _chunk_costs(problem, lo, min(lo + chunk, total))
-        optima.extend(int(z) for z in np.nonzero(c == best)[0] + lo)
+        m = float(c.min())
+        if m < best:
+            best, optima = m, []
+        if m == best:
+            optima.extend(int(z) for z in np.nonzero(c == best)[0] + lo)
         if full_table:
             parts.append(c)
     strings = tuple(bits_to_string(index_assignment(m, n)) for m in optima)

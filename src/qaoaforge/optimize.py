@@ -2,9 +2,10 @@
 
 SPSA perturbs all parameters at once with a Bernoulli +/-1 vector and
 estimates the gradient from two energy evaluations; gradient descent uses
-the exact gradient.  Both support multiple restarts, each on its own
-deterministic PRNG stream derived from (seed, restart index), and optional
-tanh squashing that keeps angles inside the restricted search box.
+the exact gradient.  Both run the same restart loop and differ only in the
+step: multiple restarts, each on its own deterministic PRNG stream derived
+from (seed, restart index), and optional tanh squashing that keeps angles
+inside the restricted search box.
 """
 from __future__ import annotations
 
@@ -74,9 +75,10 @@ def _squash_jacobian(raw: np.ndarray, fully_restricted: bool) -> np.ndarray:
 class OptimizerConfig:
     """All knobs of the outer loop.
 
-    shots=0 evaluates exact expectations.  a0=None calibrates the SPSA step
-    gain per restart from an initial gradient-magnitude probe; A=None uses
-    10% of max_iters.  plateau_window=0 disables early stopping.
+    shots=0 evaluates exact expectations, the only mode gradient descent
+    accepts.  a0=None calibrates the SPSA step gain per restart from an
+    initial gradient-magnitude probe; A=None uses 10% of max_iters.
+    plateau_window=0 disables early stopping.
     """
 
     method: str = "spsa"
@@ -111,6 +113,8 @@ class OptimizerConfig:
             raise ValueError("a0 must be positive, A nonnegative")
         if self.learning_rate < 0 or self.fd_step <= 0:
             raise ValueError("learning_rate >= 0 and fd_step > 0 required")
+        if self.method == "gd" and self.shots != 0:
+            raise ValueError("gradient descent requires exact expectations (shots=0)")
 
 
 @dataclass
@@ -119,8 +123,9 @@ class RunRecord:
 
     Per restart, the final iterate is the best energy seen during that
     restart (including its initial point), so restart_finals[r] is restart
-    r's final energy and best_energy == min(restart_finals).  wall_time_s
-    is informational and excluded from reproducibility comparisons.
+    r's final energy and best_energy == min(restart_finals); len(traces[r])
+    is the number of iterations restart r ran.  wall_time_s is
+    informational and excluded from reproducibility comparisons.
     """
 
     method: str
@@ -137,7 +142,6 @@ class RunRecord:
     initial_energies: list
     histogram: dict
     histogram_mode: str
-    iterations: int
     config: dict
     domain: dict
     wall_time_s: float
@@ -189,19 +193,11 @@ def _start_vector(spec, domain, config: OptimizerConfig, rng, initial_params) ->
     return angles.copy()
 
 
-def _make_objective(spec, config: OptimizerConfig, fully: bool, rng):
-    def decode(vec: np.ndarray) -> qaoa.QaoaParams:
-        if config.squash == "tanh":
-            return squash_params(vec, fully)
-        return qaoa.QaoaParams.from_vector(vec)
-
-    def objective(vec: np.ndarray) -> float:
-        params = decode(vec)
-        if config.shots > 0:
-            return qaoa.shot_energy(spec, params, config.shots, rng)
-        return qaoa.energy(spec, params)
-
-    return decode, objective
+def _decode(vec: np.ndarray, config: OptimizerConfig, fully: bool) -> qaoa.QaoaParams:
+    """The circuit angles an optimizer vector stands for."""
+    if config.squash == "tanh":
+        return squash_params(vec, fully)
+    return qaoa.QaoaParams.from_vector(vec)
 
 
 def _check_finite(value: float, what: str) -> float:
@@ -210,19 +206,21 @@ def _check_finite(value: float, what: str) -> float:
     return value
 
 
+def _spsa_slope(objective, vec: np.ndarray, c: float, rng):
+    """One SPSA probe: draw a Bernoulli +/-1 delta, return (E+ - E-)/2c and delta."""
+    delta = rng.integers(0, 2, size=vec.size) * 2.0 - 1.0
+    e_plus = _check_finite(objective(vec + c * delta), "energy")
+    e_minus = _check_finite(objective(vec - c * delta), "energy")
+    return (e_plus - e_minus) / (2.0 * c), delta
+
+
 def _calibrate_a0(objective, vec, rng, config: OptimizerConfig, big_a: float) -> float:
     """Pick a0 so the first step moves roughly 0.1 rad.
 
     Probes the SPSA gradient magnitude a few times at the initial point with
     the k=0 perturbation size; a0 = target_step * (A+1)^alpha / |g|.
     """
-    dim = vec.size
-    mags = []
-    for _ in range(5):
-        delta = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-        e_plus = _check_finite(objective(vec + config.c0 * delta), "energy")
-        e_minus = _check_finite(objective(vec - config.c0 * delta), "energy")
-        mags.append(abs(e_plus - e_minus) / (2.0 * config.c0))
+    mags = [abs(_spsa_slope(objective, vec, config.c0, rng)[0]) for _ in range(5)]
     gmag = max(float(np.mean(mags)), 1e-3)
     return min(0.1 * (big_a + 1.0) ** config.alpha / gmag, 50.0)
 
@@ -236,26 +234,48 @@ def _plateau_hit(best_history: list, config: OptimizerConfig) -> bool:
     return improvement < config.plateau_rtol * max(1.0, abs(before))
 
 
-def _spsa_restart(spec, config: OptimizerConfig, domain, restart: int, initial_params=None):
-    rng = np.random.default_rng([config.seed, restart])
-    decode, objective = _make_objective(spec, config, domain.fully_restricted, rng)
+def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initial_params):
+    """One restart on its own [seed, r] stream; SPSA and GD differ only in the step.
+
+    Returns the trace, the initial energy, the best energy seen, its vector
+    and the SPSA gain a0 (None for gradient descent).
+    """
+    rng = np.random.default_rng([config.seed, r])
+    fully = domain.fully_restricted
+
+    def objective(vec: np.ndarray) -> float:
+        params = _decode(vec, config, fully)
+        if config.shots > 0:
+            return qaoa.shot_energy(spec, params, config.shots, rng)
+        return qaoa.energy(spec, params)
+
+    spsa = config.method == "spsa"
     vec = _start_vector(spec, domain, config, rng, initial_params)
-    dim = vec.size
     e0 = _check_finite(objective(vec), "energy")
-    big_a = config.A if config.A is not None else 0.1 * config.max_iters
-    a0 = config.a0 if config.a0 is not None else _calibrate_a0(objective, vec, rng, config, big_a)
+    a0 = None
+    if spsa:
+        a0 = config.a0 if config.a0 is not None else _calibrate_a0(objective, vec, rng, config, big_a)
     best_e, best_vec = e0, vec.copy()
     trace: list[float] = []
     best_history: list[float] = [best_e]
     for k in range(config.max_iters):
-        ck = config.c0 / (k + 1) ** config.gamma_decay
-        ak = a0 / (big_a + k + 1) ** config.alpha
-        delta = rng.integers(0, 2, size=dim) * 2.0 - 1.0
-        e_plus = _check_finite(objective(vec + ck * delta), "energy")
-        e_minus = _check_finite(objective(vec - ck * delta), "energy")
-        # 1/delta_i == delta_i for Bernoulli +/-1 perturbations
-        ghat = (e_plus - e_minus) / (2.0 * ck) * delta
-        vec = vec - ak * ghat
+        if spsa:
+            step = a0 / (big_a + k + 1) ** config.alpha
+            ck = config.c0 / (k + 1) ** config.gamma_decay
+            slope, delta = _spsa_slope(objective, vec, ck, rng)
+            # 1/delta_i == delta_i for Bernoulli +/-1 perturbations
+            g = slope * delta
+        else:
+            step = config.learning_rate
+            g = qaoa.parameter_shift_gradient(
+                spec, _decode(vec, config, fully),
+                method=config.gradient_method, fd_step=config.fd_step,
+            )
+            if not np.isfinite(g).all():
+                raise OptimizerDivergence("non-finite gradient encountered; aborting")
+            if config.squash == "tanh":
+                g = g * _squash_jacobian(vec, fully)
+        vec = vec - step * g
         if not np.isfinite(vec).all():
             raise OptimizerDivergence("parameter vector diverged; aborting")
         e = _check_finite(objective(vec), "energy")
@@ -265,37 +285,7 @@ def _spsa_restart(spec, config: OptimizerConfig, domain, restart: int, initial_p
         best_history.append(best_e)
         if _plateau_hit(best_history, config):
             break
-    return trace, e0, best_e, best_vec, decode, a0
-
-
-def _gd_restart(spec, config: OptimizerConfig, domain, restart: int, initial_params=None):
-    rng = np.random.default_rng([config.seed, restart])
-    decode, objective = _make_objective(spec, config, domain.fully_restricted, rng)
-    vec = _start_vector(spec, domain, config, rng, initial_params)
-    e0 = _check_finite(objective(vec), "energy")
-    best_e, best_vec = e0, vec.copy()
-    trace: list[float] = []
-    best_history: list[float] = [best_e]
-    for _ in range(config.max_iters):
-        params = decode(vec)
-        g = qaoa.parameter_shift_gradient(
-            spec, params, method=config.gradient_method, fd_step=config.fd_step
-        )
-        if not np.isfinite(g).all():
-            raise OptimizerDivergence("non-finite gradient encountered; aborting")
-        if config.squash == "tanh":
-            g = g * _squash_jacobian(vec, domain.fully_restricted)
-        vec = vec - config.learning_rate * g
-        if not np.isfinite(vec).all():
-            raise OptimizerDivergence("parameter vector diverged; aborting")
-        e = _check_finite(objective(vec), "energy")
-        trace.append(e)
-        if e < best_e:
-            best_e, best_vec = e, vec.copy()
-        best_history.append(best_e)
-        if _plateau_hit(best_history, config):
-            break
-    return trace, e0, best_e, best_vec, decode, None
+    return trace, e0, best_e, best_vec, a0
 
 
 def _final_histogram(psi: sim.StateVector, config: OptimizerConfig):
@@ -320,30 +310,31 @@ def _final_histogram(psi: sim.StateVector, config: OptimizerConfig):
     return hist, best_z, mode
 
 
-def _run_restarts(spec, config: OptimizerConfig, restart_fn, initial_params=None) -> RunRecord:
+def optimize(
+    spec: qaoa.QaoaCircuitSpec, config: OptimizerConfig, initial_params=None
+) -> RunRecord:
+    """Multi-restart SPSA or gradient descent (config.method).
+
+    Returns the best restart's best-seen iterate.  initial_params, when
+    given, warm-starts every restart from those angles instead of a random
+    draw (restarts still perturb independently).
+    """
     t_start = time.perf_counter()
     domain = qaoa.restricted_domain(spec)
-    traces, initials, finals, vectors, a0s = [], [], [], [], []
-    decode = None
-    for r in range(config.restarts):
-        trace, e0, best_e, best_vec, decode, a0 = restart_fn(
-            spec, config, domain, r, initial_params
-        )
-        traces.append(trace)
-        initials.append(e0)
-        finals.append(best_e)
-        vectors.append(best_vec)
-        a0s.append(a0)
+    big_a = config.A if config.A is not None else 0.1 * config.max_iters
+    traces, initials, finals, vectors, a0s = zip(*(
+        _restart(spec, config, domain, r, big_a, initial_params) for r in range(config.restarts)
+    ))
     best_r = int(np.argmin(finals))
-    final_params = decode(vectors[best_r])
+    final_params = _decode(vectors[best_r], config, domain.fully_restricted)
     psi = qaoa.run(spec, final_params)
     final_unscaled = sim.expectation_diagonal(psi, spec.energies) * spec.k_scale
     hist, best_z, mode = _final_histogram(psi, config)
     best_bits = assignment_of_basis_index(best_z, spec.n)
     config_echo = asdict(config)
-    config_echo["A_resolved"] = config.A if config.A is not None else 0.1 * config.max_iters
-    if a0s[0] is not None:
-        config_echo["a0_resolved"] = a0s
+    config_echo["A_resolved"] = big_a
+    if config.method == "spsa":
+        config_echo["a0_resolved"] = list(a0s)
     return RunRecord(
         method=config.method,
         best_energy=float(finals[best_r]),
@@ -359,36 +350,7 @@ def _run_restarts(spec, config: OptimizerConfig, restart_fn, initial_params=None
         initial_energies=[float(v) for v in initials],
         histogram=hist,
         histogram_mode=mode,
-        iterations=config.max_iters,
         config=config_echo,
         domain=domain.to_dict(),
         wall_time_s=time.perf_counter() - t_start,
     )
-
-
-def optimize_spsa(
-    spec: qaoa.QaoaCircuitSpec, config: OptimizerConfig, initial_params=None
-) -> RunRecord:
-    """Multi-restart SPSA; returns the best restart's best-seen iterate.
-
-    initial_params, when given, warm-starts every restart from those angles
-    instead of a random draw (restarts still perturb independently).
-    """
-    return _run_restarts(spec, config, _spsa_restart, initial_params)
-
-
-def optimize_gd(
-    spec: qaoa.QaoaCircuitSpec, config: OptimizerConfig, initial_params=None
-) -> RunRecord:
-    """Multi-restart fixed-step gradient descent on exact energies."""
-    if config.shots != 0:
-        raise ValueError("gradient descent requires exact expectations (shots=0)")
-    return _run_restarts(spec, config, _gd_restart, initial_params)
-
-
-def optimize(
-    spec: qaoa.QaoaCircuitSpec, config: OptimizerConfig, initial_params=None
-) -> RunRecord:
-    if config.method == "spsa":
-        return optimize_spsa(spec, config, initial_params)
-    return optimize_gd(spec, config, initial_params)

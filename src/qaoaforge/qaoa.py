@@ -75,8 +75,6 @@ class QaoaCircuitSpec:
     execution: Execution
     scaled: bool
     energies: np.ndarray
-    term_keys: list[tuple[int, ...]]
-    term_coefs: np.ndarray
 
     @property
     def n(self) -> int:
@@ -106,9 +104,6 @@ def build_circuit(
         raise ValueError("layers must be >= 1")
     k = scaling_factor(h_raw) if scaled else 1.0
     h = scale(h_raw, k) if scaled else h_raw
-    energies = diagonalize(h)
-    keys = list(h.terms.keys())
-    coefs = np.array([h.terms[key] for key in keys])
     return QaoaCircuitSpec(
         hamiltonian=h,
         k_scale=k,
@@ -116,9 +111,7 @@ def build_circuit(
         layer_order=layer_order,
         execution=execution,
         scaled=scaled,
-        energies=energies,
-        term_keys=keys,
-        term_coefs=coefs,
+        energies=diagonalize(h),
     )
 
 
@@ -127,7 +120,7 @@ def _apply_uf(spec: QaoaCircuitSpec, psi: sim.StateVector, gamma: float) -> None
         sim.apply_diagonal_phase(psi, spec.energies, gamma)
         return
     # gate path: one rotation per term, all diagonal so order is irrelevant
-    for idx, coef in zip(spec.term_keys, spec.term_coefs):
+    for idx, coef in spec.hamiltonian.terms.items():
         sim.apply_rzk_ladder(psi, idx, gamma * coef)
 
 
@@ -140,8 +133,11 @@ def _evolve(spec: QaoaCircuitSpec, params: QaoaParams, extra=None) -> sim.StateV
     """The one layer loop: all layers on the uniform superposition, layer 1 first.
 
     extra = (k, half, gate) calls gate(psi) right after half "uf" or "ui" of
-    layer k; None runs the plain circuit.
+    layer k; None runs the plain circuit.  Raises ValueError when params and
+    spec disagree on the number of layers.
     """
+    if params.p != spec.layers:
+        raise ValueError(f"params have {params.p} layers, circuit has {spec.layers}")
     psi = sim.init_plus(spec.n)
     halves = ("uf", "ui") if spec.layer_order is LayerOrder.UF_THEN_UI else ("ui", "uf")
     for k in range(params.p):
@@ -240,7 +236,7 @@ def parameter_shift_gradient(
         grad[k] = sum(shift_diff(k, "ui", sim.apply_rx, q) for q in range(spec.n))
         grad[p + k] = sum(
             coef * shift_diff(k, "uf", sim.apply_rzk, idx)
-            for idx, coef in zip(spec.term_keys, spec.term_coefs)
+            for idx, coef in spec.hamiltonian.terms.items()
         )
     return grad
 

@@ -260,8 +260,9 @@ def check_point_symmetry(
     worst = 0.0
     for _ in range(instances):
         n = int(rng.integers(2, nmax + 1))
-        spec = qaoa.build_circuit(random_spin_mixed(rng, n))
+        h = random_spin_mixed(rng, n)
         p = int(rng.integers(1, pmax + 1))
+        spec = qaoa.build_circuit(h, layers=p)
         for _ in range(points):
             params = _random_params(rng, p)
             flipped = qaoa.QaoaParams(beta=-params.beta, gamma=-params.gamma)
@@ -279,8 +280,9 @@ def check_beta_periodicity_even(
     for _ in range(instances):
         n = int(rng.integers(2, nmax + 1))
         degrees = [2] if n < 4 else ([2, 4] if rng.random() < 0.5 else [2])
-        spec = qaoa.build_circuit(random_spin_hamiltonian(rng, n, degrees))
+        h = random_spin_hamiltonian(rng, n, degrees)
         p = int(rng.integers(1, pmax + 1))
+        spec = qaoa.build_circuit(h, layers=p)
         for _ in range(points):
             params = _random_params(rng, p)
             e0 = qaoa.energy(spec, params)
@@ -332,8 +334,9 @@ def check_beta_2pi_periodicity(
     worst = 0.0
     for _ in range(instances):
         n = int(rng.integers(2, nmax + 1))
-        spec = qaoa.build_circuit(random_spin_mixed(rng, n))
+        h = random_spin_mixed(rng, n)
         p = int(rng.integers(1, 3 + 1))
+        spec = qaoa.build_circuit(h, layers=p)
         for _ in range(points):
             params = _random_params(rng, p)
             e0 = qaoa.energy(spec, params)
@@ -592,8 +595,9 @@ def check_gradient_methods_agree(
     worst = 0.0
     for _ in range(instances):
         n = int(rng.integers(2, nmax + 1))
-        spec = qaoa.build_circuit(random_spin_mixed(rng, n))
+        h = random_spin_mixed(rng, n)
         p = int(rng.integers(1, pmax + 1))
+        spec = qaoa.build_circuit(h, layers=p)
         for _ in range(points):
             params = _random_params(rng, p)
             g_fd = qaoa.parameter_shift_gradient(spec, params, method="fd", fd_step=fd_step)

@@ -106,6 +106,14 @@ def test_solve_optimizer_and_squash_flags(c4_file, tmp_path):
     assert record["config"]["squash"] == "tanh"
 
 
+def test_gd_with_shots_exits_2(c4_file, tmp_path, capsys):
+    args = ["solve", str(c4_file), "--optimizer", "gd", "--shots", "100",
+            "--out", str(tmp_path / "gd")]
+    assert cli.main(args) == 2
+    assert "shots=0" in capsys.readouterr().err
+    assert not (tmp_path / "gd").exists()
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "maxcut",\n "vertices": }')

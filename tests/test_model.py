@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qaoaforge.errors import ProblemFormatError, SizeCapError
+from qaoaforge.ising import assignment_of_basis_index, diagonalize, to_spin
 from qaoaforge.model import (
     ConstraintKind,
     ConstraintSpec,
@@ -200,6 +201,21 @@ def test_brute_force_keeps_all_ties():
     res = brute_force_solve(zero_qubo(3))
     assert res.best_cost == 0.0
     assert len(res.optimum_set) == 8
+
+
+def test_brute_force_two_chunks_match_spin_diagonal():
+    # a 17-vertex ring enumerates in two chunks of 2^16; an odd ring cuts
+    # 16 edges at best, with the one uncut edge anywhere and two colourings
+    n = 17
+    p = build_maxcut(n, [(i, (i + 1) % n) for i in range(n)])
+    res = brute_force_solve(p)
+    energies = diagonalize(to_spin(p))
+    argmin = np.nonzero(energies == energies.min())[0]
+    want = {"".join(map(str, assignment_of_basis_index(int(z), n))) for z in argmin}
+    assert res.best_cost == -16.0
+    assert len(res.optimum_set) == 2 * n
+    assert set(res.optimum_set) == want
+    assert {s[-1] for s in res.optimum_set} == {"0", "1"}  # optima in both chunks
 
 
 def test_build_knapsack_frozen():

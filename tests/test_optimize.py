@@ -13,8 +13,6 @@ from qaoaforge.optimize import (
     OptimizerConfig,
     init_params,
     optimize,
-    optimize_gd,
-    optimize_spsa,
     squash_params,
     squash_pi,
     squash_2pi,
@@ -83,15 +81,15 @@ def test_zero_iterations_returns_initial_point():
 def test_spsa_improves_and_keeps_invariants():
     spec = c4_spec()
     config = OptimizerConfig(method="spsa", max_iters=200, restarts=3, seed=2)
-    rec = optimize_spsa(spec, config)
+    rec = optimize(spec, config)
     assert rec.best_energy < min(rec.initial_energies)
     assert rec.best_energy == min(rec.restart_finals)
     assert rec.best_restart == int(np.argmin(rec.restart_finals))
     for r in range(3):
-        assert len(rec.traces[r]) <= config.max_iters
+        assert len(rec.traces[r]) == config.max_iters  # no plateau window: every iteration runs
         seen = [rec.initial_energies[r]] + rec.traces[r]
         assert abs(rec.restart_finals[r] - min(seen)) < 1e-15
-    assert rec.iterations == 200
+    assert rec.method == "spsa"
     assert rec.config["A_resolved"] == 20.0
     assert len(rec.config["a0_resolved"]) == 3
 
@@ -99,15 +97,15 @@ def test_spsa_improves_and_keeps_invariants():
 def test_gd_decreases_energy():
     spec = c4_spec(layers=1)
     config = OptimizerConfig(method="gd", max_iters=120, restarts=2, seed=1, learning_rate=0.1)
-    rec = optimize_gd(spec, config)
+    rec = optimize(spec, config)
     assert rec.best_energy < min(rec.initial_energies)
     assert rec.method == "gd"
 
 
 def test_gd_requires_exact_mode():
-    spec = c4_spec(layers=1)
-    with pytest.raises(ValueError):
-        optimize_gd(spec, OptimizerConfig(method="gd", shots=100))
+    with pytest.raises(ValueError, match="shots=0"):
+        OptimizerConfig(method="gd", shots=100)
+    OptimizerConfig(method="spsa", shots=100)
 
 
 def test_gd_divergence_detected():
@@ -115,7 +113,7 @@ def test_gd_divergence_detected():
     config = OptimizerConfig(method="gd", max_iters=5, restarts=1, seed=0, learning_rate=math.inf)
     with np.errstate(invalid="ignore"):
         with pytest.raises(OptimizerDivergence):
-            optimize_gd(spec, config)
+            optimize(spec, config)
 
 
 def test_plateau_stops_early():
@@ -124,7 +122,7 @@ def test_plateau_stops_early():
         method="gd", max_iters=50, restarts=1, seed=0,
         learning_rate=0.0, plateau_window=3, plateau_rtol=1e-9,
     )
-    rec = optimize_gd(spec, config)
+    rec = optimize(spec, config)
     assert len(rec.traces[0]) < 50
 
 
@@ -133,11 +131,11 @@ def test_warm_start_used_by_every_restart():
     start = qaoa.QaoaParams(beta=[0.3, 0.4], gamma=[0.5, 0.6])
     e_start = qaoa.energy(spec, start)
     config = OptimizerConfig(method="spsa", max_iters=10, restarts=3, seed=0)
-    rec = optimize_spsa(spec, config, initial_params=start)
+    rec = optimize(spec, config, initial_params=start)
     assert all(abs(e - e_start) < 1e-12 for e in rec.initial_energies)
     assert rec.best_energy <= e_start
     with pytest.raises(ValueError):
-        optimize_spsa(spec, config, initial_params=qaoa.QaoaParams([0.1], [0.2]))
+        optimize(spec, config, initial_params=qaoa.QaoaParams([0.1], [0.2]))
 
 
 def test_histogram_argmax_prefers_lowest_index_on_ties():

@@ -146,11 +146,21 @@ def test_gradient_fd_matches_shift():
         p = int(rng.integers(1, 3))
         params = qaoa.QaoaParams(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
         for options in variants:
-            spec = qaoa.build_circuit(h, **options)
+            spec = qaoa.build_circuit(h, layers=p, **options)
             g_fd = qaoa.parameter_shift_gradient(spec, params, method="fd")
             g_sh = qaoa.parameter_shift_gradient(spec, params, method="shift")
             assert g_fd.shape == (2 * p,)
             assert np.abs(g_fd - g_sh).max() < 1e-7
+
+
+def test_depth_mismatch_raises():
+    spec = qaoa.build_circuit(single_z(), layers=1)
+    params = qaoa.QaoaParams([0.1, 0.2], [0.3, 0.4])
+    for call in (qaoa.run, qaoa.energy, qaoa.parameter_shift_gradient):
+        with pytest.raises(ValueError, match="layers"):
+            call(spec, params)
+    with pytest.raises(ValueError, match="layers"):
+        qaoa.parameter_shift_gradient(spec, params, method="shift")
 
 
 def test_shift_gradient_memory_is_a_few_states():
@@ -158,7 +168,7 @@ def test_shift_gradient_memory_is_a_few_states():
     # (78 terms x 2^12 float64, about 2.5 MB)
     rng = np.random.default_rng(47)
     spec = qaoa.build_circuit(random_hamiltonian(rng, 12))
-    assert len(spec.term_keys) == 78
+    assert len(spec.hamiltonian.terms) == 78
     params = qaoa.QaoaParams([0.4], [0.9])
     state_bytes = 16 << 12
     tracemalloc.start()
