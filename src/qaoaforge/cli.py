@@ -121,11 +121,10 @@ def _write_histogram_csv(path: Path, spec, record) -> None:
     value_col = "count" if record.histogram_mode == "counts" else "probability"
     rows = sorted(record.histogram.items(), key=lambda kv: (spec.energies[kv[0]], kv[0]))
     lines = [f"bitstring,basis_index,scaled_energy,objective,{value_col}"]
-    constant = spec.hamiltonian.constant
     for z, value in rows:
         bits = assignment_of_basis_index(z, spec.hamiltonian.n)
         scaled = float(spec.energies[z])
-        objective = scaled * spec.k_scale + constant
+        objective = spec.objective(scaled)
         val = str(value) if record.histogram_mode == "counts" else f"{value:.17g}"
         lines.append(f"{bits_to_string(bits)},{z},{scaled:.17g},{objective:.17g},{val}")
     path.write_text("\n".join(lines) + "\n")
@@ -245,7 +244,7 @@ def cmd_brute(args) -> int:
     print(f"optimum cost  {result.best_cost:.10g}")
     print(f"optima        {len(result.optimum_set)}")
     for bits in result.optimum_set:
-        print(f"  {bits_to_string(bits)}")
+        print(f"  {bits}")
     return 0
 
 

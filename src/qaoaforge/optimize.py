@@ -1,11 +1,11 @@
 """Classical outer loops over the circuit parameters.
 
 SPSA perturbs all parameters at once with a Bernoulli +/-1 vector and
-estimates the gradient from two energy evaluations; gradient descent uses
-the exact gradient.  Both run the same restart loop and differ only in the
-step: multiple restarts, each on its own deterministic PRNG stream derived
-from (seed, restart index), and optional tanh squashing that keeps angles
-inside the restricted search box.
+estimates the gradient from two energy evaluations; gradient descent takes
+central finite differences of the exact energy.  Both run the same restart
+loop and differ only in the step: multiple restarts, each on its own
+deterministic PRNG stream derived from (seed, restart index), and optional
+tanh squashing that keeps angles inside the restricted search box.
 """
 from __future__ import annotations
 
@@ -23,52 +23,44 @@ from . import simulator as sim
 
 HISTOGRAM_MAX_ENTRIES = 4096
 
-
-def squash_pi(x):
-    """(pi/2)(tanh x + 1): all reals onto (0, pi), monotone."""
-    return (math.pi / 2.0) * (np.tanh(x) + 1.0)
-
-
-def squash_2pi(x):
-    """pi tanh x: all reals onto (-pi, pi), monotone."""
-    return math.pi * np.tanh(x)
+# SPSA gain schedule a_k = a0 / (A + k + 1)^alpha, c_k = c0 / (k + 1)^gamma_decay
+# with A = 0.1 max_iters; the exponents are Spall's standard choices.
+SPSA_C0 = 0.1
+SPSA_ALPHA = 0.602
+SPSA_GAMMA_DECAY = 0.101
 
 
-def squash_params(raw, fully_restricted: bool) -> qaoa.QaoaParams:
-    """Map 2p raw reals into the restricted box.
+def _box(domain: qaoa.DomainDescriptor, p: int):
+    """Per-coordinate half-width h and offset m of the restricted box.
 
-    beta always gets the (0, pi) map; gamma gets it only when the domain is
-    fully restricted, otherwise the (-pi, pi) map.
+    Squashing maps x into a range (lo, hi) as h (tanh x + m), with
+    h = (hi - lo)/2 and m = (hi + lo)/(hi - lo); betas first, then gammas.
     """
+    lo = np.repeat([domain.beta_range[0], domain.gamma_range[0]], p)
+    hi = np.repeat([domain.beta_range[1], domain.gamma_range[1]], p)
+    return (hi - lo) / 2.0, (hi + lo) / (hi - lo)
+
+
+def squash_params(raw, domain: qaoa.DomainDescriptor) -> qaoa.QaoaParams:
+    """Map 2p raw reals monotonically into the open restricted box."""
     raw = np.asarray(raw, dtype=float)
     if raw.size % 2 != 0 or raw.size == 0:
         raise ValueError("raw vector must have even positive length")
-    p = raw.size // 2
-    beta = squash_pi(raw[:p])
-    gamma = squash_pi(raw[p:]) if fully_restricted else squash_2pi(raw[p:])
-    return qaoa.QaoaParams(beta=beta, gamma=gamma)
+    h, m = _box(domain, raw.size // 2)
+    return qaoa.QaoaParams.from_vector(h * (np.tanh(raw) + m))
 
 
-def _unsquash(angles: np.ndarray, fully_restricted: bool) -> np.ndarray:
+def _unsquash(angles: np.ndarray, domain: qaoa.DomainDescriptor) -> np.ndarray:
     """Raw vector whose squash reproduces the given angle vector."""
-    p = angles.size // 2
+    h, m = _box(domain, angles.size // 2)
     lim = 1.0 - 1e-12
-    tb = np.clip(2.0 * angles[:p] / math.pi - 1.0, -lim, lim)
-    if fully_restricted:
-        tg = np.clip(2.0 * angles[p:] / math.pi - 1.0, -lim, lim)
-    else:
-        tg = np.clip(angles[p:] / math.pi, -lim, lim)
-    return np.concatenate([np.arctanh(tb), np.arctanh(tg)])
+    return np.arctanh(np.clip(angles / h - m, -lim, lim))
 
 
-def _squash_jacobian(raw: np.ndarray, fully_restricted: bool) -> np.ndarray:
+def _squash_jacobian(raw: np.ndarray, domain: qaoa.DomainDescriptor) -> np.ndarray:
     """d(angle)/d(raw), elementwise."""
-    p = raw.size // 2
-    sech2 = 1.0 - np.tanh(raw) ** 2
-    jac = np.empty_like(raw)
-    jac[:p] = (math.pi / 2.0) * sech2[:p]
-    jac[p:] = ((math.pi / 2.0) if fully_restricted else math.pi) * sech2[p:]
-    return jac
+    h, _ = _box(domain, raw.size // 2)
+    return h * (1.0 - np.tanh(raw) ** 2)
 
 
 @dataclass
@@ -76,9 +68,9 @@ class OptimizerConfig:
     """All knobs of the outer loop.
 
     shots=0 evaluates exact expectations, the only mode gradient descent
-    accepts.  a0=None calibrates the SPSA step gain per restart from an
-    initial gradient-magnitude probe; A=None uses 10% of max_iters.
-    plateau_window=0 disables early stopping.
+    accepts.  a0 is the SPSA step gain; None calibrates it per restart
+    from an initial gradient-magnitude probe.  learning_rate is the
+    gradient-descent step.  plateau_window=0 disables early stopping.
     """
 
     method: str = "spsa"
@@ -88,13 +80,7 @@ class OptimizerConfig:
     shots: int = 0
     squash: str = "none"
     a0: float | None = None
-    c0: float = 0.1
-    A: float | None = None
-    alpha: float = 0.602
-    gamma_decay: float = 0.101
     learning_rate: float = 0.05
-    fd_step: float = 1e-5
-    gradient_method: str = "fd"
     plateau_window: int = 0
     plateau_rtol: float = 1e-6
 
@@ -103,16 +89,12 @@ class OptimizerConfig:
             raise ValueError(f"method must be 'spsa' or 'gd', got {self.method!r}")
         if self.squash not in ("none", "tanh"):
             raise ValueError(f"squash must be 'none' or 'tanh', got {self.squash!r}")
-        if self.gradient_method not in ("fd", "shift"):
-            raise ValueError(f"gradient_method must be 'fd' or 'shift'")
         if self.max_iters < 0 or self.restarts < 1 or self.shots < 0:
             raise ValueError("max_iters >= 0, restarts >= 1, shots >= 0 required")
-        if self.c0 <= 0 or self.alpha <= 0 or self.gamma_decay <= 0:
-            raise ValueError("SPSA gains must be positive")
-        if (self.a0 is not None and self.a0 <= 0) or (self.A is not None and self.A < 0):
-            raise ValueError("a0 must be positive, A nonnegative")
-        if self.learning_rate < 0 or self.fd_step <= 0:
-            raise ValueError("learning_rate >= 0 and fd_step > 0 required")
+        if self.a0 is not None and self.a0 <= 0:
+            raise ValueError("a0 must be positive")
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate >= 0 required")
         if self.method == "gd" and self.shots != 0:
             raise ValueError("gradient descent requires exact expectations (shots=0)")
 
@@ -168,7 +150,7 @@ def _initial_vector(domain: qaoa.DomainDescriptor, p: int, rng, squash: str) -> 
     gamma = rng.uniform(domain.gamma_range[0], domain.gamma_range[1], p)
     angles = np.concatenate([beta, gamma])
     if squash == "tanh":
-        return _unsquash(angles, domain.fully_restricted)
+        return _unsquash(angles, domain)
     return angles
 
 
@@ -189,14 +171,14 @@ def _start_vector(spec, domain, config: OptimizerConfig, rng, initial_params) ->
             f"initial_params has {angles.size // 2} layers, circuit has {spec.layers}"
         )
     if config.squash == "tanh":
-        return _unsquash(angles, domain.fully_restricted)
+        return _unsquash(angles, domain)
     return angles.copy()
 
 
-def _decode(vec: np.ndarray, config: OptimizerConfig, fully: bool) -> qaoa.QaoaParams:
+def _decode(vec: np.ndarray, config: OptimizerConfig, domain) -> qaoa.QaoaParams:
     """The circuit angles an optimizer vector stands for."""
     if config.squash == "tanh":
-        return squash_params(vec, fully)
+        return squash_params(vec, domain)
     return qaoa.QaoaParams.from_vector(vec)
 
 
@@ -214,15 +196,15 @@ def _spsa_slope(objective, vec: np.ndarray, c: float, rng):
     return (e_plus - e_minus) / (2.0 * c), delta
 
 
-def _calibrate_a0(objective, vec, rng, config: OptimizerConfig, big_a: float) -> float:
+def _calibrate_a0(objective, vec, rng, big_a: float) -> float:
     """Pick a0 so the first step moves roughly 0.1 rad.
 
     Probes the SPSA gradient magnitude a few times at the initial point with
     the k=0 perturbation size; a0 = target_step * (A+1)^alpha / |g|.
     """
-    mags = [abs(_spsa_slope(objective, vec, config.c0, rng)[0]) for _ in range(5)]
+    mags = [abs(_spsa_slope(objective, vec, SPSA_C0, rng)[0]) for _ in range(5)]
     gmag = max(float(np.mean(mags)), 1e-3)
-    return min(0.1 * (big_a + 1.0) ** config.alpha / gmag, 50.0)
+    return min(0.1 * (big_a + 1.0) ** SPSA_ALPHA / gmag, 50.0)
 
 
 def _plateau_hit(best_history: list, config: OptimizerConfig) -> bool:
@@ -241,10 +223,9 @@ def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initia
     and the SPSA gain a0 (None for gradient descent).
     """
     rng = np.random.default_rng([config.seed, r])
-    fully = domain.fully_restricted
 
     def objective(vec: np.ndarray) -> float:
-        params = _decode(vec, config, fully)
+        params = _decode(vec, config, domain)
         if config.shots > 0:
             return qaoa.shot_energy(spec, params, config.shots, rng)
         return qaoa.energy(spec, params)
@@ -254,27 +235,24 @@ def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initia
     e0 = _check_finite(objective(vec), "energy")
     a0 = None
     if spsa:
-        a0 = config.a0 if config.a0 is not None else _calibrate_a0(objective, vec, rng, config, big_a)
+        a0 = config.a0 if config.a0 is not None else _calibrate_a0(objective, vec, rng, big_a)
     best_e, best_vec = e0, vec.copy()
     trace: list[float] = []
     best_history: list[float] = [best_e]
     for k in range(config.max_iters):
         if spsa:
-            step = a0 / (big_a + k + 1) ** config.alpha
-            ck = config.c0 / (k + 1) ** config.gamma_decay
+            step = a0 / (big_a + k + 1) ** SPSA_ALPHA
+            ck = SPSA_C0 / (k + 1) ** SPSA_GAMMA_DECAY
             slope, delta = _spsa_slope(objective, vec, ck, rng)
             # 1/delta_i == delta_i for Bernoulli +/-1 perturbations
             g = slope * delta
         else:
             step = config.learning_rate
-            g = qaoa.parameter_shift_gradient(
-                spec, _decode(vec, config, fully),
-                method=config.gradient_method, fd_step=config.fd_step,
-            )
+            g = qaoa.parameter_shift_gradient(spec, _decode(vec, config, domain))
             if not np.isfinite(g).all():
                 raise OptimizerDivergence("non-finite gradient encountered; aborting")
             if config.squash == "tanh":
-                g = g * _squash_jacobian(vec, fully)
+                g = g * _squash_jacobian(vec, domain)
         vec = vec - step * g
         if not np.isfinite(vec).all():
             raise OptimizerDivergence("parameter vector diverged; aborting")
@@ -321,28 +299,32 @@ def optimize(
     """
     t_start = time.perf_counter()
     domain = qaoa.restricted_domain(spec)
-    big_a = config.A if config.A is not None else 0.1 * config.max_iters
+    big_a = 0.1 * config.max_iters
     traces, initials, finals, vectors, a0s = zip(*(
         _restart(spec, config, domain, r, big_a, initial_params) for r in range(config.restarts)
     ))
     best_r = int(np.argmin(finals))
-    final_params = _decode(vectors[best_r], config, domain.fully_restricted)
+    final_params = _decode(vectors[best_r], config, domain)
     psi = qaoa.run(spec, final_params)
-    final_unscaled = sim.expectation_diagonal(psi, spec.energies) * spec.k_scale
+    final_scaled = sim.expectation_diagonal(psi, spec.energies)
     hist, best_z, mode = _final_histogram(psi, config)
     best_bits = assignment_of_basis_index(best_z, spec.n)
+    # echo only the settings the chosen method read
     config_echo = asdict(config)
-    config_echo["A_resolved"] = big_a
     if config.method == "spsa":
+        del config_echo["learning_rate"]
+        config_echo["A_resolved"] = big_a
         config_echo["a0_resolved"] = list(a0s)
+    else:
+        del config_echo["a0"]
     return RunRecord(
         method=config.method,
         best_energy=float(finals[best_r]),
-        best_energy_unscaled=final_unscaled,
-        best_objective=final_unscaled + spec.constant,
+        best_energy_unscaled=final_scaled * spec.k_scale,
+        best_objective=spec.objective(final_scaled),
         best_bitstring=bits_to_string(best_bits),
         best_basis_index=best_z,
-        best_cost=float(spec.energies[best_z] * spec.k_scale + spec.constant),
+        best_cost=float(spec.objective(spec.energies[best_z])),
         final_params={"beta": final_params.beta.tolist(), "gamma": final_params.gamma.tolist()},
         best_restart=best_r,
         restart_finals=[float(v) for v in finals],

@@ -73,7 +73,6 @@ class QaoaCircuitSpec:
     layers: int
     layer_order: LayerOrder
     execution: Execution
-    scaled: bool
     energies: np.ndarray
 
     @property
@@ -83,6 +82,10 @@ class QaoaCircuitSpec:
     @property
     def constant(self) -> float:
         return self.hamiltonian.constant
+
+    def objective(self, scaled: float) -> float:
+        """Original-unit objective of a scaled energy: scaled * k_scale + constant."""
+        return scaled * self.k_scale + self.constant
 
 
 def build_circuit(
@@ -110,7 +113,6 @@ def build_circuit(
         layers=layers,
         layer_order=layer_order,
         execution=execution,
-        scaled=scaled,
         energies=diagonalize(h),
     )
 
@@ -167,7 +169,7 @@ def energy_breakdown(spec: QaoaCircuitSpec, params: QaoaParams) -> dict[str, flo
     return {
         "scaled": e,
         "unscaled": e * spec.k_scale,
-        "objective": e * spec.k_scale + spec.constant,
+        "objective": spec.objective(e),
     }
 
 
@@ -248,7 +250,6 @@ class LandscapeGrid:
     beta_axis: np.ndarray
     gamma_axis: np.ndarray
     values: np.ndarray
-    scaled: bool
 
     def to_csv(self) -> str:
         """First row 'beta\\gamma' then the gamma axis; one row per beta."""
@@ -281,7 +282,7 @@ def landscape_scan(
     for i, b in enumerate(beta_axis):
         for j, g in enumerate(gamma_axis):
             values[i, j] = energy(spec, QaoaParams(beta=[b], gamma=[g]))
-    return LandscapeGrid(beta_axis=beta_axis, gamma_axis=gamma_axis, values=values, scaled=spec.scaled)
+    return LandscapeGrid(beta_axis=beta_axis, gamma_axis=gamma_axis, values=values)
 
 
 @dataclass(frozen=True)

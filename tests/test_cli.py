@@ -106,6 +106,21 @@ def test_solve_optimizer_and_squash_flags(c4_file, tmp_path):
     assert record["config"]["squash"] == "tanh"
 
 
+def test_config_echo_lists_only_what_the_method_read(c4_file, tmp_path):
+    shared = {"method", "max_iters", "restarts", "seed", "shots", "squash",
+              "plateau_window", "plateau_rtol"}
+    echoes = {}
+    for method in ("gd", "spsa"):
+        out = tmp_path / method
+        args = ["solve", str(c4_file), "--optimizer", method, "--iters", "3",
+                "--restarts", "1", "--out", str(out)]
+        assert cli.main(args) == 0
+        echoes[method] = json.loads((out / "manifest.json").read_text())["optimizer"]
+        assert json.loads((out / "run.json").read_text())["config"] == echoes[method]
+    assert set(echoes["gd"]) == shared | {"learning_rate"}
+    assert set(echoes["spsa"]) == shared | {"a0", "A_resolved", "a0_resolved"}
+
+
 def test_gd_with_shots_exits_2(c4_file, tmp_path, capsys):
     args = ["solve", str(c4_file), "--optimizer", "gd", "--shots", "100",
             "--out", str(tmp_path / "gd")]

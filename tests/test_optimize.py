@@ -14,8 +14,6 @@ from qaoaforge.optimize import (
     init_params,
     optimize,
     squash_params,
-    squash_pi,
-    squash_2pi,
 )
 
 
@@ -25,21 +23,28 @@ def c4_spec(layers=2):
 
 
 def test_squash_maps_into_boxes():
+    even = qaoa.restricted_domain(c4_spec())
+    odd = qaoa.restricted_domain(qaoa.build_circuit(SpinHamiltonian(2, {(0,): 1.0, (0, 1): 0.5})))
+    assert even.gamma_range == (0.0, math.pi) and odd.gamma_range == (-math.pi, math.pi)
     # tanh saturates to exactly +/-1.0 past |x| ~ 19, so stay below that
     # to check the strict-interior property.
     xs = np.linspace(-15, 15, 101)
-    b = squash_pi(xs)
-    assert (b > 0).all() and (b < math.pi).all()
-    assert (np.diff(b) > 0).all()
-    g = squash_2pi(xs)
-    assert (g > -math.pi).all() and (g < math.pi).all()
-    far = squash_pi(np.array([-1e6, 1e6]))
-    assert (far >= 0).all() and (far <= math.pi).all()
+    for domain in (even, odd):
+        inner = squash_params(np.concatenate([xs, xs]), domain)
+        far = squash_params(np.array([-1e6, 1e6, -1e6, 1e6]), domain)
+        for name, (lo, hi) in (("beta", domain.beta_range), ("gamma", domain.gamma_range)):
+            angles = getattr(inner, name)
+            assert (angles > lo).all() and (angles < hi).all()
+            assert (np.diff(angles) > 0).all()
+            saturated = getattr(far, name)
+            assert (saturated >= lo).all() and (saturated <= hi).all()
 
-    params = squash_params(np.array([0.0, 1.0, -1.0, 2.0]), fully_restricted=False)
+    params = squash_params(np.array([0.0, 1.0, -1.0, 2.0]), odd)
     assert params.p == 2
     assert abs(params.beta[0] - math.pi / 2) < 1e-12
     assert abs(params.gamma[0] - math.pi * math.tanh(-1.0)) < 1e-12
+    params = squash_params(np.array([0.0, 1.0, -1.0, 2.0]), even)
+    assert abs(params.gamma[0] - (math.pi / 2) * (math.tanh(-1.0) + 1.0)) < 1e-12
 
 
 def test_config_validation():
@@ -50,7 +55,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OptimizerConfig(squash="clip")
     with pytest.raises(ValueError):
-        OptimizerConfig(c0=0.0)
+        OptimizerConfig(a0=0.0)
+    with pytest.raises(ValueError):
+        OptimizerConfig(learning_rate=-1.0)
     OptimizerConfig(max_iters=0)  # zero iterations allowed
 
 
