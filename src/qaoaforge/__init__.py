@@ -38,7 +38,6 @@ from .ising import (
 )
 from .simulator import STATEVECTOR_CAP, StateVector, init_plus
 from .qaoa import (
-    Execution,
     LayerOrder,
     QaoaCircuitSpec,
     QaoaParams,
@@ -64,7 +63,6 @@ __all__ = [
     "BruteForceResult",
     "ConstraintKind",
     "ConstraintSpec",
-    "Execution",
     "LayerOrder",
     "OptimizerConfig",
     "OptimizerDivergence",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__, qaoa, verify
 from .errors import OptimizerDivergence, ProblemFormatError, SizeCapError
-from .ising import assignment_of_basis_index, to_spin
+from .ising import DIAGONAL_CAP, assignment_of_basis_index, to_spin
 from .model import bits_to_string, brute_force_solve, load_problem
 from .optimize import OptimizerConfig, optimize
 
@@ -64,11 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ordering",
         choices=tuple(o.value for o in qaoa.LayerOrder),
         default=_env_str("ORDERING", qaoa.LayerOrder.UF_THEN_UI.value),
-    )
-    solve.add_argument(
-        "--execution",
-        choices=tuple(e.value for e in qaoa.Execution),
-        default=_env_str("EXECUTION", qaoa.Execution.FAST_DIAGONAL.value),
     )
     solve.add_argument("--no-scale", action="store_true", default=_env_flag("NO_SCALE"))
     solve.add_argument(
@@ -138,14 +133,24 @@ def _write_trace_csv(path: Path, record) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _load_circuit_problem(path: str):
+    """Load a problem; refuse n past the diagonal cap before to_spin.
+
+    to_spin expands a degree-k PUBO monomial into 2^k spin terms.
+    """
+    problem = load_problem(path)
+    if problem.n > DIAGONAL_CAP:
+        raise SizeCapError(f"circuit needs n <= {DIAGONAL_CAP} variables, got n = {problem.n}")
+    return problem
+
+
 def cmd_solve(args) -> int:
-    problem = load_problem(args.problem_file)
+    problem = _load_circuit_problem(args.problem_file)
     spec = qaoa.build_circuit(
         to_spin(problem),
         layers=args.layers,
         scaled=not args.no_scale,
         layer_order=qaoa.LayerOrder(args.ordering),
-        execution=qaoa.Execution(args.execution),
     )
     config = OptimizerConfig(
         method=args.optimizer,
@@ -170,7 +175,6 @@ def cmd_solve(args) -> int:
             "scaled": not args.no_scale,
             "scale_factor": spec.k_scale,
             "layer_order": args.ordering,
-            "execution": args.execution,
         },
         "optimizer": record.config,
     }
@@ -204,7 +208,7 @@ def _parse_range(spec_text: str) -> tuple[float, float] | None:
 
 
 def cmd_scan(args) -> int:
-    problem = load_problem(args.problem_file)
+    problem = _load_circuit_problem(args.problem_file)
     spec = qaoa.build_circuit(to_spin(problem), layers=1, scaled=not args.no_scale)
     bounds = _parse_range(args.range_spec)
     grid = qaoa.landscape_scan(

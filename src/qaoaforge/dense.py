@@ -68,9 +68,12 @@ def mixer_matrix(n: int) -> np.ndarray:
 
 
 def hamiltonian_matrix(h: SpinHamiltonian) -> np.ndarray:
-    """Dense diagonal matrix of a spin Hamiltonian (constant excluded)."""
+    """Dense matrix of a spin Hamiltonian, sum of coef * Z-product (constant excluded)."""
     _check_n(h.n)
-    return np.diag(diagonalize(h)).astype(np.complex128)
+    out = np.zeros((1 << h.n, 1 << h.n), dtype=np.complex128)
+    for idx, coef in h.terms.items():
+        out += coef * z_product_matrix(idx, h.n)
+    return out
 
 
 def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 A layer applies the target-phase operator U_f(gamma) = e^{-i(gamma/2)H_f}
 and the mixer U_i(beta) = prod_q R_x(beta) to the uniform superposition,
-layers in increasing order.  Energies are exact expectations of the scaled
-Hamiltonian; unscaled and original-unit values follow by multiplying back
-the scale factor and adding the dropped constant.
+layers in increasing order; U_f is one phase multiply on the diagonal of
+H_f (verify.gate_decomposed_run is its gate-level reference).  Energies are
+exact expectations of the scaled Hamiltonian; unscaled and original-unit
+values follow by multiplying back the scale factor and adding the dropped
+constant.
 """
 from __future__ import annotations
 
@@ -21,11 +23,6 @@ from . import simulator as sim
 class LayerOrder(Enum):
     UF_THEN_UI = "uf_then_ui"   # target phase first within a layer
     UI_THEN_UF = "ui_then_uf"
-
-
-class Execution(Enum):
-    FAST_DIAGONAL = "fast_diagonal"
-    GATE_DECOMPOSED = "gate_decomposed"
 
 
 @dataclass(frozen=True)
@@ -72,7 +69,6 @@ class QaoaCircuitSpec:
     k_scale: float
     layers: int
     layer_order: LayerOrder
-    execution: Execution
     energies: np.ndarray
 
     @property
@@ -93,7 +89,6 @@ def build_circuit(
     layers: int = 1,
     scaled: bool = True,
     layer_order: LayerOrder = LayerOrder.UF_THEN_UI,
-    execution: Execution = Execution.FAST_DIAGONAL,
 ) -> QaoaCircuitSpec:
     """Prepare a circuit spec from a raw Hamiltonian.
 
@@ -112,23 +107,8 @@ def build_circuit(
         k_scale=k,
         layers=layers,
         layer_order=layer_order,
-        execution=execution,
         energies=diagonalize(h),
     )
-
-
-def _apply_uf(spec: QaoaCircuitSpec, psi: sim.StateVector, gamma: float) -> None:
-    if spec.execution is Execution.FAST_DIAGONAL:
-        sim.apply_diagonal_phase(psi, spec.energies, gamma)
-        return
-    # gate path: one rotation per term, all diagonal so order is irrelevant
-    for idx, coef in spec.hamiltonian.terms.items():
-        sim.apply_rzk_ladder(psi, idx, gamma * coef)
-
-
-def _apply_ui(spec: QaoaCircuitSpec, psi: sim.StateVector, beta: float) -> None:
-    for q in range(spec.n):
-        sim.apply_rx(psi, q, beta)
 
 
 def _evolve(spec: QaoaCircuitSpec, params: QaoaParams, extra=None) -> sim.StateVector:
@@ -145,9 +125,10 @@ def _evolve(spec: QaoaCircuitSpec, params: QaoaParams, extra=None) -> sim.StateV
     for k in range(params.p):
         for half in halves:
             if half == "uf":
-                _apply_uf(spec, psi, float(params.gamma[k]))
+                sim.apply_diagonal_phase(psi, spec.energies, float(params.gamma[k]))
             else:
-                _apply_ui(spec, psi, float(params.beta[k]))
+                for q in range(spec.n):
+                    sim.apply_rx(psi, q, float(params.beta[k]))
             if extra is not None and extra[0] == k and extra[1] == half:
                 extra[2](psi)
     return psi

@@ -24,9 +24,6 @@ class StateVector:
     n: int
     amp: np.ndarray
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amp.copy())
-
     def norm_error(self) -> float:
         """|sum of probabilities - 1|, should stay within 1e-12."""
         return abs(float(np.sum(self.amp.real ** 2 + self.amp.imag ** 2)) - 1.0)

@@ -10,20 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from . import dense, qaoa
 from . import simulator as sim
-from .ising import (
-    SpinHamiltonian,
-    diagonalize,
-    evaluate_spin,
-    pubo_to_spin,
-    qubo_to_spin,
-    spin_vector,
-)
+from .ising import SpinHamiltonian, diagonalize, pubo_to_spin, qubo_to_spin
 from .model import (
     ConstraintKind,
     ConstraintSpec,
@@ -33,7 +25,6 @@ from .model import (
     brute_force_solve,
     build_pubo,
     build_qubo,
-    evaluate_pubo,
     evaluate_qubo,
 )
 
@@ -347,6 +338,11 @@ def check_beta_2pi_periodicity(
     return _result("beta_2pi_periodicity", worst, tol)
 
 
+def _nodes_in(axis: np.ndarray, box: tuple[float, float]) -> np.ndarray:
+    """Mask of the grid nodes inside [lo, hi], with 1e-12 slack at both ends."""
+    return (axis >= box[0] - 1e-12) & (axis <= box[1] + 1e-12)
+
+
 def check_restricted_box_holds_minimum(
     instances: int = 6, resolution: int = 33, tol: float = 1e-9, seed: int = 0
 ) -> CheckResult:
@@ -362,11 +358,8 @@ def check_restricted_box_holds_minimum(
         spec = qaoa.build_circuit(random_spin_mixed(rng, n))
         grid = qaoa.landscape_scan(spec, resolution)
         domain = qaoa.restricted_domain(spec)
-        b_in = grid.beta_axis >= -1e-12
-        if domain.fully_restricted:
-            g_in = grid.gamma_axis >= -1e-12
-        else:
-            g_in = np.ones_like(grid.gamma_axis, dtype=bool)
+        b_in = _nodes_in(grid.beta_axis, domain.beta_range)
+        g_in = _nodes_in(grid.gamma_axis, domain.gamma_range)
         sub = grid.values[np.ix_(b_in, g_in)]
         worst = max(worst, float(sub.min() - grid.values.min()))
     return _result("restricted_box_holds_minimum", worst, tol)
@@ -550,17 +543,35 @@ def check_unbalanced_inexact() -> CheckResult:
     return CheckResult("unbalanced_penalty_inexact", abs(v - expected) < 1e-12 and v != 0.0, detail)
 
 
+def gate_decomposed_run(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> sim.StateVector:
+    """Gate-level reference for qaoa.run, built from simulator kernels alone.
+
+    From |+...+>, every layer applies U_f(gamma_k) as one CNOT-ladder
+    Z-product rotation by gamma_k * coef per term of spec.hamiltonian, then
+    U_i(beta_k) as R_x(beta_k) on every qubit: U_f before U_i, so only the
+    uf_then_ui order is accepted.  spec.energies is never read.
+    """
+    if spec.layer_order is not qaoa.LayerOrder.UF_THEN_UI:
+        raise ValueError("the gate reference applies U_f before U_i (uf_then_ui)")
+    psi = sim.init_plus(spec.n)
+    for beta, gamma in zip(params.beta, params.gamma):
+        for idx, coef in spec.hamiltonian.terms.items():
+            sim.apply_rzk_ladder(psi, idx, float(gamma) * coef)
+        for q in range(spec.n):
+            sim.apply_rx(psi, q, float(beta))
+    return psi
+
+
 def check_fast_gate_agreement(instances: int = 50, n: int = 5, p: int = 3, tol: float = 1e-10, seed: int = 0) -> CheckResult:
-    """Diagonal-phase path vs gate-ladder path: same state up to global phase."""
+    """qaoa.run vs gate_decomposed_run: same state up to global phase."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
         h = random_spin_mixed(rng, n)
-        fast = qaoa.build_circuit(h, layers=p, execution=qaoa.Execution.FAST_DIAGONAL)
-        gate = qaoa.build_circuit(h, layers=p, execution=qaoa.Execution.GATE_DECOMPOSED)
+        spec = qaoa.build_circuit(h, layers=p)
         params = _random_params(rng, p)
-        a = qaoa.run(fast, params).amp
-        b = qaoa.run(gate, params).amp
+        a = qaoa.run(spec, params).amp
+        b = gate_decomposed_run(spec, params).amp
         overlap = abs(np.vdot(a, b))
         worst = max(worst, 1.0 - overlap)
     return _result("fast_vs_gate_overlap_deficit", worst, tol)

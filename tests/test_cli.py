@@ -151,6 +151,23 @@ def test_size_cap_exits_3(tmp_path):
     assert cli.main(["brute", str(big)]) == 3
 
 
+def test_size_cap_comes_before_spin_conversion(tmp_path, monkeypatch):
+    # one degree-20 monomial expands into 2^20 spin terms, so the cap must
+    # refuse n = 25 without converting
+    big = tmp_path / "pubo25.json"
+    big.write_text(json.dumps({
+        "type": "pubo", "n": 25, "terms": [{"idx": list(range(20)), "coef": 1.0}],
+    }))
+
+    def no_conversion(problem):
+        raise AssertionError("to_spin called before the size check")
+
+    monkeypatch.setattr(cli, "to_spin", no_conversion)
+    assert cli.main(["solve", str(big), "--iters", "1"]) == 3
+    assert cli.main(["scan", str(big), "--out", str(tmp_path / "grid.csv")]) == 3
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_optimizer_abort_exits_4(c4_file, monkeypatch):
     def explode(*args, **kwargs):
         raise OptimizerDivergence("boom")

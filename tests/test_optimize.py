@@ -7,7 +7,7 @@ import pytest
 from qaoaforge import qaoa
 from qaoaforge.errors import OptimizerDivergence
 from qaoaforge.ising import SpinHamiltonian, qubo_to_spin
-from qaoaforge.model import build_maxcut, build_qubo
+from qaoaforge.model import build_maxcut
 from qaoaforge.optimize import (
     HISTOGRAM_MAX_ENTRIES,
     OptimizerConfig,

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qaoaforge import qaoa
+from qaoaforge import qaoa, verify
 from qaoaforge import simulator as sim
 from qaoaforge.ising import SpinHamiltonian, parity_sign, qubo_to_spin
 from qaoaforge.model import build_maxcut, build_qubo
@@ -102,13 +102,16 @@ def test_scaled_and_raw_circuits_agree_after_angle_change():
 def test_gate_execution_matches_fast_path():
     rng = np.random.default_rng(44)
     h = random_hamiltonian(rng, 4)
-    fast = qaoa.build_circuit(h, layers=2)
-    gates = qaoa.build_circuit(h, layers=2, execution=qaoa.Execution.GATE_DECOMPOSED)
+    spec = qaoa.build_circuit(h, layers=2)
     params = qaoa.QaoaParams(beta=[0.4, 1.3], gamma=[-0.7, 2.1])
-    a = qaoa.run(fast, params).amp
-    b = qaoa.run(gates, params).amp
-    assert abs(1.0 - abs(np.vdot(a, b))) < 1e-12
-    assert abs(qaoa.energy(fast, params) - qaoa.energy(gates, params)) < 1e-12
+    a = qaoa.run(spec, params)
+    b = verify.gate_decomposed_run(spec, params)
+    assert abs(1.0 - abs(np.vdot(a.amp, b.amp))) < 1e-12
+    gate_energy = sim.expectation_diagonal(b, spec.energies)
+    assert abs(qaoa.energy(spec, params) - gate_energy) < 1e-12
+    reverse = qaoa.build_circuit(h, layers=2, layer_order=qaoa.LayerOrder.UI_THEN_UF)
+    with pytest.raises(ValueError, match="uf_then_ui"):
+        verify.gate_decomposed_run(reverse, params)
 
 
 def test_term_signs():
@@ -139,7 +142,6 @@ def test_gradient_fd_matches_shift():
     variants = (
         {},
         {"layer_order": qaoa.LayerOrder.UI_THEN_UF},
-        {"execution": qaoa.Execution.GATE_DECOMPOSED},
     )
     for _ in range(5):
         h = random_hamiltonian(rng, int(rng.integers(2, 5)))
