@@ -38,7 +38,6 @@ from .ising import (
 )
 from .simulator import STATEVECTOR_CAP, StateVector, init_plus
 from .qaoa import (
-    LayerOrder,
     QaoaCircuitSpec,
     QaoaParams,
     build_circuit,
@@ -63,7 +62,6 @@ __all__ = [
     "BruteForceResult",
     "ConstraintKind",
     "ConstraintSpec",
-    "LayerOrder",
     "OptimizerConfig",
     "OptimizerDivergence",
     "ProblemFormatError",

@@ -60,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--iters", type=int, default=_env_int("ITERS", 2000))
     solve.add_argument("--out", default=_env_str("OUT", "qaoa_run"),
                        help="output directory for manifest/run/histogram/trace files")
-    solve.add_argument(
-        "--ordering",
-        choices=tuple(o.value for o in qaoa.LayerOrder),
-        default=_env_str("ORDERING", qaoa.LayerOrder.UF_THEN_UI.value),
-    )
     solve.add_argument("--no-scale", action="store_true", default=_env_flag("NO_SCALE"))
     solve.add_argument(
         "--squash", choices=("none", "tanh"), default=_env_str("SQUASH", "none")
@@ -146,12 +141,7 @@ def _load_circuit_problem(path: str):
 
 def cmd_solve(args) -> int:
     problem = _load_circuit_problem(args.problem_file)
-    spec = qaoa.build_circuit(
-        to_spin(problem),
-        layers=args.layers,
-        scaled=not args.no_scale,
-        layer_order=qaoa.LayerOrder(args.ordering),
-    )
+    spec = qaoa.build_circuit(to_spin(problem), layers=args.layers, scaled=not args.no_scale)
     config = OptimizerConfig(
         method=args.optimizer,
         max_iters=args.iters,
@@ -174,7 +164,6 @@ def cmd_solve(args) -> int:
             "layers": args.layers,
             "scaled": not args.no_scale,
             "scale_factor": spec.k_scale,
-            "layer_order": args.ordering,
         },
         "optimizer": record.config,
     }

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
 
 import numpy as np
 
@@ -99,8 +98,13 @@ def qubo_to_spin(problem: QuboProblem) -> SpinHamiltonian:
     return SpinHamiltonian(n=n, terms=_canon(terms), constant=constant)
 
 
-def _pubo_to_spin_expand(problem: PuboProblem) -> SpinHamiltonian:
-    """Substitute x_i = (s_i + 1) / 2 and expand every monomial over subsets."""
+def pubo_to_spin(problem: PuboProblem) -> SpinHamiltonian:
+    """Convert a multilinear binary polynomial to spin variables.
+
+    Substitutes x_i = (s_i + 1) / 2 and expands every monomial over its
+    index subsets.  verify.pubo_to_spin_closed_form is the independent
+    closed-form route it is checked against.
+    """
     terms: dict[tuple[int, ...], float] = {}
     constant = problem.offset
     for idx, q in problem.terms.items():
@@ -113,56 +117,6 @@ def _pubo_to_spin_expand(problem: PuboProblem) -> SpinHamiltonian:
                 else:
                     constant += w
     return SpinHamiltonian(n=problem.n, terms=_canon(terms), constant=float(constant))
-
-
-def _pubo_to_spin_closed_form(problem: PuboProblem) -> SpinHamiltonian:
-    """Closed-form spin coefficients from the symmetric-tensor view.
-
-    A monomial coefficient q on a degree-m index set spreads as q / m! over
-    the m! orderings of a full symmetric tensor.  The spin coefficient of an
-    ordered tuple of degree k collects its own tensor entry scaled 2^-k plus
-    binom(k+h, k)-weighted sums over all degree-(k+h) extensions scaled
-    2^-(k+h); multiplying by the k! orderings of the target tuple gives the
-    per-set coefficient.
-    """
-    mono = problem.terms
-    d = problem.degree
-    targets: set[tuple[int, ...]] = set()
-    for idx in mono:
-        for r in range(len(idx) + 1):
-            targets.update(combinations(idx, r))
-    out: dict[tuple[int, ...], float] = {}
-    constant = problem.offset
-    for T in sorted(targets, key=lambda t: (len(t), t)):
-        k = len(T)
-        f = (2.0 ** -k) * mono.get(T, 0.0) / factorial(k)
-        for h in range(1, d - k + 1):
-            s = 0.0
-            for M, q in mono.items():
-                if len(M) == k + h and set(T) <= set(M):
-                    # h! orderings of the extension indices, each q / (k+h)!
-                    s += factorial(h) * q / factorial(k + h)
-            f += (2.0 ** -(k + h)) * comb(k + h, k) * s
-        a = factorial(k) * f
-        if k == 0:
-            constant += a
-        else:
-            out[T] = a
-    return SpinHamiltonian(n=problem.n, terms=_canon(out), constant=float(constant))
-
-
-def pubo_to_spin(problem: PuboProblem, method: str = "expand") -> SpinHamiltonian:
-    """Convert a multilinear binary polynomial to spin variables.
-
-    method="expand" substitutes and expands term by term; method="closed_form"
-    evaluates the per-tuple coefficient formula directly.  Both agree to
-    rounding and exist as independent routes on purpose.
-    """
-    if method == "expand":
-        return _pubo_to_spin_expand(problem)
-    if method == "closed_form":
-        return _pubo_to_spin_closed_form(problem)
-    raise ValueError(f"unknown method: {method!r}")
 
 
 def to_spin(problem) -> SpinHamiltonian:

@@ -1,28 +1,29 @@
 """Layered alternating circuits over a diagonal target Hamiltonian.
 
-A layer applies the target-phase operator U_f(gamma) = e^{-i(gamma/2)H_f}
-and the mixer U_i(beta) = prod_q R_x(beta) to the uniform superposition,
-layers in increasing order; U_f is one phase multiply on the diagonal of
-H_f (verify.gate_decomposed_run is its gate-level reference).  Energies are
-exact expectations of the scaled Hamiltonian; unscaled and original-unit
-values follow by multiplying back the scale factor and adding the dropped
-constant.
+Layer k applies the target-phase operator U_f(gamma_k) = e^{-i(gamma_k/2)H_f}
+and then the mixer U_i(beta_k) = prod_q R_x(beta_k), layers in increasing
+order on the uniform superposition; U_f is one phase multiply on the
+diagonal of H_f (verify.gate_decomposed_run is its gate-level reference).
+Energies are exact expectations of the scaled Hamiltonian; unscaled and
+original-unit values follow by multiplying back the scale factor and adding
+the dropped constant.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from .errors import SizeCapError
 from .ising import SpinHamiltonian, diagonalize, scale, scaling_factor
 from . import simulator as sim
 
+# Central-difference step of parameter_shift_gradient.
+FD_STEP = 1e-5
 
-class LayerOrder(Enum):
-    UF_THEN_UI = "uf_then_ui"   # target phase first within a layer
-    UI_THEN_UF = "ui_then_uf"
+# Largest landscape_scan resolution: a 4096^2 grid holds 128 MiB of values.
+SCAN_RESOLUTION_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,6 @@ class QaoaCircuitSpec:
     hamiltonian: SpinHamiltonian
     k_scale: float
     layers: int
-    layer_order: LayerOrder
     energies: np.ndarray
 
     @property
@@ -88,7 +88,6 @@ def build_circuit(
     h_raw: SpinHamiltonian,
     layers: int = 1,
     scaled: bool = True,
-    layer_order: LayerOrder = LayerOrder.UF_THEN_UI,
 ) -> QaoaCircuitSpec:
     """Prepare a circuit spec from a raw Hamiltonian.
 
@@ -106,37 +105,24 @@ def build_circuit(
         hamiltonian=h,
         k_scale=k,
         layers=layers,
-        layer_order=layer_order,
         energies=diagonalize(h),
     )
 
 
-def _evolve(spec: QaoaCircuitSpec, params: QaoaParams, extra=None) -> sim.StateVector:
-    """The one layer loop: all layers on the uniform superposition, layer 1 first.
+def run(spec: QaoaCircuitSpec, params: QaoaParams) -> sim.StateVector:
+    """Apply all layers to the uniform superposition, layer 1 first.
 
-    extra = (k, half, gate) calls gate(psi) right after half "uf" or "ui" of
-    layer k; None runs the plain circuit.  Raises ValueError when params and
-    spec disagree on the number of layers.
+    Each layer is U_f(gamma_k) followed by U_i(beta_k).  Raises ValueError
+    when params and spec disagree on the number of layers.
     """
     if params.p != spec.layers:
         raise ValueError(f"params have {params.p} layers, circuit has {spec.layers}")
     psi = sim.init_plus(spec.n)
-    halves = ("uf", "ui") if spec.layer_order is LayerOrder.UF_THEN_UI else ("ui", "uf")
-    for k in range(params.p):
-        for half in halves:
-            if half == "uf":
-                sim.apply_diagonal_phase(psi, spec.energies, float(params.gamma[k]))
-            else:
-                for q in range(spec.n):
-                    sim.apply_rx(psi, q, float(params.beta[k]))
-            if extra is not None and extra[0] == k and extra[1] == half:
-                extra[2](psi)
+    for beta, gamma in zip(params.beta, params.gamma):
+        sim.apply_diagonal_phase(psi, spec.energies, float(gamma))
+        for q in range(spec.n):
+            sim.apply_rx(psi, q, float(beta))
     return psi
-
-
-def run(spec: QaoaCircuitSpec, params: QaoaParams) -> sim.StateVector:
-    """Apply all layers to the uniform superposition, layer 1 first."""
-    return _evolve(spec, params)
 
 
 def energy(spec: QaoaCircuitSpec, params: QaoaParams) -> float:
@@ -164,63 +150,23 @@ def shot_energy(spec: QaoaCircuitSpec, params: QaoaParams, shots: int, seed) -> 
     return float(total / shots)
 
 
-def parameter_shift_gradient(
-    spec: QaoaCircuitSpec,
-    params: QaoaParams,
-    method: str = "fd",
-    fd_step: float = 1e-5,
-) -> np.ndarray:
+def parameter_shift_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> np.ndarray:
     """Gradient of energy() w.r.t. [beta_1..beta_p, gamma_1..gamma_p].
 
-    method="fd" (default): central finite differences with step fd_step on
-    the exact energy.  The layer generators are sums of Pauli words with
-    unequal coefficients, so a literal two-point shift per layer parameter
-    is not exact; finite differences are correct for any generator.
-
-    method="shift": exact per-gate parameter-shift rule.  U_i(beta_k) is a
-    product of commuting R_x(beta_k) and U_f(gamma_k) a product of commuting
-    Z-product rotations by gamma_k * coef, each generated by a +/-1-spectrum
-    operator.  Shifting one gate angle by +/- pi/2 therefore equals running
-    the plain circuit with one extra R_x (or Z-product rotation) of +/- pi/2
-    inserted right after that half-layer; d/d(angle) is half the difference
-    of the two energies.  Summing over the gates a layer parameter feeds
-    (chain rule: d(angle)/d(gamma_k) = coef) gives the exact derivative from
-    2 p (n + T) circuit runs, each holding O(2^n) memory.
+    Computes central finite differences with step FD_STEP on the exact
+    energy: 4p circuit runs.  verify.shift_rule_gradient is the exact
+    parameter-shift oracle it is checked against.
     """
-    p = params.p
-    if method == "fd":
-        base = params.as_vector()
-        grad = np.zeros(2 * p)
-        for i in range(2 * p):
-            up = base.copy()
-            dn = base.copy()
-            up[i] += fd_step
-            dn[i] -= fd_step
-            e_up = energy(spec, QaoaParams.from_vector(up))
-            e_dn = energy(spec, QaoaParams.from_vector(dn))
-            grad[i] = (e_up - e_dn) / (2.0 * fd_step)
-        return grad
-    if method != "shift":
-        raise ValueError(f"unknown gradient method: {method!r}")
-
-    half_pi = math.pi / 2.0
-
-    def energy_with(k: int, half: str, extra_gate) -> float:
-        return sim.expectation_diagonal(_evolve(spec, params, (k, half, extra_gate)), spec.energies)
-
-    def shift_diff(k: int, half: str, gate, target) -> float:
-        """Half the energy difference with gate(psi, target, +/- pi/2) inserted."""
-        up = energy_with(k, half, lambda psi: gate(psi, target, half_pi))
-        dn = energy_with(k, half, lambda psi: gate(psi, target, -half_pi))
-        return 0.5 * up - 0.5 * dn
-
-    grad = np.zeros(2 * p)
-    for k in range(p):
-        grad[k] = sum(shift_diff(k, "ui", sim.apply_rx, q) for q in range(spec.n))
-        grad[p + k] = sum(
-            coef * shift_diff(k, "uf", sim.apply_rzk, idx)
-            for idx, coef in spec.hamiltonian.terms.items()
-        )
+    base = params.as_vector()
+    grad = np.zeros(base.size)
+    for i in range(base.size):
+        up = base.copy()
+        dn = base.copy()
+        up[i] += FD_STEP
+        dn[i] -= FD_STEP
+        e_up = energy(spec, QaoaParams.from_vector(up))
+        e_dn = energy(spec, QaoaParams.from_vector(dn))
+        grad[i] = (e_up - e_dn) / (2.0 * FD_STEP)
     return grad
 
 
@@ -253,6 +199,8 @@ def landscape_scan(
         raise ValueError("landscape scans are defined for single-layer circuits only")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    if resolution > SCAN_RESOLUTION_CAP:
+        raise SizeCapError(f"scan resolution must be <= {SCAN_RESOLUTION_CAP}, got {resolution}")
     if beta_range is None:
         beta_range = (-math.pi, math.pi)
     if gamma_range is None:

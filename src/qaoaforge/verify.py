@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb, factorial
 
 import numpy as np
 
 from . import dense, qaoa
 from . import simulator as sim
-from .ising import SpinHamiltonian, diagonalize, pubo_to_spin, qubo_to_spin
+from .ising import SpinHamiltonian, _canon, diagonalize, pubo_to_spin, qubo_to_spin
 from .model import (
     ConstraintKind,
     ConstraintSpec,
@@ -436,14 +438,51 @@ def check_qubo_roundtrip(instances: int = 200, nmax: int = 8, tol: float = 1e-9,
     return _result("qubo_spin_roundtrip", worst, tol)
 
 
+def pubo_to_spin_closed_form(problem: PuboProblem) -> SpinHamiltonian:
+    """Closed-form spin coefficients from the symmetric-tensor view.
+
+    The oracle for ising.pubo_to_spin, which expands term by term.  A
+    monomial coefficient q on a degree-m index set spreads as q / m! over
+    the m! orderings of a full symmetric tensor.  The spin coefficient of an
+    ordered tuple of degree k collects its own tensor entry scaled 2^-k plus
+    binom(k+h, k)-weighted sums over all degree-(k+h) extensions scaled
+    2^-(k+h); multiplying by the k! orderings of the target tuple gives the
+    per-set coefficient.
+    """
+    mono = problem.terms
+    d = problem.degree
+    targets: set[tuple[int, ...]] = set()
+    for idx in mono:
+        for r in range(len(idx) + 1):
+            targets.update(combinations(idx, r))
+    out: dict[tuple[int, ...], float] = {}
+    constant = problem.offset
+    for T in sorted(targets, key=lambda t: (len(t), t)):
+        k = len(T)
+        f = (2.0 ** -k) * mono.get(T, 0.0) / factorial(k)
+        for h in range(1, d - k + 1):
+            s = 0.0
+            for M, q in mono.items():
+                if len(M) == k + h and set(T) <= set(M):
+                    # h! orderings of the extension indices, each q / (k+h)!
+                    s += factorial(h) * q / factorial(k + h)
+            f += (2.0 ** -(k + h)) * comb(k + h, k) * s
+        a = factorial(k) * f
+        if k == 0:
+            constant += a
+        else:
+            out[T] = a
+    return SpinHamiltonian(n=problem.n, terms=_canon(out), constant=float(constant))
+
+
 def check_pubo_roundtrip(instances: int = 100, nmax: int = 8, dmax: int = 4, tol: float = 1e-9, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
         n = int(rng.integers(2, nmax + 1))
         p = random_pubo(rng, n, dmax=dmax)
-        worst = max(worst, _roundtrip_worst(p, pubo_to_spin(p, method="expand")))
-        worst = max(worst, _roundtrip_worst(p, pubo_to_spin(p, method="closed_form")))
+        worst = max(worst, _roundtrip_worst(p, pubo_to_spin(p)))
+        worst = max(worst, _roundtrip_worst(p, pubo_to_spin_closed_form(p)))
     return _result("pubo_spin_roundtrip", worst, tol)
 
 
@@ -453,8 +492,8 @@ def check_pubo_conversion_paths(instances: int = 50, nmax: int = 8, tol: float =
     worst = 0.0
     for _ in range(instances):
         p = random_pubo(rng, int(rng.integers(2, nmax + 1)))
-        ha = pubo_to_spin(p, method="expand")
-        hb = pubo_to_spin(p, method="closed_form")
+        ha = pubo_to_spin(p)
+        hb = pubo_to_spin_closed_form(p)
         keys = set(ha.terms) | set(hb.terms)
         for k in keys:
             worst = max(worst, abs(ha.terms.get(k, 0.0) - hb.terms.get(k, 0.0)))
@@ -548,11 +587,8 @@ def gate_decomposed_run(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> 
 
     From |+...+>, every layer applies U_f(gamma_k) as one CNOT-ladder
     Z-product rotation by gamma_k * coef per term of spec.hamiltonian, then
-    U_i(beta_k) as R_x(beta_k) on every qubit: U_f before U_i, so only the
-    uf_then_ui order is accepted.  spec.energies is never read.
+    U_i(beta_k) as R_x(beta_k) on every qubit.  spec.energies is never read.
     """
-    if spec.layer_order is not qaoa.LayerOrder.UF_THEN_UI:
-        raise ValueError("the gate reference applies U_f before U_i (uf_then_ui)")
     psi = sim.init_plus(spec.n)
     for beta, gamma in zip(params.beta, params.gamma):
         for idx, coef in spec.hamiltonian.terms.items():
@@ -593,11 +629,55 @@ def check_expectation_vs_dense(trials: int = 20, nmax: int = 5, tol: float = 1e-
     return _result("expectation_vs_dense", worst, tol)
 
 
+def shift_rule_gradient(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> np.ndarray:
+    """Exact parameter-shift gradient of qaoa.energy, from simulator kernels alone.
+
+    U_i(beta_k) is a product of commuting R_x(beta_k) and U_f(gamma_k) a
+    product of commuting Z-product rotations by gamma_k * coef, each gate
+    generated by a +/-1-spectrum operator.  Shifting one gate angle by
+    +/- pi/2 therefore equals running the plain circuit with one more
+    R_x(+/- pi/2) on qubit q, or one Z-product rotation of +/- pi/2 on a
+    term, inserted between U_f(gamma_k) and U_i(beta_k): each inserted gate
+    commutes with its own half-layer, so that one point is exact for both.
+    d/d(angle) is half the difference of the two energies; summing over the
+    gates a parameter feeds (d(angle)/d(gamma_k) = coef) gives the gradient
+    from 2 p (n + T) circuit runs, each holding O(2^n) memory.
+    """
+    if params.p != spec.layers:
+        raise ValueError(f"params have {params.p} layers, circuit has {spec.layers}")
+    p = params.p
+
+    def energy_with(k: int, gate, target, angle: float) -> float:
+        psi = sim.init_plus(spec.n)
+        for j in range(p):
+            sim.apply_diagonal_phase(psi, spec.energies, float(params.gamma[j]))
+            if j == k:
+                gate(psi, target, angle)
+            for q in range(spec.n):
+                sim.apply_rx(psi, q, float(params.beta[j]))
+        return sim.expectation_diagonal(psi, spec.energies)
+
+    def shift_diff(k: int, gate, target) -> float:
+        """Half the energy difference with gate(psi, target, +/- pi/2) inserted."""
+        up = energy_with(k, gate, target, math.pi / 2.0)
+        dn = energy_with(k, gate, target, -math.pi / 2.0)
+        return 0.5 * up - 0.5 * dn
+
+    grad = np.zeros(2 * p)
+    for k in range(p):
+        grad[k] = sum(shift_diff(k, sim.apply_rx, q) for q in range(spec.n))
+        grad[p + k] = sum(
+            coef * shift_diff(k, sim.apply_rzk, idx)
+            for idx, coef in spec.hamiltonian.terms.items()
+        )
+    return grad
+
+
 def check_gradient_methods_agree(
     instances: int = 30, nmax: int = 5, pmax: int = 3, points: int = 5,
-    rtol: float = 1e-6, fd_step: float = 1e-5, seed: int = 0,
+    rtol: float = 1e-6, seed: int = 0,
 ) -> CheckResult:
-    """Exact per-gate shift gradient vs central finite differences.
+    """shift_rule_gradient vs qaoa.parameter_shift_gradient's central differences.
 
     Relative error is the max component difference over the max finite-
     difference component magnitude (floored to dodge division by zero).
@@ -611,8 +691,8 @@ def check_gradient_methods_agree(
         spec = qaoa.build_circuit(h, layers=p)
         for _ in range(points):
             params = _random_params(rng, p)
-            g_fd = qaoa.parameter_shift_gradient(spec, params, method="fd", fd_step=fd_step)
-            g_sh = qaoa.parameter_shift_gradient(spec, params, method="shift")
+            g_fd = qaoa.parameter_shift_gradient(spec, params)
+            g_sh = shift_rule_gradient(spec, params)
             denom = max(float(np.abs(g_fd).max()), 1e-8)
             worst = max(worst, float(np.abs(g_sh - g_fd).max()) / denom)
     return _result("gradient_shift_vs_fd", worst, rtol)

@@ -99,9 +99,7 @@ def test_criterion_07_split_step_convergence():
 
 def test_criterion_08_gradient_consistency():
     t0 = time.perf_counter()
-    r = vf.check_gradient_methods_agree(
-        instances=30, nmax=5, pmax=3, points=5, rtol=1e-6, fd_step=1e-5
-    )
+    r = vf.check_gradient_methods_agree(instances=30, nmax=5, pmax=3, points=5, rtol=1e-6)
     _finish(8, "shift-rule gradient vs central differences", r.passed, r.detail, t0, 60)
 
 

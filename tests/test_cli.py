@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qaoaforge import cli
+from qaoaforge import cli, qaoa
 from qaoaforge.errors import OptimizerDivergence
 
 
@@ -207,6 +207,17 @@ def test_scan_range_flag(c4_file, tmp_path):
     header = out.read_text().split("\n")[0]
     assert header.split(",")[1] == "0"
     assert cli.main(["scan", str(c4_file), "--range", "oops", "--out", str(out)]) == 2
+
+
+def test_scan_resolution_cap_exits_3(c4_file, tmp_path, monkeypatch):
+    # the cap must refuse before any grid point is computed
+    def no_points(spec, params):
+        raise AssertionError("grid point computed before the resolution check")
+
+    monkeypatch.setattr(qaoa, "energy", no_points)
+    out = tmp_path / "grid.csv"
+    assert cli.main(["scan", str(c4_file), "--resolution", "4097", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_brute_square_graph(c4_file, capsys):

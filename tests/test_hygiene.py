@@ -1,6 +1,10 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: unused imports, and README drift from the CLI."""
+import argparse
 import ast
+import re
 from pathlib import Path
+
+from qaoaforge import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +33,20 @@ def test_no_unused_imports():
         if (names := unused_imports(p.read_text()))
     }
     assert offenders == {}
+
+
+def test_readme_lists_every_cli_flag():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Subcommands and flags\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for bullet in re.split(r"^- ", section, flags=re.M)[1:]:
+        name = re.match(r"`(\w+)", bullet).group(1)
+        documented[name] = set(re.findall(r"--[a-z][a-z-]*", bullet))
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actual = {
+        name: {opt for action in subparser._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, subparser in sub.choices.items()
+    }
+    assert documented == actual

@@ -22,6 +22,7 @@ from qaoaforge.model import (
     evaluate_pubo,
     evaluate_qubo,
 )
+from qaoaforge.verify import pubo_to_spin_closed_form
 
 
 def test_spin_hamiltonian_validation():
@@ -58,16 +59,17 @@ def test_qubo_round_trip_all_assignments():
 
 
 def test_pubo_expand_single_cubic_term():
-    h = pubo_to_spin(build_pubo(3, [((0, 1, 2), 8.0)]), method="expand")
     # x0 x1 x2 = prod (1+s_i)/2: every subset picks up 8 / 2^3
     want = {(0,): 1.0, (1,): 1.0, (2,): 1.0, (0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (0, 1, 2): 1.0}
-    assert h.terms == want
-    assert h.constant == 1.0
+    for convert in (pubo_to_spin, pubo_to_spin_closed_form):
+        h = convert(build_pubo(3, [((0, 1, 2), 8.0)]))
+        assert h.terms == want
+        assert h.constant == 1.0
 
 
 def test_pubo_round_trip_both_methods():
     rng = np.random.default_rng(22)
-    for method in ("expand", "closed_form"):
+    for convert in (pubo_to_spin, pubo_to_spin_closed_form):
         for _ in range(10):
             n = int(rng.integers(2, 7))
             items = [
@@ -78,7 +80,7 @@ def test_pubo_round_trip_both_methods():
             p = build_pubo(n, items, offset=0.75)
             if not p.terms:
                 continue
-            h = pubo_to_spin(p, method=method)
+            h = convert(p)
             for m in range(1 << n):
                 bits = tuple((m >> i) & 1 for i in range(n))
                 s = tuple(2 * b - 1 for b in bits)
@@ -95,8 +97,8 @@ def test_pubo_methods_agree():
             for _ in range(2 * n)
         ]
         p = build_pubo(n, items)
-        ha = pubo_to_spin(p, method="expand")
-        hb = pubo_to_spin(p, method="closed_form")
+        ha = pubo_to_spin(p)
+        hb = pubo_to_spin_closed_form(p)
         assert abs(ha.constant - hb.constant) < 1e-12
         for key in set(ha.terms) | set(hb.terms):
             assert abs(ha.terms.get(key, 0.0) - hb.terms.get(key, 0.0)) < 1e-12

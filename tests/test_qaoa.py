@@ -53,12 +53,18 @@ def test_single_qubit_energy_oracle():
 
 
 def test_layer_order_changes_energy():
-    # phases before mixing give sin.sin; mixing first leaves |+> invariant
+    # phases before mixing give sin.sin
     forward = qaoa.build_circuit(single_z())
-    reverse = qaoa.build_circuit(single_z(), layer_order=qaoa.LayerOrder.UI_THEN_UF)
     params = qaoa.QaoaParams([math.pi / 2], [math.pi / 2])
     assert abs(qaoa.energy(forward, params) - 1.0) < 1e-12
-    assert abs(qaoa.energy(reverse, params)) < 1e-12
+    # a mixer acting on |+> adds only a global phase, so layer 1 with
+    # gamma_1 = 0 is invisible: mixing first would be one layer fewer
+    h = random_hamiltonian(np.random.default_rng(40), 3)
+    two = qaoa.build_circuit(h, layers=2)
+    one = qaoa.build_circuit(h, layers=1)
+    e2 = qaoa.energy(two, qaoa.QaoaParams([0.9, -0.4], [0.0, 1.3]))
+    e1 = qaoa.energy(one, qaoa.QaoaParams([-0.4], [1.3]))
+    assert abs(e2 - e1) < 1e-12
 
 
 def test_run_matches_manual_layering():
@@ -109,9 +115,6 @@ def test_gate_execution_matches_fast_path():
     assert abs(1.0 - abs(np.vdot(a.amp, b.amp))) < 1e-12
     gate_energy = sim.expectation_diagonal(b, spec.energies)
     assert abs(qaoa.energy(spec, params) - gate_energy) < 1e-12
-    reverse = qaoa.build_circuit(h, layers=2, layer_order=qaoa.LayerOrder.UI_THEN_UF)
-    with pytest.raises(ValueError, match="uf_then_ui"):
-        verify.gate_decomposed_run(reverse, params)
 
 
 def test_term_signs():
@@ -139,30 +142,23 @@ def test_shot_energy_converges():
 
 def test_gradient_fd_matches_shift():
     rng = np.random.default_rng(46)
-    variants = (
-        {},
-        {"layer_order": qaoa.LayerOrder.UI_THEN_UF},
-    )
     for _ in range(5):
         h = random_hamiltonian(rng, int(rng.integers(2, 5)))
         p = int(rng.integers(1, 3))
         params = qaoa.QaoaParams(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
-        for options in variants:
-            spec = qaoa.build_circuit(h, layers=p, **options)
-            g_fd = qaoa.parameter_shift_gradient(spec, params, method="fd")
-            g_sh = qaoa.parameter_shift_gradient(spec, params, method="shift")
-            assert g_fd.shape == (2 * p,)
-            assert np.abs(g_fd - g_sh).max() < 1e-7
+        spec = qaoa.build_circuit(h, layers=p)
+        g_fd = qaoa.parameter_shift_gradient(spec, params)
+        g_sh = verify.shift_rule_gradient(spec, params)
+        assert g_fd.shape == (2 * p,)
+        assert np.abs(g_fd - g_sh).max() < 1e-7
 
 
 def test_depth_mismatch_raises():
     spec = qaoa.build_circuit(single_z(), layers=1)
     params = qaoa.QaoaParams([0.1, 0.2], [0.3, 0.4])
-    for call in (qaoa.run, qaoa.energy, qaoa.parameter_shift_gradient):
+    for call in (qaoa.run, qaoa.energy, qaoa.parameter_shift_gradient, verify.shift_rule_gradient):
         with pytest.raises(ValueError, match="layers"):
             call(spec, params)
-    with pytest.raises(ValueError, match="layers"):
-        qaoa.parameter_shift_gradient(spec, params, method="shift")
 
 
 def test_shift_gradient_memory_is_a_few_states():
@@ -175,7 +171,7 @@ def test_shift_gradient_memory_is_a_few_states():
     state_bytes = 16 << 12
     tracemalloc.start()
     try:
-        qaoa.parameter_shift_gradient(spec, params, method="shift")
+        verify.shift_rule_gradient(spec, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -185,7 +181,7 @@ def test_shift_gradient_memory_is_a_few_states():
 def test_gradient_matches_energy_slope():
     spec = qaoa.build_circuit(single_z())
     params = qaoa.QaoaParams([0.6], [1.1])
-    g = qaoa.parameter_shift_gradient(spec, params, method="shift")
+    g = verify.shift_rule_gradient(spec, params)
     # E = sin(b) sin(g): dE/db = cos(b) sin(g), dE/dg = sin(b) cos(g)
     assert abs(g[0] - math.cos(0.6) * math.sin(1.1)) < 1e-10
     assert abs(g[1] - math.sin(0.6) * math.cos(1.1)) < 1e-10
