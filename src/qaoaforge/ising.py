@@ -190,11 +190,6 @@ def parity_sign(z: np.ndarray, idx) -> np.ndarray:
     return 1.0 - 2.0 * parity
 
 
-def spin_vector(z: int, n: int) -> tuple[int, ...]:
-    """Spin values of basis state z: +1 where bit i is 0, -1 where it is 1."""
-    return tuple(1 - 2 * ((z >> i) & 1) for i in range(n))
-
-
 def assignment_of_basis_index(z: int, n: int) -> tuple[int, ...]:
     """Binary assignment encoded by basis state z (bitwise complement of z)."""
     return tuple(1 - ((z >> i) & 1) for i in range(n))

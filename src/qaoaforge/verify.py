@@ -379,7 +379,7 @@ def check_trotter_convergence(
     details = []
     for _ in range(hams):
         h = qubo_to_spin(random_qubo(rng, 3))
-        errs = [dense.trotter_compare(h, p, steps_exact=steps_exact) for p in ps]
+        errs = dense.trotter_compare(h, ps, steps_exact=steps_exact)
         decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
         ratios = []
         for i in range(len(ps) - 1):

@@ -12,7 +12,6 @@ from qaoaforge.ising import (
     qubo_to_spin,
     scale,
     scaling_factor,
-    spin_vector,
     to_spin,
 )
 from qaoaforge.model import (
@@ -135,7 +134,7 @@ def test_diagonalize_frozen():
     assert diagonalize(SpinHamiltonian(2, {(0, 1): 1.0})).tolist() == [1.0, -1.0, -1.0, 1.0]
     d = diagonalize(SpinHamiltonian(3, {(0, 2): 2.0, (1,): -1.0}))
     for z in range(8):
-        s = spin_vector(z, 3)
+        s = [1 - 2 * ((z >> i) & 1) for i in range(3)]
         assert d[z] == 2.0 * s[0] * s[2] - 1.0 * s[1]
 
 
@@ -146,8 +145,8 @@ def test_diagonalize_cap():
 
 def test_basis_index_conventions():
     # spin +1 is bit 0, so assignment bits are complemented
-    assert spin_vector(0, 2) == (1, 1)
-    assert spin_vector(1, 2) == (-1, 1)
+    assert tuple(1 - 2 * ((0 >> i) & 1) for i in range(2)) == (1, 1)
+    assert tuple(1 - 2 * ((1 >> i) & 1) for i in range(2)) == (-1, 1)
     assert assignment_of_basis_index(0, 2) == (1, 1)
     assert assignment_of_basis_index(1, 2) == (0, 1)
     assert basis_index_of_assignment((0, 1, 0, 1)) == 5
