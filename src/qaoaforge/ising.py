@@ -3,8 +3,8 @@
 Binary problems convert through the change of variables s = 2x - 1, so
 s = +1 corresponds to x = 1.  In the computational basis sigma_z has
 eigenvalue +1 on |0> and -1 on |1>, which means basis state z encodes the
-assignment x_i = 1 - bit_i(z).  The helpers at the bottom own that mapping;
-everything else goes through them.
+assignment x_i = 1 - bit_i(z).  assignment_of_basis_index at the bottom owns
+that mapping; parity_sign is the one sigma_z sign kernel.
 """
 from __future__ import annotations
 
@@ -17,8 +17,13 @@ import numpy as np
 from .errors import SizeCapError
 from .model import PuboProblem, QuboProblem
 
-# Diagonal tables take 2^n floats; same ceiling as the statevector engine.
+# Largest n for a 2^n table: this diagonal and the statevector engine's
+# amplitudes (simulator.STATEVECTOR_CAP is this value).
 DIAGONAL_CAP = 24
+
+# pubo_to_spin refuses a problem whose monomials would expand into more spin
+# terms than this (~240 B each, so about 250 MiB).
+SPIN_TERM_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -46,27 +51,8 @@ class SpinHamiltonian:
         if not math.isfinite(self.constant):
             raise ValueError("constant must be finite")
 
-    @property
-    def max_degree(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
-
-    def has_linear_term(self) -> bool:
-        return any(len(k) == 1 for k in self.terms)
-
     def all_even_degrees(self) -> bool:
         return all(len(k) % 2 == 0 for k in self.terms)
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "terms": [{"idx": list(k), "coef": v} for k, v in self.terms.items()],
-            "constant": self.constant,
-        }
-
-    @staticmethod
-    def from_dict(d) -> "SpinHamiltonian":
-        terms = {tuple(int(i) for i in t["idx"]): float(t["coef"]) for t in d["terms"]}
-        return SpinHamiltonian(n=int(d["n"]), terms=_canon(terms), constant=float(d.get("constant", 0.0)))
 
 
 def _canon(terms: dict) -> dict:
@@ -103,8 +89,13 @@ def pubo_to_spin(problem: PuboProblem) -> SpinHamiltonian:
 
     Substitutes x_i = (s_i + 1) / 2 and expands every monomial over its
     index subsets.  verify.pubo_to_spin_closed_form is the independent
-    closed-form route it is checked against.
+    closed-form route it is checked against.  A degree-k monomial yields up
+    to 2^k - 1 spin terms; past SPIN_TERM_CAP in total this raises
+    SizeCapError before expanding anything.
     """
+    expanded = sum((1 << len(idx)) - 1 for idx in problem.terms)
+    if expanded > SPIN_TERM_CAP:
+        raise SizeCapError(f"PUBO expands into up to {expanded} spin terms, cap is {SPIN_TERM_CAP}")
     terms: dict[tuple[int, ...], float] = {}
     constant = problem.offset
     for idx, q in problem.terms.items():
@@ -167,34 +158,30 @@ def evaluate_spin(h: SpinHamiltonian, s) -> float:
 def diagonalize(h: SpinHamiltonian) -> np.ndarray:
     """Eigenvalue of H on every computational basis state, as a 2^n vector.
 
-    sigma_z contributes +1 where the basis bit is 0 and -1 where it is 1, so
-    a term's sign on state z is (-1)^popcount(z & mask).  Constant excluded.
+    Terms are summed in order, each as coef * parity_sign.  Constant excluded.
     """
     if h.n > DIAGONAL_CAP:
         raise SizeCapError(f"diagonal table needs n <= {DIAGONAL_CAP}, got n = {h.n}")
-    z = np.arange(1 << h.n, dtype=np.uint64)
     vals = np.zeros(1 << h.n)
     for idx, coef in h.terms.items():
-        vals += coef * parity_sign(z, idx)
+        vals += coef * parity_sign(h.n, idx)
     return vals
 
 
-def parity_sign(z: np.ndarray, idx) -> np.ndarray:
-    """Eigenvalue of the sigma_z product on qubits idx, per basis index in z.
+def parity_sign(n: int, idx) -> np.ndarray:
+    """Eigenvalue of the sigma_z product on qubits idx, per basis state of n qubits.
 
-    (-1)^popcount(z & mask) as float64, mask holding the bits in idx: +1
-    where an even number of the selected bits are set.  z is uint64.
+    sigma_z is +1 where the basis bit is 0 and -1 where it is 1, so starting
+    from all +1 each q in idx negates the half with bit q set.  The result
+    is exactly +1.0 where an even number of the selected bits are set, else
+    -1.0, so sums of coef * sign do not depend on how the sign was built.
     """
-    mask = np.uint64(sum(1 << i for i in idx))
-    parity = (np.bitwise_count(z & mask) & np.uint64(1)).astype(np.float64)
-    return 1.0 - 2.0 * parity
+    sign = np.ones(1 << n)
+    for q in idx:
+        sign.reshape(-1, 2, 1 << q)[:, 1, :] *= -1.0
+    return sign
 
 
 def assignment_of_basis_index(z: int, n: int) -> tuple[int, ...]:
     """Binary assignment encoded by basis state z (bitwise complement of z)."""
     return tuple(1 - ((z >> i) & 1) for i in range(n))
-
-
-def basis_index_of_assignment(bits) -> int:
-    """Basis state whose spin vector is s = 2x - 1 for assignment x."""
-    return sum((1 - int(b)) << i for i, b in enumerate(bits))

@@ -230,9 +230,6 @@ class DomainDescriptor:
     fully_restricted: bool
     reduction_exponent_per_layer: int
 
-    def volume_reduction(self, p: int) -> int:
-        return 2 ** (self.reduction_exponent_per_layer * p)
-
     def to_dict(self) -> dict:
         return {
             "beta_range": list(self.beta_range),

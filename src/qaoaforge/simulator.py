@@ -12,9 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError
-from .ising import parity_sign
+from .ising import DIAGONAL_CAP, parity_sign
 
-STATEVECTOR_CAP = 24
+# The engine needs the 2^n energy table too, so it shares its ceiling.
+STATEVECTOR_CAP = DIAGONAL_CAP
 
 
 @dataclass
@@ -104,21 +105,11 @@ def apply_cnot(psi: StateVector, control: int, target: int) -> None:
 def apply_rzz(psi: StateVector, i: int, j: int, theta: float) -> None:
     """diag{e^{-it/2}, e^{+it/2}, e^{+it/2}, e^{-it/2}} on the (i, j) subspace.
 
-    The sign follows the parity of bits i and j, so the gate is invariant
-    under swapping the two qubits.
+    The pair case of apply_rzk, so it is invariant under swapping i and j.
     """
-    _check_qubit(psi, i)
-    _check_qubit(psi, j)
     if i == j:
         raise ValueError("qubit indices must differ")
-    v = psi.amp.reshape([2] * psi.n)
-    b = np.moveaxis(v, (psi.n - 1 - i, psi.n - 1 - j), (0, 1))
-    minus = np.exp(-0.5j * theta)
-    plus = np.exp(0.5j * theta)
-    b[0, 0] *= minus
-    b[1, 1] *= minus
-    b[0, 1] *= plus
-    b[1, 0] *= plus
+    apply_rzk(psi, sorted((i, j)), theta)
 
 
 def _check_tuple(psi: StateVector, qubits) -> tuple[int, ...]:
@@ -139,8 +130,7 @@ def apply_rzk(psi: StateVector, qubits, theta: float) -> None:
     i.e. the sign is fixed by the Hamming weight of the selected bits.
     """
     qs = _check_tuple(psi, qubits)
-    sign = parity_sign(np.arange(psi.amp.size, dtype=np.uint64), qs)
-    apply_diagonal_phase(psi, sign, theta)
+    apply_diagonal_phase(psi, parity_sign(psi.n, qs), theta)
 
 
 def apply_rzk_ladder(psi: StateVector, qubits, theta: float) -> None:

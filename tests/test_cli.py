@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qaoaforge import cli, qaoa
+from qaoaforge import cli, ising, qaoa
 from qaoaforge.errors import OptimizerDivergence
 
 
@@ -166,6 +166,17 @@ def test_size_cap_comes_before_spin_conversion(tmp_path, monkeypatch):
     assert cli.main(["solve", str(big), "--iters", "1"]) == 3
     assert cli.main(["scan", str(big), "--out", str(tmp_path / "grid.csv")]) == 3
     assert not (tmp_path / "grid.csv").exists()
+
+
+
+def test_spin_term_cap_exits_3(tmp_path, monkeypatch):
+    # a degree-5 monomial expands into 31 spin terms, past a cap of 15
+    monkeypatch.setattr(ising, "SPIN_TERM_CAP", 15)
+    f = tmp_path / "pubo5.json"
+    f.write_text(json.dumps({"type": "pubo", "n": 5, "terms": [{"idx": [0, 1, 2, 3, 4], "coef": 1.0}]}))
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(f), "--iters", "1", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_optimizer_abort_exits_4(c4_file, monkeypatch):

@@ -1,4 +1,4 @@
-"""Source hygiene: unused imports, and README drift from the CLI."""
+"""Source hygiene: unused imports, uncalled helpers, and README drift from the CLI."""
 import argparse
 import ast
 import re
@@ -33,6 +33,46 @@ def test_no_unused_imports():
         if (names := unused_imports(p.read_text()))
     }
     assert offenders == {}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Public module-level functions and classes, and public methods of those classes."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [m.name for m in node.body
+                      if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+    return names
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads, looks up as attributes or imports; definitions do not count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_no_uncalled_public_helpers():
+    demo = "class A:\n    def used(self): pass\n    def unused(self): pass\ndef f(): A().used()\n"
+    assert [n for n in public_definitions(demo) if n not in names_read(demo)] == ["unused", "f"]
+    sources = sorted((ROOT / "src" / "qaoaforge").glob("*.py"))
+    named = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for p in sources + sorted((ROOT / "perfbench").glob("*.py")):
+        named |= names_read(p.read_text())
+    uncalled = {
+        str(p.relative_to(ROOT)): names
+        for p in sources
+        if (names := [n for n in public_definitions(p.read_text()) if n not in named])
+    }
+    assert uncalled == {}
 
 
 def test_readme_lists_every_cli_flag():

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qaoaforge import ising
 from qaoaforge.errors import SizeCapError
 from qaoaforge.ising import (
     SpinHamiltonian,
     assignment_of_basis_index,
-    basis_index_of_assignment,
     diagonalize,
     evaluate_spin,
+    parity_sign,
     pubo_to_spin,
     qubo_to_spin,
     scale,
@@ -32,8 +35,6 @@ def test_spin_hamiltonian_validation():
     with pytest.raises(ValueError):
         SpinHamiltonian(2, {(): 1.0})
     h = SpinHamiltonian(3, {(0,): 1.0, (1, 2): -2.0})
-    assert h.max_degree == 2
-    assert h.has_linear_term
     assert not h.all_even_degrees()
     assert SpinHamiltonian(3, {(1, 2): -2.0}).all_even_degrees()
 
@@ -149,9 +150,10 @@ def test_basis_index_conventions():
     assert tuple(1 - 2 * ((1 >> i) & 1) for i in range(2)) == (-1, 1)
     assert assignment_of_basis_index(0, 2) == (1, 1)
     assert assignment_of_basis_index(1, 2) == (0, 1)
-    assert basis_index_of_assignment((0, 1, 0, 1)) == 5
+    # and back: the basis state of assignment x has bit i = 1 - x_i
+    assert sum((1 - b) << i for i, b in enumerate((0, 1, 0, 1))) == 5
     for z in range(16):
-        assert basis_index_of_assignment(assignment_of_basis_index(z, 4)) == z
+        assert sum((1 - b) << i for i, b in enumerate(assignment_of_basis_index(z, 4))) == z
 
 
 def test_diagonal_matches_spin_convention():
@@ -164,7 +166,67 @@ def test_diagonal_matches_spin_convention():
         assert abs(d[z] + h.constant - evaluate_qubo(p, bits)) < 1e-10
 
 
-def test_serialization_round_trip():
-    h = SpinHamiltonian(3, {(0,): 1.0, (0, 1, 2): -0.25}, constant=2.0)
-    h2 = SpinHamiltonian.from_dict(h.to_dict())
-    assert h2.n == h.n and h2.terms == h.terms and h2.constant == h.constant
+def popcount_sign(n, idx):
+    """(-1)^popcount(z & mask) over every basis index z, the kernel's reference."""
+    z = np.arange(1 << n, dtype=np.uint64)
+    mask = np.uint64(sum(1 << i for i in idx))
+    return 1.0 - 2.0 * (np.bitwise_count(z & mask) & np.uint64(1)).astype(np.float64)
+
+
+def random_terms(rng, n, degree):
+    return [
+        (tuple(sorted(rng.choice(n, size=int(rng.integers(1, min(degree, n) + 1)), replace=False))),
+         float(rng.normal()))
+        for _ in range(2 * n)
+    ]
+
+
+def test_parity_sign_matches_popcount():
+    rng = np.random.default_rng(25)
+    for n in range(1, 11):
+        for _ in range(5):
+            k = int(rng.integers(1, n + 1))
+            idx = tuple(int(q) for q in sorted(rng.choice(n, size=k, replace=False)))
+            sign = parity_sign(n, idx)
+            assert sign.dtype == np.float64 and sign.shape == (1 << n,)
+            assert np.array_equal(sign, popcount_sign(n, idx))
+
+
+def test_diagonalize_matches_popcount_loop():
+    rng = np.random.default_rng(26)
+    for trial in range(30):
+        n = int(rng.integers(1, 13))
+        if trial % 2:
+            h = qubo_to_spin(build_qubo(rng.normal(size=(n, n)), rng.normal(size=n)))
+        else:
+            h = pubo_to_spin(build_pubo(n, random_terms(rng, n, 4)))
+        want = np.zeros(1 << n)
+        for idx, coef in h.terms.items():
+            want += coef * popcount_sign(n, idx)
+        assert np.array_equal(diagonalize(h), want)
+
+
+def test_diagonalize_memory_is_a_few_vectors():
+    rng = np.random.default_rng(27)
+    n = 14
+    h = qubo_to_spin(build_qubo(rng.normal(size=(n, n)), rng.normal(size=n)))
+    vector_bytes = 8 << n
+    tracemalloc.start()
+    try:
+        diagonalize(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the table, one sign vector and one coef * sign temporary
+    assert peak <= 3.5 * vector_bytes, peak / vector_bytes
+
+
+def test_pubo_spin_term_cap(monkeypatch):
+    monkeypatch.setattr(ising, "SPIN_TERM_CAP", 15)
+    # a degree-k monomial expands into up to 2^k - 1 spin terms
+    assert len(pubo_to_spin(build_pubo(5, [((0, 1, 2, 3), 1.0)])).terms) == 15
+    with pytest.raises(SizeCapError):
+        pubo_to_spin(build_pubo(5, [((0, 1, 2, 3, 4), 1.0)]))
+    # the bound adds up over monomials, before any overlap merges
+    with pytest.raises(SizeCapError):
+        pubo_to_spin(build_pubo(5, [((0, 1, 2, 3), 1.0), ((0,), 1.0)]))

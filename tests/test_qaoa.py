@@ -119,8 +119,7 @@ def test_gate_execution_matches_fast_path():
 
 def test_term_signs():
     h = SpinHamiltonian(4, {(0,): 1.0, (1, 2): 2.0, (0, 1, 3): -0.5})
-    z = np.arange(16, dtype=np.uint64)
-    signs = {idx: parity_sign(z, idx) for idx in h.terms}
+    signs = {idx: parity_sign(4, idx) for idx in h.terms}
     for idx, mask in (((0,), 0b1), ((1, 2), 0b110), ((0, 1, 3), 0b1011)):
         assert signs[idx].dtype == np.float64 and signs[idx].shape == (16,)
         for zi in range(16):
@@ -217,10 +216,10 @@ def test_restricted_domain():
     dom = qaoa.restricted_domain(even)
     assert dom.fully_restricted
     assert dom.beta_range == (0.0, math.pi) and dom.gamma_range == (0.0, math.pi)
-    assert dom.volume_reduction(3) == 2 ** 6
+    assert 2 ** (dom.reduction_exponent_per_layer * 3) == 2 ** 6
 
     odd = qaoa.build_circuit(SpinHamiltonian(2, {(0,): 1.0, (0, 1): 1.0}))
     dom2 = qaoa.restricted_domain(odd)
     assert not dom2.fully_restricted
     assert dom2.gamma_range == (-math.pi, math.pi)
-    assert dom2.volume_reduction(3) == 2 ** 3
+    assert 2 ** (dom2.reduction_exponent_per_layer * 3) == 2 ** 3

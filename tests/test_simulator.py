@@ -113,6 +113,8 @@ def test_qubit_index_validation():
         sim.apply_rzk(psi, (0, 0), 0.1)
     with pytest.raises(ValueError):
         sim.apply_rzk(psi, (), 0.1)
+    with pytest.raises(ValueError):
+        sim.apply_rzz(psi, 1, 1, 0.1)
 
 
 def test_norm_preserved_random_circuit():
