@@ -42,7 +42,6 @@ from .qaoa import (
     QaoaParams,
     build_circuit,
     energy,
-    energy_breakdown,
     landscape_scan,
     parameter_shift_gradient,
     restricted_domain,
@@ -51,7 +50,6 @@ from .qaoa import (
 from .optimize import (
     OptimizerConfig,
     RunRecord,
-    init_params,
     optimize,
 )
 
@@ -82,11 +80,9 @@ __all__ = [
     "build_qubo",
     "diagonalize",
     "energy",
-    "energy_breakdown",
     "evaluate_pubo",
     "evaluate_qubo",
     "evaluate_spin",
-    "init_params",
     "init_plus",
     "landscape_scan",
     "load_problem",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ProblemFormatError, SizeCapError
 
-# Enumeration cap for brute force (2^22 assignments); callers may override.
+# Enumeration cap for brute force (2^22 assignments).
 BRUTE_FORCE_CAP = 22
 
 # Default weights for the unbalanced inequality penalty.  These are
@@ -407,16 +407,16 @@ def _chunk_costs(problem, lo: int, hi: int) -> np.ndarray:
     return costs
 
 
-def brute_force_solve(problem, cap: int = BRUTE_FORCE_CAP, full_table: bool = False) -> BruteForceResult:
+def brute_force_solve(problem, full_table: bool = False) -> BruteForceResult:
     """Enumerate all 2^n assignments exactly.
 
-    Raises SizeCapError above the cap.  Ties are kept: every assignment
+    Raises SizeCapError above BRUTE_FORCE_CAP.  Ties are kept: every assignment
     whose cost equals the minimum exactly (same floating-point value) is in
     optimum_set.
     """
     n = problem.n
-    if n > cap:
-        raise SizeCapError(f"brute force needs n <= {cap}, problem has n = {n}")
+    if n > BRUTE_FORCE_CAP:
+        raise SizeCapError(f"brute force needs n <= {BRUTE_FORCE_CAP}, problem has n = {n}")
     total = 1 << n
     chunk = min(total, 1 << 16)
     best = math.inf

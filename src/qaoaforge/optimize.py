@@ -29,6 +29,9 @@ SPSA_C0 = 0.1
 SPSA_ALPHA = 0.602
 SPSA_GAMMA_DECAY = 0.101
 
+# Gradient-descent step on the angle vector.
+GD_LEARNING_RATE = 0.05
+
 
 def _box(domain: qaoa.DomainDescriptor, p: int):
     """Per-coordinate half-width h and offset m of the restricted box.
@@ -69,8 +72,7 @@ class OptimizerConfig:
 
     shots=0 evaluates exact expectations, the only mode gradient descent
     accepts.  a0 is the SPSA step gain; None calibrates it per restart
-    from an initial gradient-magnitude probe.  learning_rate is the
-    gradient-descent step.  plateau_window=0 disables early stopping.
+    from an initial gradient-magnitude probe.
     """
 
     method: str = "spsa"
@@ -80,9 +82,6 @@ class OptimizerConfig:
     shots: int = 0
     squash: str = "none"
     a0: float | None = None
-    learning_rate: float = 0.05
-    plateau_window: int = 0
-    plateau_rtol: float = 1e-6
 
     def __post_init__(self):
         if self.method not in ("spsa", "gd"):
@@ -91,10 +90,8 @@ class OptimizerConfig:
             raise ValueError(f"squash must be 'none' or 'tanh', got {self.squash!r}")
         if self.max_iters < 0 or self.restarts < 1 or self.shots < 0:
             raise ValueError("max_iters >= 0, restarts >= 1, shots >= 0 required")
-        if self.a0 is not None and self.a0 <= 0:
-            raise ValueError("a0 must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate >= 0 required")
+        if self.a0 is not None and not (math.isfinite(self.a0) and self.a0 > 0):
+            raise ValueError("a0 must be positive and finite")
         if self.method == "gd" and self.shots != 0:
             raise ValueError("gradient descent requires exact expectations (shots=0)")
 
@@ -105,9 +102,11 @@ class RunRecord:
 
     Per restart, the final iterate is the best energy seen during that
     restart (including its initial point), so restart_finals[r] is restart
-    r's final energy and best_energy == min(restart_finals); len(traces[r])
-    is the number of iterations restart r ran.  wall_time_s is
-    informational and excluded from reproducibility comparisons.
+    r's final energy and best_energy == min(restart_finals); every restart
+    runs max_iters iterations, so len(traces[r]) == max_iters.
+    best_energy_unscaled and best_objective are best_energy in unscaled and
+    original units.  wall_time_s is informational and excluded from
+    reproducibility comparisons.
     """
 
     method: str
@@ -140,39 +139,24 @@ class RunRecord:
         return d
 
 
-def _initial_vector(domain: qaoa.DomainDescriptor, p: int, rng, squash: str) -> np.ndarray:
-    """Uniform draw inside the restricted box: all betas first, then gammas.
-
-    In tanh mode the optimizer works on raw values, so the drawn angles are
-    pulled back through the inverse squash.
-    """
-    beta = rng.uniform(domain.beta_range[0], domain.beta_range[1], p)
-    gamma = rng.uniform(domain.gamma_range[0], domain.gamma_range[1], p)
-    angles = np.concatenate([beta, gamma])
-    if squash == "tanh":
-        return _unsquash(angles, domain)
-    return angles
-
-
-def init_params(domain: qaoa.DomainDescriptor, p: int, seed: int = 0, restart: int = 0) -> qaoa.QaoaParams:
-    """The deterministic initial angles of one restart."""
-    rng = np.random.default_rng([seed, restart])
-    vec = _initial_vector(domain, p, rng, "none")
-    return qaoa.QaoaParams.from_vector(vec)
-
-
 def _start_vector(spec, domain, config: OptimizerConfig, rng, initial_params) -> np.ndarray:
-    """Restart starting point: a random box draw, or the given warm start."""
+    """Restart starting point: a uniform box draw, or the given warm start.
+
+    The draw takes all betas first, then all gammas.  In tanh mode the optimizer works on raw values, so the starting angles
+    are pulled back through the inverse squash.
+    """
+    p = spec.layers
     if initial_params is None:
-        return _initial_vector(domain, spec.layers, rng, config.squash)
-    angles = initial_params.as_vector()
-    if angles.size != 2 * spec.layers:
-        raise ValueError(
-            f"initial_params has {angles.size // 2} layers, circuit has {spec.layers}"
-        )
+        beta = rng.uniform(domain.beta_range[0], domain.beta_range[1], p)
+        gamma = rng.uniform(domain.gamma_range[0], domain.gamma_range[1], p)
+        angles = np.concatenate([beta, gamma])
+    else:
+        angles = initial_params.as_vector()
+        if angles.size != 2 * p:
+            raise ValueError(f"initial_params has {angles.size // 2} layers, circuit has {p}")
     if config.squash == "tanh":
         return _unsquash(angles, domain)
-    return angles.copy()
+    return angles
 
 
 def _decode(vec: np.ndarray, config: OptimizerConfig, domain) -> qaoa.QaoaParams:
@@ -207,15 +191,6 @@ def _calibrate_a0(objective, vec, rng, big_a: float) -> float:
     return min(0.1 * (big_a + 1.0) ** SPSA_ALPHA / gmag, 50.0)
 
 
-def _plateau_hit(best_history: list, config: OptimizerConfig) -> bool:
-    w = config.plateau_window
-    if w <= 0 or len(best_history) <= w:
-        return False
-    before = best_history[-w - 1]
-    improvement = before - best_history[-1]
-    return improvement < config.plateau_rtol * max(1.0, abs(before))
-
-
 def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initial_params):
     """One restart on its own [seed, r] stream; SPSA and GD differ only in the step.
 
@@ -238,7 +213,6 @@ def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initia
         a0 = config.a0 if config.a0 is not None else _calibrate_a0(objective, vec, rng, big_a)
     best_e, best_vec = e0, vec.copy()
     trace: list[float] = []
-    best_history: list[float] = [best_e]
     for k in range(config.max_iters):
         if spsa:
             step = a0 / (big_a + k + 1) ** SPSA_ALPHA
@@ -247,7 +221,7 @@ def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initia
             # 1/delta_i == delta_i for Bernoulli +/-1 perturbations
             g = slope * delta
         else:
-            step = config.learning_rate
+            step = GD_LEARNING_RATE
             g = qaoa.parameter_shift_gradient(spec, _decode(vec, config, domain))
             if not np.isfinite(g).all():
                 raise OptimizerDivergence("non-finite gradient encountered; aborting")
@@ -260,9 +234,6 @@ def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initia
         trace.append(e)
         if e < best_e:
             best_e, best_vec = e, vec.copy()
-        best_history.append(best_e)
-        if _plateau_hit(best_history, config):
-            break
     return trace, e0, best_e, best_vec, a0
 
 
@@ -305,23 +276,21 @@ def optimize(
     ))
     best_r = int(np.argmin(finals))
     final_params = _decode(vectors[best_r], config, domain)
-    psi = qaoa.run(spec, final_params)
-    final_scaled = sim.expectation_diagonal(psi, spec.energies)
-    hist, best_z, mode = _final_histogram(psi, config)
+    best_e = float(finals[best_r])
+    hist, best_z, mode = _final_histogram(qaoa.run(spec, final_params), config)
     best_bits = assignment_of_basis_index(best_z, spec.n)
     # echo only the settings the chosen method read
     config_echo = asdict(config)
     if config.method == "spsa":
-        del config_echo["learning_rate"]
         config_echo["A_resolved"] = big_a
         config_echo["a0_resolved"] = list(a0s)
     else:
         del config_echo["a0"]
     return RunRecord(
         method=config.method,
-        best_energy=float(finals[best_r]),
-        best_energy_unscaled=final_scaled * spec.k_scale,
-        best_objective=spec.objective(final_scaled),
+        best_energy=best_e,
+        best_energy_unscaled=best_e * spec.k_scale,
+        best_objective=spec.objective(best_e),
         best_bitstring=bits_to_string(best_bits),
         best_basis_index=best_z,
         best_cost=float(spec.objective(spec.energies[best_z])),

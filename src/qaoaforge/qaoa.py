@@ -130,16 +130,6 @@ def energy(spec: QaoaCircuitSpec, params: QaoaParams) -> float:
     return sim.expectation_diagonal(run(spec, params), spec.energies)
 
 
-def energy_breakdown(spec: QaoaCircuitSpec, params: QaoaParams) -> dict[str, float]:
-    """Scaled expectation plus its unscaled and original-objective forms."""
-    e = energy(spec, params)
-    return {
-        "scaled": e,
-        "unscaled": e * spec.k_scale,
-        "objective": spec.objective(e),
-    }
-
-
 def shot_energy(spec: QaoaCircuitSpec, params: QaoaParams, shots: int, seed) -> float:
     """Monte-Carlo estimate of energy() from a finite sample."""
     psi = run(spec, params)

@@ -107,8 +107,7 @@ def test_solve_optimizer_and_squash_flags(c4_file, tmp_path):
 
 
 def test_config_echo_lists_only_what_the_method_read(c4_file, tmp_path):
-    shared = {"method", "max_iters", "restarts", "seed", "shots", "squash",
-              "plateau_window", "plateau_rtol"}
+    shared = {"method", "max_iters", "restarts", "seed", "shots", "squash"}
     echoes = {}
     for method in ("gd", "spsa"):
         out = tmp_path / method
@@ -117,7 +116,7 @@ def test_config_echo_lists_only_what_the_method_read(c4_file, tmp_path):
         assert cli.main(args) == 0
         echoes[method] = json.loads((out / "manifest.json").read_text())["optimizer"]
         assert json.loads((out / "run.json").read_text())["config"] == echoes[method]
-    assert set(echoes["gd"]) == shared | {"learning_rate"}
+    assert set(echoes["gd"]) == shared
     assert set(echoes["spsa"]) == shared | {"a0", "A_resolved", "a0_resolved"}
 
 

@@ -65,7 +65,9 @@ def test_no_uncalled_public_helpers():
     assert [n for n in public_definitions(demo) if n not in names_read(demo)] == ["unused", "f"]
     sources = sorted((ROOT / "src" / "qaoaforge").glob("*.py"))
     named = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
-    for p in sources + sorted((ROOT / "perfbench").glob("*.py")):
+    # a re-export in the package __init__ is not a caller
+    callers = [p for p in sources if p.name != "__init__.py"] + sorted((ROOT / "perfbench").glob("*.py"))
+    for p in callers:
         named |= names_read(p.read_text())
     uncalled = {
         str(p.relative_to(ROOT)): names

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qaoaforge import model
 from qaoaforge.errors import ProblemFormatError, SizeCapError
 from qaoaforge.ising import assignment_of_basis_index, diagonalize, to_spin
 from qaoaforge.model import (
@@ -189,12 +190,13 @@ def test_brute_force_full_table_matches_direct():
         assert abs(table[m] - evaluate_pubo(p, bits)) < 1e-12
 
 
-def test_brute_force_cap():
+def test_brute_force_cap(monkeypatch):
     with pytest.raises(SizeCapError):
         brute_force_solve(zero_qubo(23))
-    brute_force_solve(zero_qubo(5), cap=5)
+    monkeypatch.setattr(model, "BRUTE_FORCE_CAP", 5)
+    brute_force_solve(zero_qubo(5))
     with pytest.raises(SizeCapError):
-        brute_force_solve(zero_qubo(6), cap=5)
+        brute_force_solve(zero_qubo(6))
 
 
 def test_brute_force_keeps_all_ties():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -11,15 +12,26 @@ from qaoaforge.model import build_maxcut
 from qaoaforge.optimize import (
     HISTOGRAM_MAX_ENTRIES,
     OptimizerConfig,
-    init_params,
     optimize,
     squash_params,
 )
 
 
+# the package re-exports the function optimize() under the submodule's name
+optimize_module = importlib.import_module("qaoaforge.optimize")
+
+
 def c4_spec(layers=2):
     h = qubo_to_spin(build_maxcut(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     return qaoa.build_circuit(h, layers=layers)
+
+
+def box_draw(domain, p, seed, restart):
+    """A restart's random start: betas, then gammas, on its [seed, restart] stream."""
+    rng = np.random.default_rng([seed, restart])
+    beta = rng.uniform(domain.beta_range[0], domain.beta_range[1], p)
+    gamma = rng.uniform(domain.gamma_range[0], domain.gamma_range[1], p)
+    return beta, gamma
 
 
 def test_squash_maps_into_boxes():
@@ -54,24 +66,26 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(squash="clip")
-    with pytest.raises(ValueError):
-        OptimizerConfig(a0=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(learning_rate=-1.0)
+    for a0 in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            OptimizerConfig(a0=a0)
     OptimizerConfig(max_iters=0)  # zero iterations allowed
 
 
 def test_init_params_deterministic_and_in_box():
     spec = c4_spec(layers=3)
     domain = qaoa.restricted_domain(spec)
-    a = init_params(domain, 3, seed=4, restart=2)
-    b = init_params(domain, 3, seed=4, restart=2)
-    assert np.allclose(a.as_vector(), b.as_vector())
-    c = init_params(domain, 3, seed=4, restart=3)
-    assert not np.allclose(a.as_vector(), c.as_vector())
-    for params in (a, c):
-        assert ((params.beta >= domain.beta_range[0]) & (params.beta <= domain.beta_range[1])).all()
-        assert ((params.gamma >= domain.gamma_range[0]) & (params.gamma <= domain.gamma_range[1])).all()
+    # with zero iterations the record's angles are the best restart's start
+    config = OptimizerConfig(max_iters=0, restarts=4, seed=4)
+    rec = optimize(spec, config)
+    assert rec.comparable_dict() == optimize(spec, config).comparable_dict()
+    assert len(set(rec.initial_energies)) == 4
+    assert rec.best_restart != 0  # so a stream past [seed, 0] is checked
+    want_beta, want_gamma = box_draw(domain, 3, seed=4, restart=rec.best_restart)
+    beta, gamma = np.array(rec.final_params["beta"]), np.array(rec.final_params["gamma"])
+    assert np.array_equal(beta, want_beta) and np.array_equal(gamma, want_gamma)
+    assert ((beta >= domain.beta_range[0]) & (beta <= domain.beta_range[1])).all()
+    assert ((gamma >= domain.gamma_range[0]) & (gamma <= domain.gamma_range[1])).all()
 
 
 def test_zero_iterations_returns_initial_point():
@@ -80,9 +94,9 @@ def test_zero_iterations_returns_initial_point():
     rec = optimize(spec, config)
     assert rec.traces == [[]]
     assert rec.best_energy == rec.initial_energies[0]
-    start = init_params(qaoa.restricted_domain(spec), 2, seed=5, restart=0)
-    assert np.allclose(rec.final_params["beta"], start.beta)
-    assert np.allclose(rec.final_params["gamma"], start.gamma)
+    beta, gamma = box_draw(qaoa.restricted_domain(spec), 2, seed=5, restart=0)
+    assert np.allclose(rec.final_params["beta"], beta)
+    assert np.allclose(rec.final_params["gamma"], gamma)
 
 
 def test_spsa_improves_and_keeps_invariants():
@@ -93,7 +107,7 @@ def test_spsa_improves_and_keeps_invariants():
     assert rec.best_energy == min(rec.restart_finals)
     assert rec.best_restart == int(np.argmin(rec.restart_finals))
     for r in range(3):
-        assert len(rec.traces[r]) == config.max_iters  # no plateau window: every iteration runs
+        assert len(rec.traces[r]) == config.max_iters  # every restart runs every iteration
         seen = [rec.initial_energies[r]] + rec.traces[r]
         assert abs(rec.restart_finals[r] - min(seen)) < 1e-15
     assert rec.method == "spsa"
@@ -103,7 +117,7 @@ def test_spsa_improves_and_keeps_invariants():
 
 def test_gd_decreases_energy():
     spec = c4_spec(layers=1)
-    config = OptimizerConfig(method="gd", max_iters=120, restarts=2, seed=1, learning_rate=0.1)
+    config = OptimizerConfig(method="gd", max_iters=120, restarts=2, seed=1)
     rec = optimize(spec, config)
     assert rec.best_energy < min(rec.initial_energies)
     assert rec.method == "gd"
@@ -115,22 +129,24 @@ def test_gd_requires_exact_mode():
     OptimizerConfig(method="spsa", shots=100)
 
 
-def test_gd_divergence_detected():
+def test_gd_divergence_detected(monkeypatch):
     spec = c4_spec(layers=1)
-    config = OptimizerConfig(method="gd", max_iters=5, restarts=1, seed=0, learning_rate=math.inf)
+    monkeypatch.setattr(optimize_module, "GD_LEARNING_RATE", math.inf)
+    config = OptimizerConfig(method="gd", max_iters=5, restarts=1, seed=0)
     with np.errstate(invalid="ignore"):
         with pytest.raises(OptimizerDivergence):
             optimize(spec, config)
 
 
-def test_plateau_stops_early():
+@pytest.mark.parametrize("shots", [0, 2000])
+def test_record_energy_units_agree(shots):
     spec = c4_spec(layers=1)
-    config = OptimizerConfig(
-        method="gd", max_iters=50, restarts=1, seed=0,
-        learning_rate=0.0, plateau_window=3, plateau_rtol=1e-9,
-    )
+    assert spec.k_scale != 1.0 and spec.constant != 0.0
+    config = OptimizerConfig(method="spsa", max_iters=30, restarts=2, seed=3, shots=shots)
     rec = optimize(spec, config)
-    assert len(rec.traces[0]) < 50
+    assert rec.best_energy_unscaled == rec.best_energy * spec.k_scale
+    assert rec.best_objective == spec.objective(rec.best_energy)
+    assert rec.best_objective == rec.best_energy_unscaled + spec.constant
 
 
 def test_warm_start_used_by_every_restart():

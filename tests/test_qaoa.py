@@ -82,16 +82,6 @@ def test_run_matches_manual_layering():
     assert np.abs(got.amp - psi.amp).max() < 1e-12
 
 
-def test_energy_breakdown_units():
-    rng = np.random.default_rng(42)
-    h = random_hamiltonian(rng, 3)
-    spec = qaoa.build_circuit(h)
-    params = qaoa.QaoaParams([0.5], [0.9])
-    parts = qaoa.energy_breakdown(spec, params)
-    assert abs(parts["unscaled"] - parts["scaled"] * spec.k_scale) < 1e-12
-    assert abs(parts["objective"] - parts["unscaled"] - h.constant) < 1e-12
-
-
 def test_scaled_and_raw_circuits_agree_after_angle_change():
     rng = np.random.default_rng(43)
     h = random_hamiltonian(rng, 4)
