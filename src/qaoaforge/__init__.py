@@ -41,6 +41,7 @@ from .qaoa import (
     QaoaCircuitSpec,
     QaoaParams,
     build_circuit,
+    energies,
     energy,
     landscape_scan,
     parameter_shift_gradient,
@@ -79,6 +80,7 @@ __all__ = [
     "build_pubo",
     "build_qubo",
     "diagonalize",
+    "energies",
     "energy",
     "evaluate_pubo",
     "evaluate_qubo",

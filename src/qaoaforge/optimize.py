@@ -142,8 +142,9 @@ class RunRecord:
 def _start_vector(spec, domain, config: OptimizerConfig, rng, initial_params) -> np.ndarray:
     """Restart starting point: a uniform box draw, or the given warm start.
 
-    The draw takes all betas first, then all gammas.  In tanh mode the optimizer works on raw values, so the starting angles
-    are pulled back through the inverse squash.
+    The draw takes all betas first, then all gammas.  In tanh mode the
+    optimizer works on raw values, so the starting angles are pulled back
+    through the inverse squash.
     """
     p = spec.layers
     if initial_params is None:

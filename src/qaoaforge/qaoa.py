@@ -4,6 +4,8 @@ Layer k applies the target-phase operator U_f(gamma_k) = e^{-i(gamma_k/2)H_f}
 and then the mixer U_i(beta_k) = prod_q R_x(beta_k), layers in increasing
 order on the uniform superposition; U_f is one phase multiply on the
 diagonal of H_f (verify.gate_decomposed_run is its gate-level reference).
+One layer loop evolves either one state (run, energy) or a block of states
+with one angle row each (energies, which scans and gradients go through).
 Energies are exact expectations of the scaled Hamiltonian; unscaled and
 original-unit values follow by multiplying back the scale factor and adding
 the dropped constant.
@@ -24,6 +26,9 @@ FD_STEP = 1e-5
 
 # Largest landscape_scan resolution: a 4096^2 grid holds 128 MiB of values.
 SCAN_RESOLUTION_CAP = 4096
+
+# Amplitude bytes per block in energies(); from n = 12 up a block is one state.
+BLOCK_BYTES = 64 << 10
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,19 @@ def build_circuit(
     )
 
 
+def _evolve(spec: QaoaCircuitSpec, psi: sim.StateVector, betas, gammas) -> sim.StateVector:
+    """The layer loop: U_f(gamma_k), then R_x(beta_k) on every qubit, k = 1..p.
+
+    Each entry of betas and gammas is a float for one state, or one angle
+    per row of a block.
+    """
+    for beta, gamma in zip(betas, gammas):
+        sim.apply_diagonal_phase(psi, spec.energies, gamma)
+        for q in range(spec.n):
+            sim.apply_rx(psi, q, beta)
+    return psi
+
+
 def run(spec: QaoaCircuitSpec, params: QaoaParams) -> sim.StateVector:
     """Apply all layers to the uniform superposition, layer 1 first.
 
@@ -117,17 +135,36 @@ def run(spec: QaoaCircuitSpec, params: QaoaParams) -> sim.StateVector:
     """
     if params.p != spec.layers:
         raise ValueError(f"params have {params.p} layers, circuit has {spec.layers}")
-    psi = sim.init_plus(spec.n)
-    for beta, gamma in zip(params.beta, params.gamma):
-        sim.apply_diagonal_phase(psi, spec.energies, float(gamma))
-        for q in range(spec.n):
-            sim.apply_rx(psi, q, float(beta))
-    return psi
+    return _evolve(spec, sim.init_plus(spec.n), params.beta.tolist(), params.gamma.tolist())
 
 
 def energy(spec: QaoaCircuitSpec, params: QaoaParams) -> float:
     """Exact expectation of the scaled Hamiltonian in the circuit output."""
     return sim.expectation_diagonal(run(spec, params), spec.energies)
+
+
+def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
+    """energy() of every row of a (B, 2p) array of [beta..., gamma...] rows.
+
+    Rows evolve together, in blocks of as many states as fit in BLOCK_BYTES.
+    A block of one row is an energy() call: per-row angle arrays cost more
+    than they save on a single state.  Every value equals energy() of its
+    row bit for bit.  Raises ValueError when a row does not hold 2p angles.
+    """
+    angles = np.asarray(angles, dtype=float)
+    p = spec.layers
+    if angles.ndim != 2 or angles.shape[1] != 2 * p:
+        raise ValueError(f"angle rows must hold 2p = {2 * p} entries for {p} layers, got shape {angles.shape}")
+    rows = max(1, BLOCK_BYTES // (16 << spec.n))
+    out = np.empty(len(angles))
+    for start in range(0, len(angles), rows):
+        block = angles[start:start + rows]
+        if len(block) == 1:
+            out[start] = energy(spec, QaoaParams.from_vector(block[0]))
+        else:
+            psi = _evolve(spec, sim.init_plus(spec.n, rows=len(block)), block[:, :p].T, block[:, p:].T)
+            out[start:start + len(block)] = sim.expectation_diagonal(psi, spec.energies)
+    return out
 
 
 def shot_energy(spec: QaoaCircuitSpec, params: QaoaParams, shots: int, seed) -> float:
@@ -144,20 +181,22 @@ def parameter_shift_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> np.nd
     """Gradient of energy() w.r.t. [beta_1..beta_p, gamma_1..gamma_p].
 
     Computes central finite differences with step FD_STEP on the exact
-    energy: 4p circuit runs.  verify.shift_rule_gradient is the exact
-    parameter-shift oracle it is checked against.
+    energy: 4p circuit runs, evolved as one energies() call.
+    verify.shift_rule_gradient is the exact parameter-shift oracle it is
+    checked against.
     """
+    if params.p != spec.layers:
+        raise ValueError(f"params have {params.p} layers, circuit has {spec.layers}")
     base = params.as_vector()
-    grad = np.zeros(base.size)
+    points = []
     for i in range(base.size):
         up = base.copy()
         dn = base.copy()
         up[i] += FD_STEP
         dn[i] -= FD_STEP
-        e_up = energy(spec, QaoaParams.from_vector(up))
-        e_dn = energy(spec, QaoaParams.from_vector(dn))
-        grad[i] = (e_up - e_dn) / (2.0 * FD_STEP)
-    return grad
+        points += [up, dn]
+    e = energies(spec, points)
+    return (e[0::2] - e[1::2]) / (2.0 * FD_STEP)
 
 
 @dataclass
@@ -184,7 +223,7 @@ def landscape_scan(
     beta_range: tuple[float, float] | None = None,
     gamma_range: tuple[float, float] | None = None,
 ) -> LandscapeGrid:
-    """Dense grid of energy() over one layer's (beta, gamma) box."""
+    """Dense grid of energy() over one layer's (beta, gamma) box, one energies() call per beta."""
     if spec.layers != 1:
         raise ValueError("landscape scans are defined for single-layer circuits only")
     if resolution < 2:
@@ -197,10 +236,9 @@ def landscape_scan(
         gamma_range = (-math.pi, math.pi)
     beta_axis = np.linspace(beta_range[0], beta_range[1], resolution)
     gamma_axis = np.linspace(gamma_range[0], gamma_range[1], resolution)
-    values = np.zeros((resolution, resolution))
+    values = np.empty((resolution, resolution))
     for i, b in enumerate(beta_axis):
-        for j, g in enumerate(gamma_axis):
-            values[i, j] = energy(spec, QaoaParams(beta=[b], gamma=[g]))
+        values[i] = energies(spec, np.column_stack([np.full(resolution, b), gamma_axis]))
     return LandscapeGrid(beta_axis=beta_axis, gamma_axis=gamma_axis, values=values)
 
 

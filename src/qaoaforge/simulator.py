@@ -2,7 +2,10 @@
 
 Little-endian convention throughout: qubit q is bit q of the basis index,
 so qubit 0 is the least-significant bit.  All gate kernels mutate the state
-in place through reshaped views of the amplitude array.
+in place through reshaped views of the amplitude array.  apply_rx,
+apply_diagonal_phase and expectation_diagonal also take a block of B
+states, a (B, 2^n) amplitude array, with one shared angle or one angle per
+row; each row gets exactly the arithmetic of a single state.
 """
 from __future__ import annotations
 
@@ -20,7 +23,11 @@ STATEVECTOR_CAP = DIAGONAL_CAP
 
 @dataclass
 class StateVector:
-    """n qubits as 2^n complex amplitudes, basis index little-endian."""
+    """n qubits as 2^n complex amplitudes, basis index little-endian.
+
+    amp is (2^n,) for one state or (B, 2^n) for a block of B states;
+    norm_error, probabilities and sample read one state.
+    """
 
     n: int
     amp: np.ndarray
@@ -33,12 +40,15 @@ class StateVector:
         return self.amp.real ** 2 + self.amp.imag ** 2
 
 
-def init_plus(n: int) -> StateVector:
-    """Uniform superposition, the ground state of the mixer -sum sigma_x."""
+def init_plus(n: int, rows: int | None = None) -> StateVector:
+    """Uniform superposition, the ground state of the mixer -sum sigma_x.
+
+    rows=B gives a (B, 2^n) block of B copies.
+    """
     if not 1 <= n <= STATEVECTOR_CAP:
         raise SizeCapError(f"qubit count must be in [1, {STATEVECTOR_CAP}], got {n}")
-    amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=np.complex128)
-    return StateVector(n, amp)
+    shape = 1 << n if rows is None else (rows, 1 << n)
+    return StateVector(n, np.full(shape, 2.0 ** (-n / 2.0), dtype=np.complex128))
 
 
 def basis_state(n: int, z: int) -> StateVector:
@@ -57,23 +67,43 @@ def _check_qubit(psi: StateVector, q: int):
         raise ValueError(f"qubit index {q} out of range for n={psi.n}")
 
 
-def _halves(psi: StateVector, q: int):
+def _halves(amp: np.ndarray, q: int):
     """Views of the amplitudes with bit q clear / set.
 
     Index z = block * 2^{q+1} + b * 2^q + low, so reshaping to
-    (-1, 2, 2^q) exposes bit q as the middle axis without copying.
+    (-1, 2, 2^q) exposes bit q as the middle axis without copying; a
+    (B, 2^n) block reshapes row by row to (B, -1, 2, 2^q).
     """
-    step = 1 << q
-    v = psi.amp.reshape(-1, 2, step)
-    return v[:, 0, :], v[:, 1, :]
+    v = amp.reshape(-1, 2, 1 << q) if amp.ndim == 1 else amp.reshape(len(amp), -1, 2, 1 << q)
+    return v[..., 0, :], v[..., 1, :]
 
 
-def apply_rx(psi: StateVector, q: int, theta: float) -> None:
-    """cos(t/2) I - i sin(t/2) sigma_x on qubit q."""
+def _rx_columns(theta: np.ndarray):
+    """(B, 1, 1) columns of cos(t/2) and -i sin(t/2), one row per angle.
+
+    math.cos and math.sin row by row, so a block row sees the very
+    coefficients a single state at the same angle would.  The cos column is
+    complex, as a float scalar becomes in the product, so multiplying a
+    block needs no buffered cast.
+    """
+    half = (theta / 2.0).tolist()
+    c = np.array([math.cos(h) for h in half], dtype=np.complex128)
+    s = np.array([-1j * math.sin(h) for h in half])
+    return c[:, None, None], s[:, None, None]
+
+
+def apply_rx(psi: StateVector, q: int, theta) -> None:
+    """cos(t/2) I - i sin(t/2) sigma_x on qubit q.
+
+    theta is a float, or an array of one angle per row of a (B, 2^n) block.
+    """
     _check_qubit(psi, q)
-    c = math.cos(theta / 2.0)
-    s = -1j * math.sin(theta / 2.0)
-    a0, a1 = _halves(psi, q)
+    if isinstance(theta, np.ndarray):
+        c, s = _rx_columns(theta)
+    else:
+        c = math.cos(theta / 2.0)
+        s = -1j * math.sin(theta / 2.0)
+    a0, a1 = _halves(psi.amp, q)
     new0 = c * a0 + s * a1
     new1 = s * a0 + c * a1
     a0[:] = new0
@@ -83,7 +113,7 @@ def apply_rx(psi: StateVector, q: int, theta: float) -> None:
 def apply_rz(psi: StateVector, q: int, theta: float) -> None:
     """Phase e^{-i t/2} where bit q is 0, e^{+i t/2} where it is 1."""
     _check_qubit(psi, q)
-    a0, a1 = _halves(psi, q)
+    a0, a1 = _halves(psi.amp, q)
     a0 *= np.exp(-0.5j * theta)
     a1 *= np.exp(0.5j * theta)
 
@@ -152,23 +182,42 @@ def apply_rzk_ladder(psi: StateVector, qubits, theta: float) -> None:
         apply_cnot(psi, q, last)
 
 
-def apply_diagonal_phase(psi: StateVector, energies: np.ndarray, gamma: float) -> None:
+def _check_diagonal(psi: StateVector, energies: np.ndarray) -> None:
+    if energies.shape != psi.amp.shape[-1:]:
+        raise ValueError(f"energies length {energies.shape} != state size {psi.amp.shape[-1:]}")
+
+
+def apply_diagonal_phase(psi: StateVector, energies: np.ndarray, gamma) -> None:
     """amp[z] *= e^{-i (gamma/2) energies[z]}: one shot for a full diagonal layer.
 
+    gamma is a float, or an array of one angle per row of a (B, 2^n) block.
+    The factor is cos and sin of the one real argument (-gamma/2) E, written
+    into the real and imaginary views of one complex buffer: the values of
+    np.exp on the imaginary argument, without its complex temporaries.
     Equals the gate-level term-by-term sequence on the same Hamiltonian up
     to the global phase of any constant left out of the energy table.
     """
-    if energies.shape != psi.amp.shape:
-        raise ValueError(f"energies length {energies.shape} != state size {psi.amp.shape}")
-    psi.amp *= np.exp(-0.5j * gamma * energies)
+    _check_diagonal(psi, energies)
+    if isinstance(gamma, np.ndarray):
+        gamma = gamma[:, None]
+    arg = (-0.5 * gamma) * energies
+    phase = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    psi.amp *= phase
 
 
-def expectation_diagonal(psi: StateVector, energies: np.ndarray) -> float:
-    """<psi| diag(energies) |psi>, exact."""
-    if energies.shape != psi.amp.shape:
-        raise ValueError(f"energies length {energies.shape} != state size {psi.amp.shape}")
+def expectation_diagonal(psi: StateVector, energies: np.ndarray):
+    """<psi| diag(energies) |psi>, exact: a float, or one per row of a block.
+
+    A block takes one dot product per row, since a single matrix-vector
+    product may sum in another order than the single-state dot.
+    """
+    _check_diagonal(psi, energies)
     probs = psi.amp.real ** 2 + psi.amp.imag ** 2
-    return float(probs @ energies)
+    if probs.ndim == 1:
+        return float(probs @ energies)
+    return np.array([row @ energies for row in probs])
 
 
 def sample(psi: StateVector, shots: int, seed) -> dict[int, int]:

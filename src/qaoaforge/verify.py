@@ -256,11 +256,25 @@ def check_point_symmetry(
         h = random_spin_mixed(rng, n)
         p = int(rng.integers(1, pmax + 1))
         spec = qaoa.build_circuit(h, layers=p)
-        for _ in range(points):
-            params = _random_params(rng, p)
-            flipped = qaoa.QaoaParams(beta=-params.beta, gamma=-params.gamma)
-            worst = max(worst, abs(qaoa.energy(spec, params) - qaoa.energy(spec, flipped)))
+        angles = np.array([_random_params(rng, p).as_vector() for _ in range(points)])
+        e = qaoa.energies(spec, np.concatenate([angles, -angles]))
+        worst = max(worst, float(np.abs(e[:points] - e[points:]).max()))
     return _result("point_symmetry", worst, tol)
+
+
+def _beta_shift_deviation(rng, spec: qaoa.QaoaCircuitSpec, points: int, shift: float) -> float:
+    """Largest |E(beta_i + shift) - E| over random points and every layer i."""
+    p = spec.layers
+    rows = []
+    for _ in range(points):
+        angles = _random_params(rng, p).as_vector()
+        rows.append(angles)
+        for i in range(p):
+            shifted = angles.copy()
+            shifted[i] += shift
+            rows.append(shifted)
+    e = qaoa.energies(spec, rows).reshape(points, p + 1)
+    return float(np.abs(e[:, 1:] - e[:, :1]).max())
 
 
 def check_beta_periodicity_even(
@@ -276,13 +290,7 @@ def check_beta_periodicity_even(
         h = random_spin_hamiltonian(rng, n, degrees)
         p = int(rng.integers(1, pmax + 1))
         spec = qaoa.build_circuit(h, layers=p)
-        for _ in range(points):
-            params = _random_params(rng, p)
-            e0 = qaoa.energy(spec, params)
-            for i in range(p):
-                beta = params.beta.copy()
-                beta[i] += math.pi
-                worst = max(worst, abs(qaoa.energy(spec, qaoa.QaoaParams(beta, params.gamma)) - e0))
+        worst = max(worst, _beta_shift_deviation(rng, spec, points, math.pi))
     return _result("beta_pi_periodicity_even", worst, tol)
 
 
@@ -330,13 +338,7 @@ def check_beta_2pi_periodicity(
         h = random_spin_mixed(rng, n)
         p = int(rng.integers(1, 3 + 1))
         spec = qaoa.build_circuit(h, layers=p)
-        for _ in range(points):
-            params = _random_params(rng, p)
-            e0 = qaoa.energy(spec, params)
-            for i in range(p):
-                beta = params.beta.copy()
-                beta[i] += 2 * math.pi
-                worst = max(worst, abs(qaoa.energy(spec, qaoa.QaoaParams(beta, params.gamma)) - e0))
+        worst = max(worst, _beta_shift_deviation(rng, spec, points, 2 * math.pi))
     return _result("beta_2pi_periodicity", worst, tol)
 
 
@@ -641,35 +643,39 @@ def shift_rule_gradient(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> 
     commutes with its own half-layer, so that one point is exact for both.
     d/d(angle) is half the difference of the two energies; summing over the
     gates a parameter feeds (d(angle)/d(gamma_k) = coef) gives the gradient
-    from 2 p (n + T) circuit runs, each holding O(2^n) memory.
+    from 2 p (n + T) circuit runs.  The runs of layer k share the prefix up
+    to U_f(gamma_k), evolved once; they start from copies of it, stacked in
+    blocks of at most qaoa.BLOCK_BYTES (at least one state), and the rest of
+    the circuit runs once per block, so memory stays O(2^n).
     """
     if params.p != spec.layers:
         raise ValueError(f"params have {params.p} layers, circuit has {spec.layers}")
-    p = params.p
-
-    def energy_with(k: int, gate, target, angle: float) -> float:
-        psi = sim.init_plus(spec.n)
-        for j in range(p):
-            sim.apply_diagonal_phase(psi, spec.energies, float(params.gamma[j]))
-            if j == k:
-                gate(psi, target, angle)
-            for q in range(spec.n):
-                sim.apply_rx(psi, q, float(params.beta[j]))
-        return sim.expectation_diagonal(psi, spec.energies)
-
-    def shift_diff(k: int, gate, target) -> float:
-        """Half the energy difference with gate(psi, target, +/- pi/2) inserted."""
-        up = energy_with(k, gate, target, math.pi / 2.0)
-        dn = energy_with(k, gate, target, -math.pi / 2.0)
-        return 0.5 * up - 0.5 * dn
-
+    p, n = params.p, spec.n
+    betas, gammas = params.beta.tolist(), params.gamma.tolist()
+    gates = [(sim.apply_rx, q) for q in range(n)] + [(sim.apply_rzk, idx) for idx in spec.hamiltonian.terms]
+    runs = [(gate, target, sign * math.pi / 2.0) for gate, target in gates for sign in (1.0, -1.0)]
+    rows = max(1, qaoa.BLOCK_BYTES // (16 << n))
     grad = np.zeros(2 * p)
+    prefix = sim.init_plus(n)
     for k in range(p):
-        grad[k] = sum(shift_diff(k, sim.apply_rx, q) for q in range(spec.n))
-        grad[p + k] = sum(
-            coef * shift_diff(k, sim.apply_rzk, idx)
-            for idx, coef in spec.hamiltonian.terms.items()
-        )
+        sim.apply_diagonal_phase(prefix, spec.energies, gammas[k])
+        e = []
+        for start in range(0, len(runs), rows):
+            chunk = runs[start:start + rows]
+            block = sim.StateVector(n, np.tile(prefix.amp, (len(chunk), 1)))
+            for amp, (gate, target, angle) in zip(block.amp, chunk):
+                gate(sim.StateVector(n, amp), target, angle)
+            for j in range(k, p):
+                if j > k:
+                    sim.apply_diagonal_phase(block, spec.energies, gammas[j])
+                for q in range(n):
+                    sim.apply_rx(block, q, betas[j])
+            e.extend(sim.expectation_diagonal(block, spec.energies).tolist())
+        diffs = [0.5 * up - 0.5 * dn for up, dn in zip(e[0::2], e[1::2])]
+        grad[k] = sum(diffs[:n])
+        grad[p + k] = sum(coef * d for coef, d in zip(spec.hamiltonian.terms.values(), diffs[n:]))
+        for q in range(n):
+            sim.apply_rx(prefix, q, betas[k])
     return grad
 
 

@@ -107,6 +107,34 @@ def test_gate_execution_matches_fast_path():
     assert abs(qaoa.energy(spec, params) - gate_energy) < 1e-12
 
 
+def random_instance(rng, n, p):
+    return qaoa.build_circuit(verify.random_spin_mixed(rng, n), layers=p)
+
+
+def test_energies_equal_energy_per_row(monkeypatch):
+    rng = np.random.default_rng(48)
+    for _ in range(30):
+        n, p = int(rng.integers(1, 11)), int(rng.integers(1, 5))
+        spec = random_instance(rng, n, p)
+        rows = int(rng.integers(1, 12))
+        angles = rng.uniform(-4.0, 4.0, (rows, 2 * p))
+        want = np.array([qaoa.energy(spec, qaoa.QaoaParams.from_vector(a)) for a in angles])
+        assert np.array_equal(qaoa.energies(spec, angles), want)
+        # blocks of 1 to 4 states, so the last block is cut short
+        monkeypatch.setattr(qaoa, "BLOCK_BYTES", (16 << n) * int(rng.integers(1, 5)) + 8)
+        assert np.array_equal(qaoa.energies(spec, angles), want)
+        monkeypatch.undo()
+
+
+def test_energies_shapes():
+    spec = qaoa.build_circuit(single_z(), layers=2)
+    empty = qaoa.energies(spec, np.empty((0, 4)))
+    assert empty.shape == (0,)
+    for bad in (np.zeros((3, 2)), np.zeros((3, 5)), np.zeros(4)):
+        with pytest.raises(ValueError, match="layers"):
+            qaoa.energies(spec, bad)
+
+
 def test_term_signs():
     h = SpinHamiltonian(4, {(0,): 1.0, (1, 2): 2.0, (0, 1, 3): -0.5})
     signs = {idx: parity_sign(4, idx) for idx in h.terms}
@@ -142,6 +170,61 @@ def test_gradient_fd_matches_shift():
         assert np.abs(g_fd - g_sh).max() < 1e-7
 
 
+def test_fd_gradient_equals_per_coordinate_loop(monkeypatch):
+    rng = np.random.default_rng(49)
+    for block_bytes in (qaoa.BLOCK_BYTES, 3 * (16 << 4)):
+        monkeypatch.setattr(qaoa, "BLOCK_BYTES", block_bytes)
+        for _ in range(5):
+            p = int(rng.integers(1, 4))
+            spec = random_instance(rng, 4, p)
+            params = qaoa.QaoaParams(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
+            base = params.as_vector()
+            want = np.zeros(base.size)
+            for i in range(base.size):
+                up, dn = base.copy(), base.copy()
+                up[i] += qaoa.FD_STEP
+                dn[i] -= qaoa.FD_STEP
+                e_up = qaoa.energy(spec, qaoa.QaoaParams.from_vector(up))
+                e_dn = qaoa.energy(spec, qaoa.QaoaParams.from_vector(dn))
+                want[i] = (e_up - e_dn) / (2.0 * qaoa.FD_STEP)
+            assert np.array_equal(qaoa.parameter_shift_gradient(spec, params), want)
+
+
+def shift_rule_rerun(spec, params):
+    """The shift-rule gradient with every inserted-gate run evolved from |+...+>."""
+    p = params.p
+
+    def energy_with(k, gate, target, angle):
+        psi = sim.init_plus(spec.n)
+        for j in range(p):
+            sim.apply_diagonal_phase(psi, spec.energies, float(params.gamma[j]))
+            if j == k:
+                gate(psi, target, angle)
+            for q in range(spec.n):
+                sim.apply_rx(psi, q, float(params.beta[j]))
+        return sim.expectation_diagonal(psi, spec.energies)
+
+    def shift_diff(k, gate, target):
+        return 0.5 * energy_with(k, gate, target, math.pi / 2.0) - 0.5 * energy_with(k, gate, target, -math.pi / 2.0)
+
+    grad = np.zeros(2 * p)
+    for k in range(p):
+        grad[k] = sum(shift_diff(k, sim.apply_rx, q) for q in range(spec.n))
+        grad[p + k] = sum(coef * shift_diff(k, sim.apply_rzk, idx) for idx, coef in spec.hamiltonian.terms.items())
+    return grad
+
+
+def test_shift_gradient_equals_full_rerun_loop(monkeypatch):
+    rng = np.random.default_rng(50)
+    for block_bytes in (qaoa.BLOCK_BYTES, 3 * (16 << 5)):
+        monkeypatch.setattr(qaoa, "BLOCK_BYTES", block_bytes)
+        for _ in range(4):
+            p = int(rng.integers(1, 4))
+            spec = random_instance(rng, 5, p)
+            params = qaoa.QaoaParams(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
+            assert np.array_equal(verify.shift_rule_gradient(spec, params), shift_rule_rerun(spec, params))
+
+
 def test_depth_mismatch_raises():
     spec = qaoa.build_circuit(single_z(), layers=1)
     params = qaoa.QaoaParams([0.1, 0.2], [0.3, 0.4])
@@ -167,6 +250,35 @@ def test_shift_gradient_memory_is_a_few_states():
     assert peak < 6 * state_bytes, peak
 
 
+def test_energy_memory_is_a_few_states():
+    # temporaries of one R_x update must be freed before the next qubit's
+    rng = np.random.default_rng(51)
+    n = 14
+    spec = qaoa.build_circuit(random_hamiltonian(rng, n), layers=2)
+    params = qaoa.QaoaParams([0.4, -1.1], [0.9, 0.3])
+    tracemalloc.start()
+    try:
+        qaoa.energy(spec, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * (16 << n), peak
+
+
+def test_scan_memory_is_its_values():
+    # a scan must not hold resolution^2-sized angle or state arrays
+    spec = qaoa.build_circuit(SpinHamiltonian(2, {(0,): 0.5, (0, 1): 1.0}))
+    resolution = 1024
+    values_bytes = 8 * resolution ** 2
+    tracemalloc.start()
+    try:
+        qaoa.landscape_scan(spec, resolution)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * values_bytes, peak
+
+
 def test_gradient_matches_energy_slope():
     spec = qaoa.build_circuit(single_z())
     params = qaoa.QaoaParams([0.6], [1.1])
@@ -190,6 +302,17 @@ def test_landscape_grid_shape_and_values():
         qaoa.landscape_scan(spec, 1)
     with pytest.raises(ValueError):
         qaoa.landscape_scan(qaoa.build_circuit(h, layers=2), 3)
+
+
+def test_landscape_scan_equals_per_point_loop(monkeypatch):
+    rng = np.random.default_rng(52)
+    for n, block_bytes in ((2, qaoa.BLOCK_BYTES), (5, qaoa.BLOCK_BYTES), (5, 4 * (16 << 5)), (12, qaoa.BLOCK_BYTES)):
+        monkeypatch.setattr(qaoa, "BLOCK_BYTES", block_bytes)
+        spec = random_instance(rng, n, 1)
+        grid = qaoa.landscape_scan(spec, 7, beta_range=(-0.5, 2.0), gamma_range=(-3.0, 1.0))
+        want = np.array([[qaoa.energy(spec, qaoa.QaoaParams([b], [g])) for g in grid.gamma_axis]
+                         for b in grid.beta_axis])
+        assert np.array_equal(grid.values, want)
 
 
 def test_landscape_csv_format():

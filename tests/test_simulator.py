@@ -148,6 +148,43 @@ def test_diagonal_phase_matches_per_term_gates():
     assert np.abs(a.amp - np.exp(-1j * (gamma / 2) * energies) * before).max() < 1e-12
 
 
+def test_diagonal_phase_is_bitwise_exp():
+    # the cos/sin factor equals np.exp of the imaginary argument exactly, for
+    # one state and for a block; acting on ones leaves the factor itself
+    rng = np.random.default_rng(37)
+    for n in (1, 3, 8, 14, 18):
+        energies = rng.normal(size=1 << n) * rng.uniform(0.1, 5.0)
+        gammas = rng.uniform(-7.0, 7.0, 3)
+        block = sim.StateVector(n, np.ones((3, 1 << n), dtype=np.complex128))
+        sim.apply_diagonal_phase(block, energies, gammas)
+        for gamma, row in zip(gammas.tolist(), block.amp):
+            want = np.exp(-0.5j * gamma * energies)
+            psi = sim.StateVector(n, np.ones(1 << n, dtype=np.complex128))
+            sim.apply_diagonal_phase(psi, energies, gamma)
+            assert np.array_equal(psi.amp, want)
+            assert np.array_equal(row, want)
+
+
+def test_block_kernels_match_single_states():
+    rng = np.random.default_rng(38)
+    n = 4
+    energies = rng.normal(size=1 << n)
+    thetas = rng.uniform(-4.0, 4.0, 5)
+    block = sim.StateVector(n, np.stack([random_state(rng, n).amp for _ in thetas]))
+    singles = [sim.StateVector(n, amp.copy()) for amp in block.amp]
+    for q in range(n):
+        sim.apply_rx(block, q, thetas)
+        for psi, theta in zip(singles, thetas):
+            sim.apply_rx(psi, q, float(theta))
+    got = sim.expectation_diagonal(block, energies)
+    assert got.shape == (5,)
+    for psi, row, e in zip(singles, block.amp, got):
+        assert np.array_equal(psi.amp, row)
+        assert e == sim.expectation_diagonal(psi, energies)
+    plus = sim.init_plus(3, rows=2)
+    assert plus.amp.shape == (2, 8) and np.array_equal(plus.amp[1], sim.init_plus(3).amp)
+
+
 def test_expectation_diagonal():
     psi = sim.basis_state(2, 3)
     energies = np.array([5.0, 1.0, -2.0, 4.0])
