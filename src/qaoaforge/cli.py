@@ -17,7 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, qaoa, verify
-from .errors import OptimizerDivergence, ProblemFormatError, SizeCapError
+from .errors import OptimizerDivergence, SizeCapError
 from .ising import DIAGONAL_CAP, assignment_of_basis_index, to_spin
 from .model import bits_to_string, brute_force_solve, load_problem
 from .optimize import OptimizerConfig, optimize
@@ -243,28 +243,11 @@ def cmd_brute(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-    except ValueError as exc:  # malformed QAOAFORGE_* environment value
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        args = build_parser().parse_args(argv)  # a malformed QAOAFORGE_* value raises ValueError
         return args.func(args)
-    except ProblemFormatError as exc:
+    except (OSError, ValueError, OptimizerDivergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OptimizerDivergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, SizeCapError) else 4 if isinstance(exc, OptimizerDivergence) else 2
 
 
 if __name__ == "__main__":

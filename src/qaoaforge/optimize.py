@@ -2,10 +2,10 @@
 
 SPSA perturbs all parameters at once with a Bernoulli +/-1 vector and
 estimates the gradient from two energy evaluations; gradient descent takes
-central finite differences of the exact energy.  Both run the same restart
-loop and differ only in the step: multiple restarts, each on its own
-deterministic PRNG stream derived from (seed, restart index), and optional
-tanh squashing that keeps angles inside the restricted search box.
+the exact adjoint gradient.  Both run the same restart loop and differ only
+in the step: multiple restarts, each on its own deterministic PRNG stream
+derived from (seed, restart index), and optional tanh squashing that keeps
+angles inside the restricted search box.
 """
 from __future__ import annotations
 

@@ -4,8 +4,8 @@ Layer k applies the target-phase operator U_f(gamma_k) = e^{-i(gamma_k/2)H_f}
 and then the mixer U_i(beta_k) = prod_q R_x(beta_k), layers in increasing
 order on the uniform superposition; U_f is one phase multiply on the
 diagonal of H_f (verify.gate_decomposed_run is its gate-level reference).
-One layer loop evolves either one state (run, energy) or a block of states
-with one angle row each (energies, which scans and gradients go through).
+One layer loop evolves one state (run, energy, the adjoint gradient) or a
+block of states with one angle row each (energies, which scans go through).
 Energies are exact expectations of the scaled Hamiltonian; unscaled and
 original-unit values follow by multiplying back the scale factor and adding
 the dropped constant.
@@ -20,9 +20,6 @@ import numpy as np
 from .errors import SizeCapError
 from .ising import SpinHamiltonian, diagonalize, scale, scaling_factor
 from . import simulator as sim
-
-# Central-difference step of parameter_shift_gradient.
-FD_STEP = 1e-5
 
 # Largest landscape_scan resolution: a 4096^2 grid holds 128 MiB of values.
 SCAN_RESOLUTION_CAP = 4096
@@ -178,25 +175,31 @@ def shot_energy(spec: QaoaCircuitSpec, params: QaoaParams, shots: int, seed) -> 
 
 
 def parameter_shift_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> np.ndarray:
-    """Gradient of energy() w.r.t. [beta_1..beta_p, gamma_1..gamma_p].
+    """Exact gradient of energy() w.r.t. [beta_1..beta_p, gamma_1..gamma_p].
 
-    Computes central finite differences with step FD_STEP on the exact
-    energy: 4p circuit runs, evolved as one energies() call.
-    verify.shift_rule_gradient is the exact parameter-shift oracle it is
-    checked against.
+    The adjoint method (Jones & Gacon 2020, arXiv:2009.02823): one run gives
+    phi, and lam = E * phi.  For layer k = p..1 it reads
+    d/d(beta_k) = Im <lam| sum_q X_q |phi>, undoes R_x(beta_k) on both
+    states, reads d/d(gamma_k) = Im <lam| E |phi> and undoes U_f(gamma_k).
+    About three runs of work on two states; verify.shift_rule_gradient and
+    verify.fd_gradient are its oracles.
     """
-    if params.p != spec.layers:
-        raise ValueError(f"params have {params.p} layers, circuit has {spec.layers}")
-    base = params.as_vector()
-    points = []
-    for i in range(base.size):
-        up = base.copy()
-        dn = base.copy()
-        up[i] += FD_STEP
-        dn[i] -= FD_STEP
-        points += [up, dn]
-    e = energies(spec, points)
-    return (e[0::2] - e[1::2]) / (2.0 * FD_STEP)
+    phi = run(spec, params)
+    lam = sim.StateVector(spec.n, spec.energies * phi.amp)
+    p = params.p
+    grad = np.zeros(2 * p)
+    for k in reversed(range(p)):
+        for q in range(spec.n):
+            (l0, l1), (f0, f1) = sim._halves(lam.amp, q), sim._halves(phi.amp, q)
+            grad[k] += (np.vdot(l0, f1) + np.vdot(l1, f0)).imag
+        for psi in (phi, lam):
+            for q in range(spec.n):
+                sim.apply_rx(psi, q, -float(params.beta[k]))
+        grad[p + k] = (np.conj(lam.amp) * phi.amp).imag @ spec.energies
+        if k > 0:
+            for psi in (phi, lam):
+                sim.apply_diagonal_phase(psi, spec.energies, -float(params.gamma[k]))
+    return grad
 
 
 @dataclass

@@ -124,12 +124,13 @@ def apply_cnot(psi: StateVector, control: int, target: int) -> None:
     _check_qubit(psi, target)
     if control == target:
         raise ValueError("control and target must differ")
-    v = psi.amp.reshape([2] * psi.n)
-    # C-order reshape puts qubit q on axis n-1-q
-    b = np.moveaxis(v, (psi.n - 1 - control, psi.n - 1 - target), (0, 1))
-    tmp = b[1, 0].copy()
-    b[1, 0] = b[1, 1]
-    b[1, 1] = tmp
+    lo, hi = sorted((control, target))
+    # z = block * 2^{hi+1} + b_hi * 2^hi + mid * 2^{lo+1} + b_lo * 2^lo + low
+    v = psi.amp.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    a, b = (v[:, 1, :, 0], v[:, 1, :, 1]) if control == hi else (v[:, 0, :, 1], v[:, 1, :, 1])
+    tmp = a.copy()
+    a[:] = b
+    b[:] = tmp
 
 
 def apply_rzz(psi: StateVector, i: int, j: int, theta: float) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dense, qaoa
 from . import simulator as sim
-from .ising import SpinHamiltonian, _canon, diagonalize, pubo_to_spin, qubo_to_spin
+from .ising import SpinHamiltonian, _canon, diagonalize, parity_sign, pubo_to_spin, qubo_to_spin
 from .model import (
     ConstraintKind,
     ConstraintSpec,
@@ -85,6 +85,12 @@ def random_spin_mixed(rng, n: int) -> SpinHamiltonian:
     if rng.random() < 0.5:
         return qubo_to_spin(random_qubo(rng, n))
     return pubo_to_spin(random_pubo(rng, n))
+
+
+def _random_spec(rng, nmax: int, pmax: int) -> qaoa.QaoaCircuitSpec:
+    """Circuit of 1..pmax layers over random_spin_mixed on 2..nmax qubits."""
+    h = random_spin_mixed(rng, int(rng.integers(2, nmax + 1)))
+    return qaoa.build_circuit(h, layers=int(rng.integers(1, pmax + 1)))
 
 
 # ------------------------------------------------------------------- gates
@@ -252,11 +258,8 @@ def check_point_symmetry(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
-        n = int(rng.integers(2, nmax + 1))
-        h = random_spin_mixed(rng, n)
-        p = int(rng.integers(1, pmax + 1))
-        spec = qaoa.build_circuit(h, layers=p)
-        angles = np.array([_random_params(rng, p).as_vector() for _ in range(points)])
+        spec = _random_spec(rng, nmax, pmax)
+        angles = np.array([_random_params(rng, spec.layers).as_vector() for _ in range(points)])
         e = qaoa.energies(spec, np.concatenate([angles, -angles]))
         worst = max(worst, float(np.abs(e[:points] - e[points:]).max()))
     return _result("point_symmetry", worst, tol)
@@ -310,16 +313,12 @@ def check_beta_shift_detects_odd(
         n = int(rng.integers(2, nmax + 1))
         degrees = [1, 2] if n < 3 or rng.random() < 0.5 else [2, 3]
         spec = qaoa.build_circuit(random_spin_hamiltonian(rng, n, degrees))
-        hit = False
         for _ in range(search_points):
             params = _random_params(rng, 1)
-            beta = params.beta.copy()
-            beta[0] += math.pi
-            diff = abs(qaoa.energy(spec, qaoa.QaoaParams(beta, params.gamma)) - qaoa.energy(spec, params))
-            if diff > threshold:
-                hit = True
+            shifted = qaoa.QaoaParams(params.beta + math.pi, params.gamma)
+            if abs(qaoa.energy(spec, shifted) - qaoa.energy(spec, params)) > threshold:
+                found += 1
                 break
-        found += hit
     return CheckResult(
         "beta_shift_detects_odd_terms",
         found >= min_found,
@@ -334,10 +333,7 @@ def check_beta_2pi_periodicity(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
-        n = int(rng.integers(2, nmax + 1))
-        h = random_spin_mixed(rng, n)
-        p = int(rng.integers(1, 3 + 1))
-        spec = qaoa.build_circuit(h, layers=p)
+        spec = _random_spec(rng, nmax, 3)
         worst = max(worst, _beta_shift_deviation(rng, spec, points, 2 * math.pi))
     return _result("beta_2pi_periodicity", worst, tol)
 
@@ -383,10 +379,7 @@ def check_trotter_convergence(
         h = qubo_to_spin(random_qubo(rng, 3))
         errs = dense.trotter_compare(h, ps, steps_exact=steps_exact)
         decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-        ratios = []
-        for i in range(len(ps) - 1):
-            if ps[i] >= ratio_from:
-                ratios.append(errs[i] / errs[i + 1])
+        ratios = [errs[i] / errs[i + 1] for i in range(len(ps) - 1) if ps[i] >= ratio_from]
         in_window = all(ratio_window[0] <= r <= ratio_window[1] for r in ratios)
         ok = ok and decreasing and in_window
         details.append(
@@ -646,14 +639,15 @@ def shift_rule_gradient(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> 
     from 2 p (n + T) circuit runs.  The runs of layer k share the prefix up
     to U_f(gamma_k), evolved once; they start from copies of it, stacked in
     blocks of at most qaoa.BLOCK_BYTES (at least one state), and the rest of
-    the circuit runs once per block, so memory stays O(2^n).
+    the circuit runs once per block, so memory stays O(2^n).  Each term's
+    parity_sign is built once per layer for both of its runs.
     """
     if params.p != spec.layers:
         raise ValueError(f"params have {params.p} layers, circuit has {spec.layers}")
     p, n = params.p, spec.n
     betas, gammas = params.beta.tolist(), params.gamma.tolist()
-    gates = [(sim.apply_rx, q) for q in range(n)] + [(sim.apply_rzk, idx) for idx in spec.hamiltonian.terms]
-    runs = [(gate, target, sign * math.pi / 2.0) for gate, target in gates for sign in (1.0, -1.0)]
+    targets = list(range(n)) + list(spec.hamiltonian.terms)
+    runs = [(target, angle) for target in targets for angle in (math.pi / 2.0, -math.pi / 2.0)]
     rows = max(1, qaoa.BLOCK_BYTES // (16 << n))
     grad = np.zeros(2 * p)
     prefix = sim.init_plus(n)
@@ -663,8 +657,13 @@ def shift_rule_gradient(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> 
         for start in range(0, len(runs), rows):
             chunk = runs[start:start + rows]
             block = sim.StateVector(n, np.tile(prefix.amp, (len(chunk), 1)))
-            for amp, (gate, target, angle) in zip(block.amp, chunk):
-                gate(sim.StateVector(n, amp), target, angle)
+            for amp, (target, angle) in zip(block.amp, chunk):
+                psi = sim.StateVector(n, amp)
+                if isinstance(target, int):
+                    sim.apply_rx(psi, target, angle)
+                else:  # a term's + run builds its sign, the - run right after reuses it
+                    sign = parity_sign(n, target) if angle > 0.0 else sign
+                    sim.apply_diagonal_phase(psi, sign, angle)
             for j in range(k, p):
                 if j > k:
                     sim.apply_diagonal_phase(block, spec.energies, gammas[j])
@@ -679,11 +678,27 @@ def shift_rule_gradient(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> 
     return grad
 
 
+# Central-difference step of fd_gradient.
+FD_STEP = 1e-5
+
+
+def fd_gradient(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> np.ndarray:
+    """Central finite differences of qaoa.energy with step FD_STEP.
+
+    Its 4p points, [+step, -step] per coordinate, are one qaoa.energies call,
+    which raises ValueError when params and spec disagree on the depth.
+    """
+    base = params.as_vector()
+    steps = FD_STEP * np.eye(base.size)
+    e = qaoa.energies(spec, np.stack([base + steps, base - steps], axis=1).reshape(-1, base.size))
+    return (e[0::2] - e[1::2]) / (2.0 * FD_STEP)
+
+
 def check_gradient_methods_agree(
     instances: int = 30, nmax: int = 5, pmax: int = 3, points: int = 5,
     rtol: float = 1e-6, seed: int = 0,
 ) -> CheckResult:
-    """shift_rule_gradient vs qaoa.parameter_shift_gradient's central differences.
+    """shift_rule_gradient vs fd_gradient's central differences.
 
     Relative error is the max component difference over the max finite-
     difference component magnitude (floored to dodge division by zero).
@@ -691,17 +706,35 @@ def check_gradient_methods_agree(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
-        n = int(rng.integers(2, nmax + 1))
-        h = random_spin_mixed(rng, n)
-        p = int(rng.integers(1, pmax + 1))
-        spec = qaoa.build_circuit(h, layers=p)
+        spec = _random_spec(rng, nmax, pmax)
         for _ in range(points):
-            params = _random_params(rng, p)
-            g_fd = qaoa.parameter_shift_gradient(spec, params)
+            params = _random_params(rng, spec.layers)
+            g_fd = fd_gradient(spec, params)
             g_sh = shift_rule_gradient(spec, params)
             denom = max(float(np.abs(g_fd).max()), 1e-8)
             worst = max(worst, float(np.abs(g_sh - g_fd).max()) / denom)
     return _result("gradient_shift_vs_fd", worst, rtol)
+
+
+def check_adjoint_gradient(
+    instances: int = 30, nmax: int = 5, pmax: int = 3, atol: float = 1e-10, rtol: float = 1e-6, seed: int = 0,
+) -> CheckResult:
+    """qaoa.parameter_shift_gradient, the adjoint, vs both gradient oracles.
+
+    Against shift_rule_gradient the max component difference stays within
+    atol; against fd_gradient, which carries an O(FD_STEP^2) step error,
+    within rtol relative to the largest fd component.
+    """
+    rng = np.random.default_rng(seed)
+    worst_sh = worst_fd = 0.0
+    for _ in range(instances):
+        spec = _random_spec(rng, nmax, pmax)
+        params = _random_params(rng, spec.layers)
+        g, g_fd = qaoa.parameter_shift_gradient(spec, params), fd_gradient(spec, params)
+        worst_sh = max(worst_sh, float(np.abs(g - shift_rule_gradient(spec, params)).max()))
+        worst_fd = max(worst_fd, float(np.abs(g - g_fd).max()) / max(float(np.abs(g_fd).max()), 1e-8))
+    detail = f"max deviation {worst_sh:.3e} (tolerance {atol:.1e}); vs fd {worst_fd:.3e} relative (tolerance {rtol:.1e})"
+    return CheckResult("gradient_adjoint_vs_oracles", worst_sh <= atol and worst_fd <= rtol, detail)
 
 
 # ------------------------------------------------------------------ suites
@@ -747,6 +780,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
         check_fast_gate_agreement(seed=seed),
         check_expectation_vs_dense(seed=seed),
         check_gradient_methods_agree(seed=seed),
+        check_adjoint_gradient(seed=seed),
     ]
 
 

@@ -1,10 +1,10 @@
-"""Source hygiene: unused imports, uncalled helpers, and README drift from the CLI."""
+"""Source hygiene: unused imports, uncalled helpers, and README drift from the CLI and verify suites."""
 import argparse
 import ast
 import re
 from pathlib import Path
 
-from qaoaforge import cli
+from qaoaforge import cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,3 +92,9 @@ def test_readme_lists_every_cli_flag():
         for name, subparser in sub.choices.items()
     }
     assert documented == actual
+
+
+def test_readme_check_count_matches_suites():
+    claimed = re.search(r"`qaoaforge verify` runs (\d+) checks", (ROOT / "README.md").read_text())
+    assert claimed is not None
+    assert int(claimed.group(1)) == sum(len(verify.run_suite(name)) for name in verify.SUITES)

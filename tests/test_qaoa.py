@@ -164,7 +164,7 @@ def test_gradient_fd_matches_shift():
         p = int(rng.integers(1, 3))
         params = qaoa.QaoaParams(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
         spec = qaoa.build_circuit(h, layers=p)
-        g_fd = qaoa.parameter_shift_gradient(spec, params)
+        g_fd = verify.fd_gradient(spec, params)
         g_sh = verify.shift_rule_gradient(spec, params)
         assert g_fd.shape == (2 * p,)
         assert np.abs(g_fd - g_sh).max() < 1e-7
@@ -182,12 +182,12 @@ def test_fd_gradient_equals_per_coordinate_loop(monkeypatch):
             want = np.zeros(base.size)
             for i in range(base.size):
                 up, dn = base.copy(), base.copy()
-                up[i] += qaoa.FD_STEP
-                dn[i] -= qaoa.FD_STEP
+                up[i] += verify.FD_STEP
+                dn[i] -= verify.FD_STEP
                 e_up = qaoa.energy(spec, qaoa.QaoaParams.from_vector(up))
                 e_dn = qaoa.energy(spec, qaoa.QaoaParams.from_vector(dn))
-                want[i] = (e_up - e_dn) / (2.0 * qaoa.FD_STEP)
-            assert np.array_equal(qaoa.parameter_shift_gradient(spec, params), want)
+                want[i] = (e_up - e_dn) / (2.0 * verify.FD_STEP)
+            assert np.array_equal(verify.fd_gradient(spec, params), want)
 
 
 def shift_rule_rerun(spec, params):
@@ -225,10 +225,23 @@ def test_shift_gradient_equals_full_rerun_loop(monkeypatch):
             assert np.array_equal(verify.shift_rule_gradient(spec, params), shift_rule_rerun(spec, params))
 
 
+def test_adjoint_gradient_matches_shift_rule():
+    rng = np.random.default_rng(52)
+    for _ in range(30):
+        n, p = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        spec = random_instance(rng, n, p)
+        assert max(len(idx) for idx in spec.hamiltonian.terms) <= 4
+        params = qaoa.QaoaParams(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
+        g = qaoa.parameter_shift_gradient(spec, params)
+        assert g.shape == (2 * p,)
+        assert np.abs(g - verify.shift_rule_gradient(spec, params)).max() <= 1e-12
+
+
 def test_depth_mismatch_raises():
     spec = qaoa.build_circuit(single_z(), layers=1)
     params = qaoa.QaoaParams([0.1, 0.2], [0.3, 0.4])
-    for call in (qaoa.run, qaoa.energy, qaoa.parameter_shift_gradient, verify.shift_rule_gradient):
+    for call in (qaoa.run, qaoa.energy, qaoa.parameter_shift_gradient, verify.fd_gradient,
+                 verify.shift_rule_gradient):
         with pytest.raises(ValueError, match="layers"):
             call(spec, params)
 
@@ -263,6 +276,21 @@ def test_energy_memory_is_a_few_states():
     finally:
         tracemalloc.stop()
     assert peak <= 3.1 * (16 << n), peak
+
+
+def test_adjoint_gradient_memory_is_two_states_and_temporaries():
+    # phi and lam stay two single states, not a (2, 2^n) block
+    rng = np.random.default_rng(51)
+    n = 14
+    spec = qaoa.build_circuit(random_hamiltonian(rng, n), layers=2)
+    params = qaoa.QaoaParams([0.4, -1.1], [0.9, 0.3])
+    tracemalloc.start()
+    try:
+        qaoa.parameter_shift_gradient(spec, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * (16 << n), peak
 
 
 def test_scan_memory_is_its_values():

@@ -70,6 +70,21 @@ def test_cnot_truth_table():
         sim.apply_cnot(psi, 0, 0)
 
 
+def test_cnot_matches_permutation_index():
+    # |z> -> |z ^ (bit c of z) << t>, as a gather over basis indices
+    rng = np.random.default_rng(34)
+    for n in range(2, 8):
+        z = np.arange(1 << n)
+        for c in range(n):
+            for t in range(n):
+                if c == t:
+                    continue
+                psi = random_state(rng, n)
+                want = psi.amp[z ^ (((z >> c) & 1) << t)]
+                sim.apply_cnot(psi, c, t)
+                assert np.array_equal(psi.amp, want)
+
+
 def test_rzz_diagonal_phases():
     theta = 0.9
     psi = sim.init_plus(2)
