@@ -219,12 +219,12 @@ def cmd_verify(args) -> int:
     results = []
     for name in names:
         results.extend(verify.run_suite(name, seed=args.seed))
-    width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         failed += not r.passed
-        print(f"{status}  {r.name:<{width}}  {r.detail}")
+        # fixed width (the longest check name), so one suite prints the lines of `--suite all` verbatim
+        print(f"{status}  {r.name:<28}  {r.detail}")
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import SizeCapError
 from .ising import SpinHamiltonian, diagonalize
-from .simulator import basis_state
+from .simulator import StateVector
 
 DENSE_CAP = 8
 # bytes per stack of reference slices in trotter_compare
@@ -88,15 +88,14 @@ def expm_hermitian(h: np.ndarray, t: float) -> np.ndarray:
 
 
 def operator_of(apply_fn, n: int) -> np.ndarray:
-    """Dense matrix of a statevector-mutating function, column by column."""
+    """Dense matrix of a statevector-mutating function, from one block run.
+
+    Row z of the block starts as |z> and ends as U|z>, column z of U.
+    """
     _check_n(n)
-    dim = 1 << n
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for z in range(dim):
-        psi = basis_state(n, z)
-        apply_fn(psi)
-        u[:, z] = psi.amp
-    return u
+    psi = StateVector(n, np.eye(1 << n, dtype=np.complex128))
+    apply_fn(psi)
+    return psi.amp.T
 
 
 def trotter_compare(

@@ -530,19 +530,17 @@ def problem_from_dict(d: Mapping):
 
 
 def load_problem(source):
-    """Load a problem from a JSON file path, JSON text, or a dict.
+    """Load a problem from a dict, or from the JSON file at a path.
 
     Recognized types: qubo {Q, c?, offset?, labels?}, pubo {n, terms, offset?},
     maxcut {vertices, edges}, knapsack {values, weights, capacity, p1?, p2?}.
+    A missing or unreadable file raises OSError (FileNotFoundError when it
+    does not exist).
     """
     if isinstance(source, Mapping):
         return problem_from_dict(source)
-    if isinstance(source, (str, Path)) and Path(source).exists():
-        text = Path(source).read_text()
-    else:
-        text = str(source)
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(source).read_text())
     except json.JSONDecodeError as e:
         raise ProblemFormatError(f"malformed JSON: {e.msg}", line=e.lineno, column=e.colno) from e
     return problem_from_dict(doc)

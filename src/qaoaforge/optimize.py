@@ -242,11 +242,13 @@ def _final_histogram(psi: sim.StateVector, config: OptimizerConfig):
     """Distribution of the final state and its argmax (ties: lowest index)."""
     if config.shots > 0:
         rng = np.random.default_rng([config.seed, config.restarts])
-        hist = sim.sample(psi, config.shots, rng)
-        best_z = min(hist, key=lambda z: (-hist[z], z))
-        if len(hist) > HISTOGRAM_MAX_ENTRIES:
-            kept = sorted(hist.items(), key=lambda kv: (-kv[1], kv[0]))[:HISTOGRAM_MAX_ENTRIES]
-            hist = dict(sorted(kept))
+        counts = sim.sample(psi, config.shots, rng)
+        best_z = int(np.argmax(counts))
+        hot = np.nonzero(counts)[0]
+        if hot.size > HISTOGRAM_MAX_ENTRIES:
+            # largest counts first, ties to the lowest index
+            hot = np.sort(hot[np.lexsort((hot, -counts[hot]))[:HISTOGRAM_MAX_ENTRIES]])
+        hist = {int(z): int(counts[z]) for z in hot}
         mode = "counts"
     else:
         probs = psi.probabilities()

@@ -66,7 +66,7 @@ class QaoaParams:
 
 @dataclass
 class QaoaCircuitSpec:
-    """Prepared circuit context: scaled Hamiltonian, its diagonal, and options."""
+    """Prepared circuit context: scaled Hamiltonian and its diagonal."""
 
     hamiltonian: SpinHamiltonian
     k_scale: float
@@ -146,12 +146,15 @@ def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
     Rows evolve together, in blocks of as many states as fit in BLOCK_BYTES.
     A block of one row is an energy() call: per-row angle arrays cost more
     than they save on a single state.  Every value equals energy() of its
-    row bit for bit.  Raises ValueError when a row does not hold 2p angles.
+    row bit for bit.  Raises ValueError, before evolving anything, when a
+    row does not hold 2p angles or an angle is not finite.
     """
     angles = np.asarray(angles, dtype=float)
     p = spec.layers
     if angles.ndim != 2 or angles.shape[1] != 2 * p:
         raise ValueError(f"angle rows must hold 2p = {2 * p} entries for {p} layers, got shape {angles.shape}")
+    if not np.isfinite(angles).all():
+        raise ValueError("parameters must be finite")
     rows = max(1, BLOCK_BYTES // (16 << spec.n))
     out = np.empty(len(angles))
     for start in range(0, len(angles), rows):
@@ -166,12 +169,7 @@ def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
 
 def shot_energy(spec: QaoaCircuitSpec, params: QaoaParams, shots: int, seed) -> float:
     """Monte-Carlo estimate of energy() from a finite sample."""
-    psi = run(spec, params)
-    hist = sim.sample(psi, shots, seed)
-    total = 0.0
-    for z, count in hist.items():
-        total += count * spec.energies[z]
-    return float(total / shots)
+    return float(sim.sample(run(spec, params), shots, seed) @ spec.energies / shots)
 
 
 def parameter_shift_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> np.ndarray:
@@ -237,6 +235,8 @@ def landscape_scan(
         beta_range = (-math.pi, math.pi)
     if gamma_range is None:
         gamma_range = (-math.pi, math.pi)
+    if not np.isfinite([beta_range, gamma_range]).all():
+        raise ValueError("scan range bounds must be finite")
     beta_axis = np.linspace(beta_range[0], beta_range[1], resolution)
     gamma_axis = np.linspace(gamma_range[0], gamma_range[1], resolution)
     values = np.empty((resolution, resolution))

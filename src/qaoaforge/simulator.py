@@ -2,10 +2,11 @@
 
 Little-endian convention throughout: qubit q is bit q of the basis index,
 so qubit 0 is the least-significant bit.  All gate kernels mutate the state
-in place through reshaped views of the amplitude array.  apply_rx,
-apply_diagonal_phase and expectation_diagonal also take a block of B
-states, a (B, 2^n) amplitude array, with one shared angle or one angle per
-row; each row gets exactly the arithmetic of a single state.
+in place through reshaped views of the amplitude array, and all of them
+also take a block of B states, a C-contiguous (B, 2^n) amplitude array,
+with one shared angle.  apply_rx and apply_diagonal_phase also take one
+angle per row, and expectation_diagonal returns one value per row.  Each
+row gets exactly the arithmetic of a single state.
 """
 from __future__ import annotations
 
@@ -49,17 +50,6 @@ def init_plus(n: int, rows: int | None = None) -> StateVector:
         raise SizeCapError(f"qubit count must be in [1, {STATEVECTOR_CAP}], got {n}")
     shape = 1 << n if rows is None else (rows, 1 << n)
     return StateVector(n, np.full(shape, 2.0 ** (-n / 2.0), dtype=np.complex128))
-
-
-def basis_state(n: int, z: int) -> StateVector:
-    """Computational basis state |z>."""
-    if not 1 <= n <= STATEVECTOR_CAP:
-        raise SizeCapError(f"qubit count must be in [1, {STATEVECTOR_CAP}], got {n}")
-    if not 0 <= z < (1 << n):
-        raise ValueError(f"basis index {z} out of range for n={n}")
-    amp = np.zeros(1 << n, dtype=np.complex128)
-    amp[z] = 1.0
-    return StateVector(n, amp)
 
 
 def _check_qubit(psi: StateVector, q: int):
@@ -221,18 +211,15 @@ def expectation_diagonal(psi: StateVector, energies: np.ndarray):
     return np.array([row @ energies for row in probs])
 
 
-def sample(psi: StateVector, shots: int, seed) -> dict[int, int]:
-    """Multinomial sample of basis indices from |amp|^2.
+def sample(psi: StateVector, shots: int, seed) -> np.ndarray:
+    """Multinomial sample of basis indices from |amp|^2: the count of each index.
 
     seed may be an integer or a numpy Generator; integers go through
-    numpy's default PCG64 generator, so histograms are reproducible for a
-    given package version.  Returns only outcomes with nonzero counts.
+    numpy's default PCG64 generator, so counts are reproducible for a
+    given package version.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     probs = psi.probabilities()
-    probs = probs / probs.sum()
-    counts = rng.multinomial(shots, probs)
-    hot = np.nonzero(counts)[0]
-    return {int(z): int(counts[z]) for z in hot}
+    return rng.multinomial(shots, probs / probs.sum())

@@ -51,11 +51,9 @@ def random_qubo(rng, n: int) -> QuboProblem:
     return build_qubo(rng.normal(0.0, 1.0, (n, n)), rng.normal(0.0, 1.0, n))
 
 
-def random_pubo(rng, n: int, dmax: int = 4, n_terms: int | None = None) -> PuboProblem:
-    if n_terms is None:
-        n_terms = max(2, 2 * n)
+def random_pubo(rng, n: int, dmax: int = 4) -> PuboProblem:
     items = []
-    for _ in range(n_terms):
+    for _ in range(max(2, 2 * n)):
         k = int(rng.integers(1, min(dmax, n) + 1))
         idx = tuple(sorted(rng.choice(n, size=k, replace=False)))
         items.append((idx, float(rng.normal())))
@@ -510,7 +508,7 @@ def check_diagonal_matches_brute(instances: int = 20, nmax: int = 8, tol: float 
     return _result("diagonal_min_matches_brute", worst, tol)
 
 
-def check_penalties_exact(seed: int = 0) -> CheckResult:
+def check_penalties_exact() -> CheckResult:
     """Penalties with exact encodings vanish precisely on feasible points."""
     failures = []
 
@@ -775,7 +773,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
         check_pubo_roundtrip(seed=seed),
         check_pubo_conversion_paths(seed=seed),
         check_diagonal_matches_brute(seed=seed),
-        check_penalties_exact(seed=seed),
+        check_penalties_exact(),
         check_unbalanced_inexact(),
         check_fast_gate_agreement(seed=seed),
         check_expectation_vs_dense(seed=seed),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -136,8 +137,13 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "line 2" in err
 
 
-def test_missing_file_exits_2(tmp_path):
-    assert cli.main(["solve", str(tmp_path / "nope.json")]) == 2
+def test_missing_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    for command in ("solve", "brute"):
+        assert cli.main([command, str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert str(missing) in err and "No such file" in err
+        assert "malformed JSON" not in err
 
 
 def test_size_cap_exits_3(tmp_path):
@@ -219,6 +225,16 @@ def test_scan_range_flag(c4_file, tmp_path):
     assert cli.main(["scan", str(c4_file), "--range", "oops", "--out", str(out)]) == 2
 
 
+def test_scan_infinite_range_exits_2(c4_file, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["scan", str(c4_file), "--range=-inf:inf", "--out", str(out)]) == 2
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_resolution_cap_exits_3(c4_file, tmp_path, monkeypatch):
     # the cap must refuse before any grid point is computed
     def no_points(spec, params):
@@ -259,6 +275,15 @@ def test_verify_suite_exit_codes(capsys):
     assert cli.main(["verify", "--suite", "gates"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_single_suite_lines_appear_in_all(capsys):
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    all_lines = set(capsys.readouterr().out.splitlines())
+    for suite in sorted(cli.verify.SUITES):
+        assert cli.main(["verify", "--suite", suite]) == 0
+        check_lines = capsys.readouterr().out.splitlines()[:-1]  # the last line is the tally
+        assert check_lines and set(check_lines) <= all_lines, suite
 
 
 def test_env_var_defaults(c4_file, tmp_path, monkeypatch):

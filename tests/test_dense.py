@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from qaoaforge import dense
+from qaoaforge import simulator as sim
+from qaoaforge.errors import SizeCapError
 from qaoaforge.ising import diagonalize, qubo_to_spin
 from qaoaforge.verify import random_qubo
 
@@ -29,6 +31,50 @@ def trotter_error_one_slice_at_a_time(h_f, p: int, steps_exact: int) -> float:
         w, v = np.linalg.eigh((1.0 - tm) * h_i + tm * h_f_dense)
         ref = ((v * np.exp(-1j * d * w)) @ v.conj().T) @ ref
     return float(np.linalg.norm(u - ref, ord=2))
+
+
+def operator_column_by_column(apply_fn, n: int) -> np.ndarray:
+    """Reference: one kernel run per basis state |z>, stored as column z."""
+    dim = 1 << n
+    u = np.zeros((dim, dim), dtype=np.complex128)
+    for z in range(dim):
+        amp = np.zeros(dim, dtype=np.complex128)
+        amp[z] = 1.0
+        psi = sim.StateVector(n, amp)
+        apply_fn(psi)
+        u[:, z] = psi.amp
+    return u
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_operator_of_matches_column_by_column(n):
+    rng = np.random.default_rng(100 + n)
+    theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
+    qs = tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
+    q = int(rng.integers(0, n))
+
+    def rx_then_rz(psi):
+        # not a symmetric matrix, so a transposed operator would show
+        sim.apply_rx(psi, q, theta)
+        sim.apply_rz(psi, q, 0.5 * theta)
+
+    kernels = [
+        rx_then_rz,
+        lambda psi: sim.apply_rx(psi, q, theta),
+        lambda psi: sim.apply_rz(psi, q, theta),
+        lambda psi: sim.apply_rzk(psi, qs, theta),
+        lambda psi: sim.apply_rzk_ladder(psi, qs, theta),
+    ]
+    if n >= 2:
+        i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
+        kernels += [
+            lambda psi: sim.apply_cnot(psi, i, j),
+            lambda psi: sim.apply_rzz(psi, i, j, theta),
+        ]
+    for kernel in kernels:
+        assert np.array_equal(dense.operator_of(kernel, n), operator_column_by_column(kernel, n))
+    with pytest.raises(SizeCapError):
+        dense.operator_of(kernels[0], dense.DENSE_CAP + 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qaoaforge import qaoa
+from qaoaforge import simulator as sim
 from qaoaforge.errors import OptimizerDivergence
 from qaoaforge.ising import SpinHamiltonian, qubo_to_spin
 from qaoaforge.model import build_maxcut
@@ -178,6 +179,27 @@ def test_histogram_entry_cap():
     config = OptimizerConfig(method="spsa", max_iters=0, restarts=1, seed=0)
     rec = optimize(spec, config)
     assert len(rec.histogram) == HISTOGRAM_MAX_ENTRIES
+
+
+def test_counts_histogram_keeps_largest_counts():
+    # 50,000 shots of a 13-qubit state land on more than 4096 outcomes
+    h = SpinHamiltonian(13, {(i,): 1.0 if i % 2 else 0.5 for i in range(13)})
+    spec = qaoa.build_circuit(h)
+    config = OptimizerConfig(method="spsa", max_iters=0, restarts=1, seed=4, shots=50_000)
+    rec = optimize(spec, config)
+    params = qaoa.QaoaParams(**rec.final_params)
+    rng = np.random.default_rng([config.seed, config.restarts])
+    counts = sim.sample(qaoa.run(spec, params), config.shots, rng).tolist()
+    hot = [z for z, c in enumerate(counts) if c > 0]
+    assert len(hot) > HISTOGRAM_MAX_ENTRIES
+    ranked = sorted(hot, key=lambda z: (-counts[z], z))
+    kept = sorted(ranked[:HISTOGRAM_MAX_ENTRIES])
+    # the cut falls inside a run of equal counts, so the tie rule decides
+    assert counts[ranked[HISTOGRAM_MAX_ENTRIES - 1]] == counts[ranked[HISTOGRAM_MAX_ENTRIES]]
+    assert rec.histogram_mode == "counts"
+    assert list(rec.histogram) == kept
+    assert rec.histogram == {z: counts[z] for z in kept}
+    assert rec.best_basis_index == counts.index(max(counts))
 
 
 def test_shots_mode_histogram():

@@ -135,6 +135,22 @@ def test_energies_shapes():
             qaoa.energies(spec, bad)
 
 
+def test_energies_reject_non_finite_entries(monkeypatch):
+    spec = qaoa.build_circuit(qubo_to_spin(build_maxcut(4, [(0, 1), (1, 2), (2, 3), (3, 0)])))
+    evolved = []
+    evolve = qaoa._evolve
+    monkeypatch.setattr(qaoa, "_evolve", lambda *a: evolved.append(1) or evolve(*a))
+    for block_bytes in (qaoa.BLOCK_BYTES, 16 << spec.n):
+        monkeypatch.setattr(qaoa, "BLOCK_BYTES", block_bytes)
+        for bad in (math.nan, math.inf, -math.inf):
+            for col in (0, 1):
+                angles = np.full((3, 2), 0.4)
+                angles[2, col] = bad
+                with pytest.raises(ValueError, match="parameters must be finite"):
+                    qaoa.energies(spec, angles)
+    assert evolved == []
+
+
 def test_term_signs():
     h = SpinHamiltonian(4, {(0,): 1.0, (1, 2): 2.0, (0, 1, 3): -0.5})
     signs = {idx: parity_sign(4, idx) for idx in h.terms}
@@ -155,6 +171,22 @@ def test_shot_energy_converges():
     exact = qaoa.energy(spec, params)
     est = qaoa.shot_energy(spec, params, 200000, 7)
     assert abs(est - exact) < 0.02
+
+
+def test_shot_energy_equals_count_loop():
+    # counts @ energies sums in another order than the per-outcome loop it replaced
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        spec = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 4)))
+        params = qaoa.QaoaParams.from_vector(rng.uniform(-3.0, 3.0, 2 * spec.layers))
+        shots, seed = int(rng.integers(1, 5000)), int(rng.integers(0, 1000))
+        counts = sim.sample(qaoa.run(spec, params), shots, seed)
+        total = 0.0
+        for z in np.nonzero(counts)[0]:
+            total += counts[z] * spec.energies[z]
+        est = qaoa.shot_energy(spec, params, shots, seed)
+        # a sum of 2^n terms in any order stays within 2^n ulps of the largest
+        assert abs(est - total / shots) <= (1 << spec.n) * np.finfo(float).eps * np.abs(spec.energies).max()
 
 
 def test_gradient_fd_matches_shift():
@@ -330,6 +362,11 @@ def test_landscape_grid_shape_and_values():
         qaoa.landscape_scan(spec, 1)
     with pytest.raises(ValueError):
         qaoa.landscape_scan(qaoa.build_circuit(h, layers=2), 3)
+    for box in ((-math.inf, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            qaoa.landscape_scan(spec, 3, beta_range=box)
+        with pytest.raises(ValueError, match="finite"):
+            qaoa.landscape_scan(spec, 3, gamma_range=box)
 
 
 def test_landscape_scan_equals_per_point_loop(monkeypatch):

@@ -13,19 +13,17 @@ def random_state(rng, n):
     return sim.StateVector(n, amp)
 
 
+def basis(n, z):
+    """Computational basis state |z>."""
+    amp = np.zeros(1 << n, dtype=np.complex128)
+    amp[z] = 1.0
+    return sim.StateVector(n, amp)
+
+
 def test_init_plus():
     psi = sim.init_plus(2)
     assert np.allclose(psi.amp, [0.5, 0.5, 0.5, 0.5])
     assert psi.norm_error() < 1e-15
-
-
-def test_basis_state():
-    psi = sim.basis_state(3, 5)
-    want = np.zeros(8)
-    want[5] = 1.0
-    assert np.allclose(psi.amp, want)
-    with pytest.raises(ValueError):
-        sim.basis_state(2, 4)
 
 
 def test_statevector_cap():
@@ -34,14 +32,14 @@ def test_statevector_cap():
 
 
 def test_rx_on_zero():
-    psi = sim.basis_state(1, 0)
+    psi = basis(1, 0)
     sim.apply_rx(psi, 0, 0.8)
     assert abs(psi.amp[0] - math.cos(0.4)) < 1e-15
     assert abs(psi.amp[1] - (-1j * math.sin(0.4))) < 1e-15
 
 
 def test_rx_acts_on_named_qubit():
-    psi = sim.basis_state(2, 0)
+    psi = basis(2, 0)
     sim.apply_rx(psi, 1, math.pi)  # |00> -> -i|10>: flips bit 1, index 2
     assert abs(psi.amp[2] + 1j) < 1e-12
     assert abs(psi.amp[0]) < 1e-12
@@ -58,14 +56,14 @@ def test_rz_phases():
 def test_cnot_truth_table():
     # control 0, target 1: basis order z = (bit1 bit0)
     for z_in, z_out in [(0, 0), (1, 3), (2, 2), (3, 1)]:
-        psi = sim.basis_state(2, z_in)
+        psi = basis(2, z_in)
         sim.apply_cnot(psi, 0, 1)
         assert abs(psi.amp[z_out] - 1.0) < 1e-15
     for z_in, z_out in [(0, 0), (1, 1), (2, 3), (3, 2)]:
-        psi = sim.basis_state(2, z_in)
+        psi = basis(2, z_in)
         sim.apply_cnot(psi, 1, 0)
         assert abs(psi.amp[z_out] - 1.0) < 1e-15
-    psi = sim.basis_state(2, 0)
+    psi = basis(2, 0)
     with pytest.raises(ValueError):
         sim.apply_cnot(psi, 0, 0)
 
@@ -198,10 +196,31 @@ def test_block_kernels_match_single_states():
         assert e == sim.expectation_diagonal(psi, energies)
     plus = sim.init_plus(3, rows=2)
     assert plus.amp.shape == (2, 8) and np.array_equal(plus.amp[1], sim.init_plus(3).amp)
+    # one shared angle: each block row gets the single-state arithmetic,
+    # which dense.operator_of relies on
+    theta = float(rng.uniform(-4.0, 4.0))
+    shared = [
+        lambda psi: sim.apply_rx(psi, 2, theta),
+        lambda psi: sim.apply_rz(psi, 1, theta),
+        lambda psi: sim.apply_cnot(psi, 3, 0),
+        lambda psi: sim.apply_cnot(psi, 0, 2),
+        lambda psi: sim.apply_rzz(psi, 3, 1, theta),
+        lambda psi: sim.apply_rzk(psi, (0, 2, 3), theta),
+        lambda psi: sim.apply_rzk_ladder(psi, (0, 1, 3), theta),
+        lambda psi: sim.apply_rzk_ladder(psi, (2,), theta),
+        lambda psi: sim.apply_diagonal_phase(psi, energies, theta),
+    ]
+    for kernel in shared:
+        block = sim.StateVector(n, np.stack([random_state(rng, n).amp for _ in range(3)]))
+        singles = [sim.StateVector(n, amp.copy()) for amp in block.amp]
+        kernel(block)
+        for psi, row in zip(singles, block.amp):
+            kernel(psi)
+            assert np.array_equal(psi.amp, row)
 
 
 def test_expectation_diagonal():
-    psi = sim.basis_state(2, 3)
+    psi = basis(2, 3)
     energies = np.array([5.0, 1.0, -2.0, 4.0])
     assert sim.expectation_diagonal(psi, energies) == 4.0
     plus = sim.init_plus(2)
@@ -219,15 +238,16 @@ def test_probabilities_sum_to_one():
 def test_sample_deterministic_and_consistent():
     rng = np.random.default_rng(36)
     psi = random_state(rng, 3)
-    h1 = sim.sample(psi, 5000, 123)
-    h2 = sim.sample(psi, 5000, 123)
-    assert h1 == h2
-    assert sum(h1.values()) == 5000
-    h3 = sim.sample(psi, 5000, 124)
-    assert h3 != h1  # different seed, different draw (overwhelmingly)
+    c1 = sim.sample(psi, 5000, 123)
+    c2 = sim.sample(psi, 5000, 123)
+    assert c1.shape == (8,)
+    assert np.array_equal(c1, c2)
+    assert c1.sum() == 5000
+    c3 = sim.sample(psi, 5000, 124)
+    assert not np.array_equal(c3, c1)  # different seed, different draw (overwhelmingly)
 
 
 def test_sample_never_draws_zero_amplitude():
-    psi = sim.basis_state(3, 6)
-    hist = sim.sample(psi, 1000, 0)
-    assert hist == {6: 1000}
+    psi = basis(3, 6)
+    counts = sim.sample(psi, 1000, 0)
+    assert counts.tolist() == [0, 0, 0, 0, 0, 0, 1000, 0]
