@@ -4,7 +4,10 @@ Binary problems convert through the change of variables s = 2x - 1, so
 s = +1 corresponds to x = 1.  In the computational basis sigma_z has
 eigenvalue +1 on |0> and -1 on |1>, which means basis state z encodes the
 assignment x_i = 1 - bit_i(z).  assignment_of_basis_index at the bottom owns
-that mapping; parity_sign is the one sigma_z sign kernel.
+that mapping; parity_sign is the one sigma_z sign kernel.  sign_view plans
+how a whole 2^n table meets a sign: on large registers parity_sign runs
+only on the bits below LOW_BITS and on the selected bits above them, and
+the table is reshaped so that this small pattern broadcasts over the rest.
 """
 from __future__ import annotations
 
@@ -24,6 +27,9 @@ DIAGONAL_CAP = 24
 # pubo_to_spin refuses a problem whose monomials would expand into more spin
 # terms than this (~240 B each, so about 250 MiB).
 SPIN_TERM_CAP = 1 << 20
+
+# sign_view keeps the bits below this in one contiguous axis.
+LOW_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -158,13 +164,17 @@ def evaluate_spin(h: SpinHamiltonian, s) -> float:
 def diagonalize(h: SpinHamiltonian) -> np.ndarray:
     """Eigenvalue of H on every computational basis state, as a 2^n vector.
 
-    Terms are summed in order, each as coef * parity_sign.  Constant excluded.
+    Terms are summed in order, each as coef * pattern added through the
+    table's sign_view, so every entry gets the same sum of +/-coef as with
+    a full parity_sign per term, bit for bit.  Constant excluded.
     """
     if h.n > DIAGONAL_CAP:
         raise SizeCapError(f"diagonal table needs n <= {DIAGONAL_CAP}, got n = {h.n}")
     vals = np.zeros(1 << h.n)
     for idx, coef in h.terms.items():
-        vals += coef * parity_sign(h.n, idx)
+        shape, pattern = sign_view(h.n, idx)
+        view = vals.reshape(shape)
+        view += coef * pattern
     return vals
 
 
@@ -178,8 +188,49 @@ def parity_sign(n: int, idx) -> np.ndarray:
     """
     sign = np.ones(1 << n)
     for q in idx:
-        sign.reshape(-1, 2, 1 << q)[:, 1, :] *= -1.0
+        half = sign.reshape(-1, 2, 1 << q)[:, 1]
+        np.negative(half, out=half)
     return sign
+
+
+def sign_view(n: int, idx) -> tuple[tuple[int, ...], np.ndarray]:
+    """(shape, pattern) with table.reshape(shape) * pattern == table * parity_sign(n, idx).
+
+    For n <= LOW_BITS + 2 the plan is (2^n,) and the full parity_sign: a
+    table of at most four low blocks is no larger than most patterns, and
+    building one costs as much as the full sign.  Above that, shape splits
+    the basis index, from the top bit down, into one axis per run of
+    adjacent selected bits at or above LOW_BITS, one per gap between them,
+    and the 2^LOW_BITS low block.  pattern has the run axes and the low
+    block and size 1 on the gaps, which the sign ignores: it is parity_sign
+    on the low bits and the runs' bits packed above them, at most
+    2^LOW_BITS * 2^(selected high bits) entries.
+    """
+    if n <= LOW_BITS + 2:
+        return (1 << n,), parity_sign(n, idx)
+    shape, pattern_shape, top = [], [], n
+    for q in reversed(idx):
+        if q < LOW_BITS:
+            break
+        if pattern_shape and q + 1 == top:  # extends the run of the bit above
+            shape[-1] *= 2
+            pattern_shape[-1] *= 2
+        else:
+            if q + 1 < top:
+                shape.append(1 << (top - q - 1))
+                pattern_shape.append(1)
+            shape.append(2)
+            pattern_shape.append(2)
+        top = q
+    if top > LOW_BITS:
+        shape.append(1 << (top - LOW_BITS))
+        pattern_shape.append(1)
+    shape.append(1 << LOW_BITS)
+    pattern_shape.append(1 << LOW_BITS)
+    low = [q for q in idx if q < LOW_BITS]
+    high = len(idx) - len(low)
+    packed = low + list(range(LOW_BITS, LOW_BITS + high))
+    return tuple(shape), parity_sign(LOW_BITS + high, packed).reshape(pattern_shape)
 
 
 def assignment_of_basis_index(z: int, n: int) -> tuple[int, ...]:

@@ -238,6 +238,18 @@ def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initia
     return trace, e0, best_e, best_vec, a0
 
 
+def _largest(values: np.ndarray) -> np.ndarray:
+    """Indices of the HISTOGRAM_MAX_ENTRIES largest values, ties to the lowest index, ascending.
+
+    O(2^n): everything above the cut value, then the first indices equal
+    to it until the entries are full.
+    """
+    cut = np.partition(values, -HISTOGRAM_MAX_ENTRIES)[-HISTOGRAM_MAX_ENTRIES]
+    above = np.flatnonzero(values > cut)
+    tied = np.flatnonzero(values == cut)[:HISTOGRAM_MAX_ENTRIES - above.size]
+    return np.sort(np.concatenate((above, tied)))
+
+
 def _final_histogram(psi: sim.StateVector, config: OptimizerConfig):
     """Distribution of the final state and its argmax (ties: lowest index)."""
     if config.shots > 0:
@@ -246,8 +258,7 @@ def _final_histogram(psi: sim.StateVector, config: OptimizerConfig):
         best_z = int(np.argmax(counts))
         hot = np.nonzero(counts)[0]
         if hot.size > HISTOGRAM_MAX_ENTRIES:
-            # largest counts first, ties to the lowest index
-            hot = np.sort(hot[np.lexsort((hot, -counts[hot]))[:HISTOGRAM_MAX_ENTRIES]])
+            hot = _largest(counts)
         hist = {int(z): int(counts[z]) for z in hot}
         mode = "counts"
     else:
@@ -256,8 +267,7 @@ def _final_histogram(psi: sim.StateVector, config: OptimizerConfig):
         if probs.size <= HISTOGRAM_MAX_ENTRIES:
             hist = {int(z): float(probs[z]) for z in range(probs.size)}
         else:
-            top = np.sort(np.argpartition(probs, -HISTOGRAM_MAX_ENTRIES)[-HISTOGRAM_MAX_ENTRIES:])
-            hist = {int(z): float(probs[z]) for z in top}
+            hist = {int(z): float(probs[z]) for z in _largest(probs)}
         mode = "exact"
     return hist, best_z, mode
 

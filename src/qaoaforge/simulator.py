@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError
-from .ising import DIAGONAL_CAP, parity_sign
+from .ising import DIAGONAL_CAP, sign_view
 
 # The engine needs the 2^n energy table too, so it shares its ceiling.
 STATEVECTOR_CAP = DIAGONAL_CAP
@@ -148,10 +148,15 @@ def apply_rzk(psi: StateVector, qubits, theta: float) -> None:
     """Rotation generated by a product of sigma_z on the given qubits.
 
     Phase e^{-i(t/2) s} where s = (-1)^(number of set bits among qubits),
-    i.e. the sign is fixed by the Hamming weight of the selected bits.
+    i.e. the sign is fixed by the Hamming weight of the selected bits.  The
+    phase is formed on the small sign pattern of ising.sign_view and
+    multiplied through the matching view of the amplitudes, so each
+    amplitude gets the factor apply_diagonal_phase of the full sign gives.
     """
     qs = _check_tuple(psi, qubits)
-    apply_diagonal_phase(psi, parity_sign(psi.n, qs), theta)
+    shape, pattern = sign_view(psi.n, qs)
+    view = psi.amp.reshape(psi.amp.shape[:-1] + shape)
+    view *= _phase(theta, pattern)
 
 
 def apply_rzk_ladder(psi: StateVector, qubits, theta: float) -> None:
@@ -178,24 +183,31 @@ def _check_diagonal(psi: StateVector, energies: np.ndarray) -> None:
         raise ValueError(f"energies length {energies.shape} != state size {psi.amp.shape[-1:]}")
 
 
+def _phase(gamma, values: np.ndarray) -> np.ndarray:
+    """e^{-i (gamma/2) values} as cos and sin of the one real argument.
+
+    They are written into the real and imaginary views of one complex
+    buffer: the values of np.exp on the imaginary argument, without its
+    complex temporaries.
+    """
+    arg = (-0.5 * gamma) * values
+    phase = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    return phase
+
+
 def apply_diagonal_phase(psi: StateVector, energies: np.ndarray, gamma) -> None:
     """amp[z] *= e^{-i (gamma/2) energies[z]}: one shot for a full diagonal layer.
 
     gamma is a float, or an array of one angle per row of a (B, 2^n) block.
-    The factor is cos and sin of the one real argument (-gamma/2) E, written
-    into the real and imaginary views of one complex buffer: the values of
-    np.exp on the imaginary argument, without its complex temporaries.
     Equals the gate-level term-by-term sequence on the same Hamiltonian up
     to the global phase of any constant left out of the energy table.
     """
     _check_diagonal(psi, energies)
     if isinstance(gamma, np.ndarray):
         gamma = gamma[:, None]
-    arg = (-0.5 * gamma) * energies
-    phase = np.empty(arg.shape, dtype=np.complex128)
-    np.cos(arg, out=phase.real)
-    np.sin(arg, out=phase.imag)
-    psi.amp *= phase
+    psi.amp *= _phase(gamma, energies)
 
 
 def expectation_diagonal(psi: StateVector, energies: np.ndarray):

@@ -15,6 +15,7 @@ from qaoaforge.ising import (
     qubo_to_spin,
     scale,
     scaling_factor,
+    sign_view,
     to_spin,
 )
 from qaoaforge.model import (
@@ -24,7 +25,7 @@ from qaoaforge.model import (
     evaluate_pubo,
     evaluate_qubo,
 )
-from qaoaforge.verify import pubo_to_spin_closed_form
+from qaoaforge.verify import _roundtrip_worst, pubo_to_spin_closed_form
 
 
 def test_spin_hamiltonian_validation():
@@ -173,6 +174,14 @@ def popcount_sign(n, idx):
     return 1.0 - 2.0 * (np.bitwise_count(z & mask) & np.uint64(1)).astype(np.float64)
 
 
+def popcount_table(h):
+    """The term-by-term sum of coef * popcount_sign, diagonalize's reference."""
+    want = np.zeros(1 << h.n)
+    for idx, coef in h.terms.items():
+        want += coef * popcount_sign(h.n, idx)
+    return want
+
+
 def random_terms(rng, n, degree):
     return [
         (tuple(sorted(rng.choice(n, size=int(rng.integers(1, min(degree, n) + 1)), replace=False))),
@@ -192,6 +201,19 @@ def test_parity_sign_matches_popcount():
             assert np.array_equal(sign, popcount_sign(n, idx))
 
 
+def test_sign_view_broadcasts_to_parity_sign():
+    rng = np.random.default_rng(29)
+    low = ising.LOW_BITS
+    for n in range(1, 17):
+        for _ in range(20):
+            k = int(rng.integers(1, min(n, 8) + 1))
+            idx = tuple(int(q) for q in sorted(rng.choice(n, size=k, replace=False)))
+            shape, pattern = sign_view(n, idx)
+            assert np.array_equal(np.broadcast_to(pattern, shape).reshape(-1), parity_sign(n, idx))
+            high = sum(q >= low for q in idx)
+            assert pattern.size == (1 << n if n <= low + 2 else 1 << (low + high))
+
+
 def test_diagonalize_matches_popcount_loop():
     rng = np.random.default_rng(26)
     for trial in range(30):
@@ -200,15 +222,37 @@ def test_diagonalize_matches_popcount_loop():
             h = qubo_to_spin(build_qubo(rng.normal(size=(n, n)), rng.normal(size=n)))
         else:
             h = pubo_to_spin(build_pubo(n, random_terms(rng, n, 4)))
-        want = np.zeros(1 << n)
-        for idx, coef in h.terms.items():
-            want += coef * popcount_sign(n, idx)
-        assert np.array_equal(diagonalize(h), want)
+        assert np.array_equal(diagonalize(h), popcount_table(h))
+    # n = 9 to 16 cross from sign_view's plain vector to its view: runs of
+    # adjacent bits, terms across bit LOW_BITS, terms on qubit n - 1, degree <= 8
+    low = ising.LOW_BITS
+    for n in range(low + 1, low + 9):
+        fixed = [
+            (0,), (low - 1, low), (low,), (n - 1,), (0, n - 1), (low, low + 1, n - 1),
+            tuple(range(n - 4, n)), (1, 3, low, n - 2), tuple(range(low - 4, low + 4)),
+            tuple(sorted(rng.choice(n, size=8, replace=False))),
+        ]
+        terms = {tuple(sorted({int(q) for q in idx if q < n})): float(rng.normal()) for idx in fixed}
+        for idx, coef in random_terms(rng, n, 8):
+            terms[tuple(int(q) for q in idx)] = coef
+        h = SpinHamiltonian(n, terms)
+        assert np.array_equal(diagonalize(h), popcount_table(h)), n
+
+
+def test_diagonalize_matches_brute_force_table():
+    rng = np.random.default_rng(28)
+    n = 14
+    for p in (
+        build_qubo(rng.normal(size=(n, n)), rng.normal(size=n), offset=0.5),
+        build_pubo(n, random_terms(rng, n, 5), offset=-1.25),
+    ):
+        # every assignment's cost against the diagonal, through the complement mapping
+        assert _roundtrip_worst(p, to_spin(p)) < 1e-9
 
 
 def test_diagonalize_memory_is_a_few_vectors():
     rng = np.random.default_rng(27)
-    n = 14
+    n = 16
     h = qubo_to_spin(build_qubo(rng.normal(size=(n, n)), rng.normal(size=n)))
     vector_bytes = 8 << n
     tracemalloc.start()
@@ -217,8 +261,8 @@ def test_diagonalize_memory_is_a_few_vectors():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the table, one sign vector and one coef * sign temporary
-    assert peak <= 3.5 * vector_bytes, peak / vector_bytes
+    # the table and one small sign pattern per term
+    assert peak <= 1.5 * vector_bytes, peak / vector_bytes
 
 
 def test_pubo_spin_term_cap(monkeypatch):

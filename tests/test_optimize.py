@@ -181,6 +181,20 @@ def test_histogram_entry_cap():
     assert len(rec.histogram) == HISTOGRAM_MAX_ENTRIES
 
 
+def test_exact_histogram_keeps_largest_probabilities():
+    # the ring's spin-flip symmetry pairs equal probabilities, and some tie at the cut
+    ring = build_maxcut(14, [(i, (i + 1) % 14) for i in range(14)])
+    spec = qaoa.build_circuit(qubo_to_spin(ring), layers=1)
+    rec = optimize(spec, OptimizerConfig(method="spsa", max_iters=0, restarts=1, seed=0))
+    probs = qaoa.run(spec, qaoa.QaoaParams(**rec.final_params)).probabilities().tolist()
+    ranked = sorted(range(len(probs)), key=lambda z: (-probs[z], z))
+    assert probs[ranked[HISTOGRAM_MAX_ENTRIES - 1]] == probs[ranked[HISTOGRAM_MAX_ENTRIES]]
+    kept = sorted(ranked[:HISTOGRAM_MAX_ENTRIES])
+    assert rec.histogram_mode == "exact"
+    assert list(rec.histogram) == kept
+    assert rec.histogram == {z: probs[z] for z in kept}
+
+
 def test_counts_histogram_keeps_largest_counts():
     # 50,000 shots of a 13-qubit state land on more than 4096 outcomes
     h = SpinHamiltonian(13, {(i,): 1.0 if i % 2 else 0.5 for i in range(13)})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qaoaforge.errors import SizeCapError
+from qaoaforge.ising import parity_sign
 from qaoaforge import simulator as sim
 
 
@@ -102,6 +103,21 @@ def test_rzk_parity_sign():
         parity = bin(z & mask).count("1") % 2
         phase = np.exp(-1j * (theta / 2) * (1 - 2 * parity))
         assert abs(psi.amp[z] - phase * before[z]) < 1e-12
+
+
+def test_rzk_view_matches_full_sign_phase():
+    # at n = 12 and 14 apply_rzk phases ising.sign_view's pattern through a view
+    rng = np.random.default_rng(34)
+    for n in (12, 14):
+        for qubits in ((3,), (n - 1,), (2, 9), (7, 8), (8, 9, 10), (0, 5, 9, n - 1), tuple(range(n - 8, n))):
+            theta = float(rng.uniform(-6, 6))
+            for rows in (None, 3):
+                amp = rng.normal(size=(rows or 1, 1 << n)) + 1j * rng.normal(size=(rows or 1, 1 << n))
+                a = sim.StateVector(n, amp[0].copy() if rows is None else amp.copy())
+                b = sim.StateVector(n, a.amp.copy())
+                sim.apply_rzk(a, qubits, theta)
+                sim.apply_diagonal_phase(b, parity_sign(n, qubits), theta)
+                assert np.array_equal(a.amp, b.amp), (n, qubits, rows)
 
 
 def test_rzk_ladder_matches_direct():
