@@ -10,7 +10,9 @@ angles inside the restricted search box.
 from __future__ import annotations
 
 import math
+import operator
 import time
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -96,6 +98,57 @@ class OptimizerConfig:
             raise ValueError("gradient descent requires exact expectations (shots=0)")
 
 
+class Histogram(Mapping):
+    """Read-only basis index -> probability or count, held as two arrays.
+
+    keys are the basis indices ascending and values their probabilities
+    (float) or counts (int).  It reads as the dict it stands for: Python
+    int keys in index order and Python float or int values, so it compares
+    equal to that dict and prints the same numbers.
+    """
+
+    __slots__ = ("_keys", "_values")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray):
+        self._keys, self._values = keys, values
+        keys.setflags(write=False)
+        values.setflags(write=False)
+
+    def __getitem__(self, key):
+        try:
+            i = int(np.searchsorted(self._keys, operator.index(key)))
+        except (TypeError, OverflowError):
+            raise KeyError(key) from None
+        if i == self._keys.size or self._keys[i] != key:
+            raise KeyError(key)
+        return self._values[i].item()
+
+    def __iter__(self):
+        return iter(self._keys.tolist())
+
+    def __len__(self) -> int:
+        return self._keys.size
+
+    def items(self):
+        return _HistogramItems(self)
+
+    def values(self):
+        return _HistogramValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _HistogramItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping._keys.tolist(), self._mapping._values.tolist())
+
+
+class _HistogramValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._values.tolist())
+
+
 @dataclass
 class RunRecord:
     """Everything a solve produced, JSON-ready via to_dict().
@@ -121,7 +174,7 @@ class RunRecord:
     restart_finals: list
     traces: list
     initial_energies: list
-    histogram: dict
+    histogram: Histogram
     histogram_mode: str
     config: dict
     domain: dict
@@ -254,22 +307,16 @@ def _final_histogram(psi: sim.StateVector, config: OptimizerConfig):
     """Distribution of the final state and its argmax (ties: lowest index)."""
     if config.shots > 0:
         rng = np.random.default_rng([config.seed, config.restarts])
-        counts = sim.sample(psi, config.shots, rng)
-        best_z = int(np.argmax(counts))
-        hot = np.nonzero(counts)[0]
-        if hot.size > HISTOGRAM_MAX_ENTRIES:
-            hot = _largest(counts)
-        hist = {int(z): int(counts[z]) for z in hot}
-        mode = "counts"
+        values, mode = sim.sample(psi, config.shots, rng), "counts"
+        keep = np.flatnonzero(values)
     else:
-        probs = psi.probabilities()
-        best_z = int(np.argmax(probs))
-        if probs.size <= HISTOGRAM_MAX_ENTRIES:
-            hist = {int(z): float(probs[z]) for z in range(probs.size)}
-        else:
-            hist = {int(z): float(probs[z]) for z in _largest(probs)}
-        mode = "exact"
-    return hist, best_z, mode
+        values, mode = psi.probabilities(), "exact"
+        # every outcome up to the cap; past it, _largest picks without an index array of 2^n
+        keep = np.arange(values.size) if values.size <= HISTOGRAM_MAX_ENTRIES else None
+    if keep is None or keep.size > HISTOGRAM_MAX_ENTRIES:
+        keep = _largest(values)
+    best_z = int(np.argmax(values))
+    return Histogram(keep, values[keep]), best_z, mode
 
 
 def optimize(

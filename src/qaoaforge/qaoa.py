@@ -112,15 +112,14 @@ def build_circuit(
 
 
 def _evolve(spec: QaoaCircuitSpec, psi: sim.StateVector, betas, gammas) -> sim.StateVector:
-    """The layer loop: U_f(gamma_k), then R_x(beta_k) on every qubit, k = 1..p.
+    """The layer loop: U_f(gamma_k), then the mixer U_i(beta_k), k = 1..p.
 
     Each entry of betas and gammas is a float for one state, or one angle
     per row of a block.
     """
     for beta, gamma in zip(betas, gammas):
         sim.apply_diagonal_phase(psi, spec.energies, gamma)
-        for q in range(spec.n):
-            sim.apply_rx(psi, q, beta)
+        sim.apply_mixer(psi, beta)
     return psi
 
 
@@ -191,8 +190,7 @@ def parameter_shift_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> np.nd
             (l0, l1), (f0, f1) = sim._halves(lam.amp, q), sim._halves(phi.amp, q)
             grad[k] += (np.vdot(l0, f1) + np.vdot(l1, f0)).imag
         for psi in (phi, lam):
-            for q in range(spec.n):
-                sim.apply_rx(psi, q, -float(params.beta[k]))
+            sim.apply_mixer(psi, -float(params.beta[k]))
         grad[p + k] = (np.conj(lam.amp) * phi.amp).imag @ spec.energies
         if k > 0:
             for psi in (phi, lam):

@@ -4,9 +4,13 @@ Little-endian convention throughout: qubit q is bit q of the basis index,
 so qubit 0 is the least-significant bit.  All gate kernels mutate the state
 in place through reshaped views of the amplitude array, and all of them
 also take a block of B states, a C-contiguous (B, 2^n) amplitude array,
-with one shared angle.  apply_rx and apply_diagonal_phase also take one
-angle per row, and expectation_diagonal returns one value per row.  Each
-row gets exactly the arithmetic of a single state.
+with one shared angle.  apply_rx, apply_mixer and apply_diagonal_phase also
+take one angle per row, and expectation_diagonal returns one value per row.
+Each row gets exactly the arithmetic of a single state.
+
+apply_mixer is the mixer of every evolution: R_x on each qubit, one
+in-place update with one state-sized temporary per qubit, the arithmetic
+of apply_rx.  apply_rx stays for the gate-level references in verify.
 """
 from __future__ import annotations
 
@@ -57,29 +61,51 @@ def _check_qubit(psi: StateVector, q: int):
         raise ValueError(f"qubit index {q} out of range for n={psi.n}")
 
 
-def _halves(amp: np.ndarray, q: int):
-    """Views of the amplitudes with bit q clear / set.
+def _bit_view(amp: np.ndarray, q: int) -> np.ndarray:
+    """The amplitudes with bit q on an axis of its own.
 
     Index z = block * 2^{q+1} + b * 2^q + low, so reshaping to
     (-1, 2, 2^q) exposes bit q as the middle axis without copying; a
     (B, 2^n) block reshapes row by row to (B, -1, 2, 2^q).
     """
-    v = amp.reshape(-1, 2, 1 << q) if amp.ndim == 1 else amp.reshape(len(amp), -1, 2, 1 << q)
+    return amp.reshape(amp.shape[:-1] + (-1, 2, 1 << q))
+
+
+def _halves(amp: np.ndarray, q: int):
+    """Views of the amplitudes with bit q clear / set."""
+    v = _bit_view(amp, q)
     return v[..., 0, :], v[..., 1, :]
 
 
-def _rx_columns(theta: np.ndarray):
-    """(B, 1, 1) columns of cos(t/2) and -i sin(t/2), one row per angle.
+def _rx_coefficients(theta):
+    """cos(t/2) and -i sin(t/2): scalars for a float angle, columns for an array.
 
-    math.cos and math.sin row by row, so a block row sees the very
-    coefficients a single state at the same angle would.  The cos column is
-    complex, as a float scalar becomes in the product, so multiplying a
-    block needs no buffered cast.
+    An array holds one angle per row of a (B, 2^n) block and gives
+    (B, 1, 1, 1) columns, formed with math.cos and math.sin row by row, so
+    a block row sees the very coefficients a single state at the same angle
+    would.  The cos column is complex, as a float scalar becomes in the
+    product, so multiplying a block needs no buffered cast.
     """
+    if not isinstance(theta, np.ndarray):
+        return math.cos(theta / 2.0), -1j * math.sin(theta / 2.0)
     half = (theta / 2.0).tolist()
     c = np.array([math.cos(h) for h in half], dtype=np.complex128)
     s = np.array([-1j * math.sin(h) for h in half])
-    return c[:, None, None], s[:, None, None]
+    return c[:, None, None, None], s[:, None, None, None]
+
+
+def _rx(amp: np.ndarray, q: int, c, s) -> None:
+    """R_x on qubit q, in place, with coefficients from _rx_coefficients.
+
+    On the _bit_view v, v[..., ::-1, :] is v with the halves a0 and a1
+    swapped, so t = s * v[..., ::-1, :] holds s*a1 over s*a0 and c*v + t is
+    c*a0 + s*a1 over c*a1 + s*a0: the two-temporary update bit for bit
+    (floating-point addition commutes), with one state-sized temporary.
+    """
+    v = _bit_view(amp, q)
+    t = s * v[..., ::-1, :]
+    np.multiply(c, v, out=v)
+    v += t
 
 
 def apply_rx(psi: StateVector, q: int, theta) -> None:
@@ -88,16 +114,18 @@ def apply_rx(psi: StateVector, q: int, theta) -> None:
     theta is a float, or an array of one angle per row of a (B, 2^n) block.
     """
     _check_qubit(psi, q)
-    if isinstance(theta, np.ndarray):
-        c, s = _rx_columns(theta)
-    else:
-        c = math.cos(theta / 2.0)
-        s = -1j * math.sin(theta / 2.0)
-    a0, a1 = _halves(psi.amp, q)
-    new0 = c * a0 + s * a1
-    new1 = s * a0 + c * a1
-    a0[:] = new0
-    a1[:] = new1
+    _rx(psi.amp, q, *_rx_coefficients(theta))
+
+
+def apply_mixer(psi: StateVector, beta) -> None:
+    """R_x(beta) on every qubit: the mixer U_i(beta) of one layer.
+
+    beta is a float, or an array of one angle per row of a (B, 2^n) block.
+    The coefficients are formed once; each qubit gets apply_rx's update.
+    """
+    c, s = _rx_coefficients(beta)
+    for q in range(psi.n):
+        _rx(psi.amp, q, c, s)
 
 
 def apply_rz(psi: StateVector, q: int, theta: float) -> None:

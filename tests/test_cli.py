@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import qaoaforge
 from qaoaforge import cli, ising, qaoa
 from qaoaforge.errors import OptimizerDivergence
 
@@ -275,6 +280,17 @@ def test_verify_suite_exit_codes(capsys):
     assert cli.main(["verify", "--suite", "gates"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    # from a checkout, with only the source directory on the path
+    src = str(Path(qaoaforge.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "qaoaforge", "verify", "--suite", "gates"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert cli.main(["verify", "--suite", "gates"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_verify_single_suite_lines_appear_in_all(capsys):

@@ -1,6 +1,10 @@
+import copy
+import dataclasses
+import gc
 import importlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +237,55 @@ def test_run_record_serializes():
     round_tripped = json.loads(payload)
     assert round_tripped["best_bitstring"] == rec.best_bitstring
     assert all(isinstance(k, str) for k in round_tripped["histogram"])
+
+
+def test_histogram_mapping_contract():
+    spec = c4_spec(layers=1)
+    for shots in (0, 500):
+        config = OptimizerConfig(method="spsa", max_iters=5, restarts=1, seed=2, shots=shots)
+        rec = optimize(spec, config)
+        psi = qaoa.run(spec, qaoa.QaoaParams(**rec.final_params))
+        if shots:
+            rng = np.random.default_rng([config.seed, config.restarts])
+            counts = sim.sample(psi, shots, rng).tolist()
+            as_dict = {z: c for z, c in enumerate(counts) if c > 0}
+            value_type = int
+        else:
+            as_dict = dict(enumerate(psi.probabilities().tolist()))
+            value_type = float
+        hist = rec.histogram
+        assert hist == as_dict and as_dict == hist
+        assert list(hist) == sorted(as_dict) and list(hist.items()) == list(as_dict.items())
+        assert all(type(z) is int for z in hist)
+        assert all(type(v) is value_type for v in hist.values())
+        assert all(type(hist[z]) is value_type for z in as_dict)
+        for missing in (16, -1, "3", 1.5):
+            with pytest.raises(KeyError):
+                hist[missing]
+        assert hist.get(16) is None and 16 not in hist
+        with pytest.raises(TypeError):
+            hist[0] = 1.0
+        assert copy.deepcopy(rec).comparable_dict() == rec.comparable_dict()
+        assert dataclasses.asdict(rec)["histogram"] == as_dict
+        assert json.loads(json.dumps(rec.to_dict()))["histogram"] == {str(z): v for z, v in as_dict.items()}
+
+
+def test_record_memory_is_its_arrays():
+    # an exact n = 12 record keeps all 4096 outcomes as two arrays (64 KiB),
+    # not as a dict of boxed ints and floats
+    ring = build_maxcut(12, [(i, (i + 1) % 12) for i in range(12)])
+    spec = qaoa.build_circuit(qubo_to_spin(ring), layers=2)
+    config = OptimizerConfig(method="spsa", max_iters=20, restarts=2, seed=0)
+    optimize(spec, config)
+    tracemalloc.start()
+    try:
+        rec = optimize(spec, config)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rec.histogram) == 4096
+    assert retained <= 128 << 10, retained
 
 
 def test_best_cost_consistent_with_histogram_argmax():

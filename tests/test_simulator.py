@@ -5,6 +5,7 @@ import pytest
 
 from qaoaforge.errors import SizeCapError
 from qaoaforge.ising import parity_sign
+from qaoaforge import dense
 from qaoaforge import simulator as sim
 
 
@@ -44,6 +45,48 @@ def test_rx_acts_on_named_qubit():
     sim.apply_rx(psi, 1, math.pi)  # |00> -> -i|10>: flips bit 1, index 2
     assert abs(psi.amp[2] + 1j) < 1e-12
     assert abs(psi.amp[0]) < 1e-12
+
+
+def two_temporary_mixer(amp, beta):
+    """R_x(beta) on every qubit as two half-state temporaries per qubit.
+
+    beta is a float, or one angle per row of a (B, 2^n) block, whose
+    coefficients are formed row by row with math.cos and math.sin.
+    """
+    if isinstance(beta, np.ndarray):
+        c = np.array([math.cos(b / 2.0) for b in beta.tolist()], dtype=np.complex128)[:, None, None]
+        s = np.array([-1j * math.sin(b / 2.0) for b in beta.tolist()])[:, None, None]
+    else:
+        c, s = math.cos(beta / 2.0), -1j * math.sin(beta / 2.0)
+    for q in range(amp.shape[-1].bit_length() - 1):
+        v = amp.reshape(amp.shape[:-1] + (-1, 2, 1 << q))
+        a0, a1 = v[..., 0, :], v[..., 1, :]
+        new0 = c * a0 + s * a1
+        new1 = s * a0 + c * a1
+        a0[:] = new0
+        a1[:] = new1
+
+
+def test_mixer_matches_two_temporary_loop():
+    rng = np.random.default_rng(39)
+    for n in range(1, 13):
+        for rows in (None, 3):
+            shape = 1 << n if rows is None else (rows, 1 << n)
+            amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            beta = float(rng.uniform(-7.0, 7.0)) if rows is None else rng.uniform(-7.0, 7.0, rows)
+            psi = sim.StateVector(n, amp.copy())
+            sim.apply_mixer(psi, beta)
+            two_temporary_mixer(amp, beta)
+            assert np.array_equal(psi.amp, amp), (n, rows)
+
+
+def test_mixer_matches_dense_kronecker_product():
+    rng = np.random.default_rng(40)
+    for n in range(1, 7):
+        beta = float(rng.uniform(-7.0, 7.0))
+        got = dense.operator_of(lambda psi: sim.apply_mixer(psi, beta), n)
+        want = dense.kron_factors([dense.rx_matrix(beta)] * n)
+        assert np.abs(got - want).max() < 1e-13, n
 
 
 def test_rz_phases():
@@ -205,6 +248,9 @@ def test_block_kernels_match_single_states():
         sim.apply_rx(block, q, thetas)
         for psi, theta in zip(singles, thetas):
             sim.apply_rx(psi, q, float(theta))
+    sim.apply_mixer(block, thetas)
+    for psi, theta in zip(singles, thetas):
+        sim.apply_mixer(psi, float(theta))
     got = sim.expectation_diagonal(block, energies)
     assert got.shape == (5,)
     for psi, row, e in zip(singles, block.amp, got):
@@ -217,6 +263,7 @@ def test_block_kernels_match_single_states():
     theta = float(rng.uniform(-4.0, 4.0))
     shared = [
         lambda psi: sim.apply_rx(psi, 2, theta),
+        lambda psi: sim.apply_mixer(psi, theta),
         lambda psi: sim.apply_rz(psi, 1, theta),
         lambda psi: sim.apply_cnot(psi, 3, 0),
         lambda psi: sim.apply_cnot(psi, 0, 2),
