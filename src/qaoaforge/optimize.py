@@ -156,7 +156,9 @@ class RunRecord:
     Per restart, the final iterate is the best energy seen during that
     restart (including its initial point), so restart_finals[r] is restart
     r's final energy and best_energy == min(restart_finals); every restart
-    runs max_iters iterations, so len(traces[r]) == max_iters.
+    runs max_iters iterations, so len(traces[r]) == max_iters.  With shots these
+    are shot estimates, and best_energy, the lowest, reads low; exact_energy is
+    the exact expectation of final_params, equal to best_energy without shots.
     best_energy_unscaled and best_objective are best_energy in unscaled and
     original units.  wall_time_s is informational and excluded from
     reproducibility comparisons.
@@ -164,6 +166,7 @@ class RunRecord:
 
     method: str
     best_energy: float
+    exact_energy: float
     best_energy_unscaled: float
     best_objective: float
     best_bitstring: str
@@ -337,7 +340,8 @@ def optimize(
     best_r = int(np.argmin(finals))
     final_params = _decode(vectors[best_r], config, domain)
     best_e = float(finals[best_r])
-    hist, best_z, mode = _final_histogram(qaoa.run(spec, final_params), config)
+    psi = qaoa.run(spec, final_params)
+    hist, best_z, mode = _final_histogram(psi, config)
     best_bits = assignment_of_basis_index(best_z, spec.n)
     # echo only the settings the chosen method read
     config_echo = asdict(config)
@@ -349,6 +353,7 @@ def optimize(
     return RunRecord(
         method=config.method,
         best_energy=best_e,
+        exact_energy=sim.expectation_diagonal(psi, spec.energies),
         best_energy_unscaled=best_e * spec.k_scale,
         best_objective=spec.objective(best_e),
         best_bitstring=bits_to_string(best_bits),

@@ -8,9 +8,9 @@ with one shared angle.  apply_rx, apply_mixer and apply_diagonal_phase also
 take one angle per row, and expectation_diagonal returns one value per row.
 Each row gets exactly the arithmetic of a single state.
 
-apply_mixer is the mixer of every evolution: R_x on each qubit, one
-in-place update with one state-sized temporary per qubit, the arithmetic
-of apply_rx.  apply_rx stays for the gate-level references in verify.
+apply_mixer is the mixer of every evolution: apply_rx's in-place update
+on each qubit, tile by tile past TILE_QUBITS qubits.  apply_rx stays for
+the gate-level references in verify.
 """
 from __future__ import annotations
 
@@ -24,6 +24,9 @@ from .ising import DIAGONAL_CAP, sign_view
 
 # The engine needs the 2^n energy table too, so it shares its ceiling.
 STATEVECTOR_CAP = DIAGONAL_CAP
+
+# apply_mixer's tile: 2^15 amplitudes (512 KiB) and its temporary fit a 2 MiB L2.
+TILE_QUBITS = 15
 
 
 @dataclass
@@ -122,10 +125,27 @@ def apply_mixer(psi: StateVector, beta) -> None:
 
     beta is a float, or an array of one angle per row of a (B, 2^n) block.
     The coefficients are formed once; each qubit gets apply_rx's update.
+    Past TILE_QUBITS qubits a state is swept in cache-sized tiles: rows of
+    2^TILE_QUBITS amplitudes for the qubits below it, then transposed column
+    tiles, whose last axis is the row index, for the rest.  Each amplitude
+    gets the untiled updates in qubit order, so every state is bit-identical.
     """
     c, s = _rx_coefficients(beta)
-    for q in range(psi.n):
-        _rx(psi.amp, q, c, s)
+    if psi.n <= TILE_QUBITS:
+        for q in range(psi.n):
+            _rx(psi.amp, q, c, s)
+        return
+    for b, state in enumerate(psi.amp.reshape(-1, psi.amp.shape[-1])):
+        cb, sb = (c[b], s[b]) if isinstance(beta, np.ndarray) else (c, s)
+        rows = state.reshape(-1, 1 << TILE_QUBITS)
+        for row in rows:
+            for q in range(TILE_QUBITS):
+                _rx(row, q, cb, sb)
+        # a column tile holds a row's worth of amplitudes, more past 8 rows so runs stay 1/8 row long
+        width = max(rows.shape[1] // rows.shape[0], rows.shape[1] >> 3)
+        for c0 in range(0, rows.shape[1], width):
+            for j in range(psi.n - TILE_QUBITS):
+                _rx(rows[:, c0:c0 + width].T, j, cb, sb)
 
 
 def apply_rz(psi: StateVector, q: int, theta: float) -> None:

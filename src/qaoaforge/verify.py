@@ -606,6 +606,20 @@ def check_fast_gate_agreement(instances: int = 50, n: int = 5, p: int = 3, tol: 
     return _result("fast_vs_gate_overlap_deficit", worst, tol)
 
 
+def check_tiled_mixer(n: int = 16, trials: int = 3, seed: int = 0) -> CheckResult:
+    """apply_mixer, tiled past sim.TILE_QUBITS, vs an apply_rx loop over qubits: bit for bit."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for beta in rng.uniform(-math.pi, math.pi, trials).tolist():
+        a = sim.StateVector(n, rng.normal(size=2 << n).view(np.complex128))
+        b = sim.StateVector(n, a.amp.copy())
+        sim.apply_mixer(a, beta)
+        for q in range(n):
+            sim.apply_rx(b, q, beta)
+        worst = max(worst, float(np.abs(a.amp - b.amp).max()))
+    return _result("tiled_mixer_vs_rx_loop", worst, 0.0)
+
+
 def check_expectation_vs_dense(trials: int = 20, nmax: int = 5, tol: float = 1e-10, seed: int = 0) -> CheckResult:
     """expectation_diagonal vs dense <psi|H|psi> on random states."""
     rng = np.random.default_rng(seed)
@@ -776,6 +790,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
         check_penalties_exact(),
         check_unbalanced_inexact(),
         check_fast_gate_agreement(seed=seed),
+        check_tiled_mixer(seed=seed),
         check_expectation_vs_dense(seed=seed),
         check_gradient_methods_agree(seed=seed),
         check_adjoint_gradient(seed=seed),

@@ -1,10 +1,11 @@
-"""Source hygiene: unused imports, uncalled helpers, and README drift from the CLI and verify suites."""
+"""Source hygiene: unused imports, uncalled helpers, BLAS calls in the mixer, and README drift from the CLI and verify suites."""
 import argparse
 import ast
+import inspect
 import re
 from pathlib import Path
 
-from qaoaforge import cli, verify
+from qaoaforge import cli, simulator, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,3 +99,30 @@ def test_readme_check_count_matches_suites():
     claimed = re.search(r"`qaoaforge verify` runs (\d+) checks", (ROOT / "README.md").read_text())
     assert claimed is not None
     assert int(claimed.group(1)) == sum(len(verify.run_suite(name)) for name in verify.SUITES)
+
+
+BLAS_NAMES = {"matmul", "dot", "vdot", "einsum", "tensordot"}
+
+
+def blas_calls(source: str, functions) -> list[str]:
+    """Matrix-product names and @ operators inside the named module-level functions."""
+    found = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in functions:
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    found.append(f"{fn.name}: @")
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in BLAS_NAMES:
+                    found.append(f"{fn.name}: {name}")
+    return found
+
+
+def test_mixer_makes_no_blas_call():
+    # a blocked-matmul mixer ran faster on one BLAS thread, but 2.7x slower
+    # with threaded BLAS on a busy 2-core host, and it sums in another order
+    demo = "def f(a, b):\n    a @= b\n    return np.dot(a, b) @ b\ndef g(a):\n    return np.einsum('i', a)\n"
+    assert blas_calls(demo, {"f"}) == ["f: @", "f: @", "f: dot"]
+    kernels = {"apply_mixer", "_rx", "_rx_coefficients", "_bit_view"}
+    assert all(callable(getattr(simulator, name, None)) for name in kernels)
+    assert blas_calls(inspect.getsource(simulator), kernels) == []

@@ -126,6 +126,7 @@ def test_gd_decreases_energy():
     rec = optimize(spec, config)
     assert rec.best_energy < min(rec.initial_energies)
     assert rec.method == "gd"
+    assert rec.exact_energy == rec.best_energy
 
 
 def test_gd_requires_exact_mode():
@@ -152,6 +153,12 @@ def test_record_energy_units_agree(shots):
     assert rec.best_energy_unscaled == rec.best_energy * spec.k_scale
     assert rec.best_objective == spec.objective(rec.best_energy)
     assert rec.best_objective == rec.best_energy_unscaled + spec.constant
+    assert rec.exact_energy == qaoa.energy(spec, qaoa.QaoaParams(**rec.final_params))
+    if shots:
+        # the lowest of many noisy estimates reads low: -2.036 against -1.977
+        assert rec.best_energy < rec.exact_energy - 0.05
+    else:
+        assert rec.exact_energy == rec.best_energy
 
 
 def test_warm_start_used_by_every_restart():
@@ -309,3 +316,5 @@ def test_tanh_squash_run_stays_in_domain():
     gamma = np.array(rec.final_params["gamma"])
     assert ((beta >= dom.beta_range[0]) & (beta <= dom.beta_range[1])).all()
     assert ((gamma >= dom.gamma_range[0]) & (gamma <= dom.gamma_range[1])).all()
+    # the record's angles are the squash of the winning raw vector, so their exact energy is the best seen
+    assert rec.exact_energy == rec.best_energy

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,26 +68,51 @@ def two_temporary_mixer(amp, beta):
         a1[:] = new1
 
 
-def test_mixer_matches_two_temporary_loop():
+def test_mixer_matches_two_temporary_loop(monkeypatch):
+    # with 3-qubit tiles every n from 4 on runs the row and column sweeps,
+    # n = 12 on one-amplitude-wide column tiles
     rng = np.random.default_rng(39)
-    for n in range(1, 13):
-        for rows in (None, 3):
-            shape = 1 << n if rows is None else (rows, 1 << n)
-            amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            beta = float(rng.uniform(-7.0, 7.0)) if rows is None else rng.uniform(-7.0, 7.0, rows)
-            psi = sim.StateVector(n, amp.copy())
-            sim.apply_mixer(psi, beta)
-            two_temporary_mixer(amp, beta)
-            assert np.array_equal(psi.amp, amp), (n, rows)
+    for tile in (sim.TILE_QUBITS, 3):
+        monkeypatch.setattr(sim, "TILE_QUBITS", tile)
+        for n in range(1, 13):
+            for rows, per_row in ((None, False), (3, False), (3, True)):
+                shape = 1 << n if rows is None else (rows, 1 << n)
+                amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                beta = rng.uniform(-7.0, 7.0, rows) if per_row else float(rng.uniform(-7.0, 7.0))
+                psi = sim.StateVector(n, amp.copy())
+                sim.apply_mixer(psi, beta)
+                two_temporary_mixer(amp, beta)
+                assert np.array_equal(psi.amp, amp), (tile, n, rows, per_row)
 
 
-def test_mixer_matches_dense_kronecker_product():
+def test_mixer_matches_dense_kronecker_product(monkeypatch):
     rng = np.random.default_rng(40)
-    for n in range(1, 7):
-        beta = float(rng.uniform(-7.0, 7.0))
-        got = dense.operator_of(lambda psi: sim.apply_mixer(psi, beta), n)
-        want = dense.kron_factors([dense.rx_matrix(beta)] * n)
-        assert np.abs(got - want).max() < 1e-13, n
+    for tile in (sim.TILE_QUBITS, 3):
+        monkeypatch.setattr(sim, "TILE_QUBITS", tile)
+        for n in range(1, 7):
+            beta = float(rng.uniform(-7.0, 7.0))
+            got = dense.operator_of(lambda psi: sim.apply_mixer(psi, beta), n)
+            want = dense.kron_factors([dense.rx_matrix(beta)] * n)
+            assert np.abs(got - want).max() < 1e-13, (tile, n)
+
+
+def test_tiled_mixer_at_17_qubits_keeps_one_tile_temporary():
+    n = 17
+    assert n > sim.TILE_QUBITS
+    rng = np.random.default_rng(42)
+    amp = rng.normal(size=2 << n).view(np.complex128)
+    psi = sim.StateVector(n, amp.copy())
+    tracemalloc.start()
+    sim.apply_mixer(psi, 0.83)
+    extra = tracemalloc.get_traced_memory()[1] / amp.nbytes
+    tracemalloc.stop()
+    two_temporary_mixer(amp, 0.83)
+    assert np.array_equal(psi.amp, amp)
+    # one 2^TILE_QUBITS tile's temporary (a quarter state), plus the buffer
+    # numpy's ufunc loop takes for the reversed view in _rx (8192 amplitudes);
+    # the untiled update held a whole state and the same buffer
+    tile = ((1 << sim.TILE_QUBITS) + np.getbufsize()) / (1 << n)
+    assert extra <= tile + 0.01, (extra, tile)
 
 
 def test_rz_phases():
