@@ -174,6 +174,8 @@ def cmd_solve(args) -> int:
 
     print(f"best bitstring   {record.best_bitstring}  (basis index {record.best_basis_index})")
     print(f"scaled energy    {record.best_energy:.10g}")
+    if args.shots:
+        print(f"exact energy     {record.exact_energy:.10g}  (scaled, of the returned angles)")
     print(f"energy           {record.best_energy_unscaled:.10g}")
     print(f"objective        {record.best_objective:.10g}")
     print(f"solution cost    {record.best_cost:.10g}")

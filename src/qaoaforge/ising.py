@@ -4,10 +4,10 @@ Binary problems convert through the change of variables s = 2x - 1, so
 s = +1 corresponds to x = 1.  In the computational basis sigma_z has
 eigenvalue +1 on |0> and -1 on |1>, which means basis state z encodes the
 assignment x_i = 1 - bit_i(z).  assignment_of_basis_index at the bottom owns
-that mapping; parity_sign is the one sigma_z sign kernel.  sign_view plans
-how a whole 2^n table meets a sign: on large registers parity_sign runs
-only on the bits below LOW_BITS and on the selected bits above them, and
-the table is reshaped so that this small pattern broadcasts over the rest.
+that mapping; parity_sign is the one sigma_z sign kernel.  sign_view is
+diagonalize's plan: on large registers the 2^n table gets one size-2 axis
+per bit at or above LOW_BITS, and parity_sign of only the low and the
+selected high bits broadcasts through it.
 """
 from __future__ import annotations
 
@@ -198,39 +198,23 @@ def sign_view(n: int, idx) -> tuple[tuple[int, ...], np.ndarray]:
 
     For n <= LOW_BITS + 2 the plan is (2^n,) and the full parity_sign: a
     table of at most four low blocks is no larger than most patterns, and
-    building one costs as much as the full sign.  Above that, shape splits
-    the basis index, from the top bit down, into one axis per run of
-    adjacent selected bits at or above LOW_BITS, one per gap between them,
-    and the 2^LOW_BITS low block.  pattern has the run axes and the low
-    block and size 1 on the gaps, which the sign ignores: it is parity_sign
-    on the low bits and the runs' bits packed above them, at most
-    2^LOW_BITS * 2^(selected high bits) entries.
+    building one costs as much as the full sign.  Above that, shape gives
+    every bit from n - 1 down to LOW_BITS a size-2 axis of its own, ahead
+    of the 2^LOW_BITS low block.  pattern is parity_sign on the low bits
+    and the selected high bits packed above them, with size 2 on the
+    selected bits' axes and 1 elsewhere, so numpy's iterator merges the
+    runs and gaps; it has 2^LOW_BITS * 2^(selected high bits) entries.
     """
     if n <= LOW_BITS + 2:
         return (1 << n,), parity_sign(n, idx)
-    shape, pattern_shape, top = [], [], n
-    for q in reversed(idx):
-        if q < LOW_BITS:
-            break
-        if pattern_shape and q + 1 == top:  # extends the run of the bit above
-            shape[-1] *= 2
-            pattern_shape[-1] *= 2
-        else:
-            if q + 1 < top:
-                shape.append(1 << (top - q - 1))
-                pattern_shape.append(1)
-            shape.append(2)
-            pattern_shape.append(2)
-        top = q
-    if top > LOW_BITS:
-        shape.append(1 << (top - LOW_BITS))
-        pattern_shape.append(1)
-    shape.append(1 << LOW_BITS)
-    pattern_shape.append(1 << LOW_BITS)
     low = [q for q in idx if q < LOW_BITS]
-    high = len(idx) - len(low)
-    packed = low + list(range(LOW_BITS, LOW_BITS + high))
-    return tuple(shape), parity_sign(LOW_BITS + high, packed).reshape(pattern_shape)
+    high = idx[len(low):]
+    pattern_shape = [1] * (n - LOW_BITS) + [1 << LOW_BITS]
+    for q in high:
+        pattern_shape[n - 1 - q] = 2
+    packed = low + list(range(LOW_BITS, LOW_BITS + len(high)))
+    shape = (2,) * (n - LOW_BITS) + (1 << LOW_BITS,)
+    return shape, parity_sign(LOW_BITS + len(high), packed).reshape(pattern_shape)
 
 
 def assignment_of_basis_index(z: int, n: int) -> tuple[int, ...]:

@@ -136,6 +136,13 @@ def build_qubo(Q, c=None, offset: float = 0.0, labels=None) -> QuboProblem:
     return QuboProblem(n=n, Q=Qs, c=np.array(c, dtype=float), offset=float(offset), labels=labels)
 
 
+def _whole(v, field: str, lo: int, hi=math.inf) -> int:
+    """v as an int in [lo, hi), refusing what int() would truncate or convert (3.7, "1", true)."""
+    if isinstance(v, (int, float, np.integer, np.floating)) and type(v) is not bool and lo <= v < hi and int(v) == v:
+        return int(v)
+    raise ValueError(f"{field} must be a whole number in [{lo}, {hi}), got {v!r}")
+
+
 def build_pubo(n: int, terms, offset: float = 0.0) -> PuboProblem:
     """Construct a PUBO from (index_tuple, coef) pairs or a mapping.
 
@@ -144,6 +151,7 @@ def build_pubo(n: int, terms, offset: float = 0.0) -> PuboProblem:
     input order, and exact-zero merged coefficients are dropped.  An empty
     index tuple folds into the offset.
     """
+    n = _whole(n, "n", 0)
     if isinstance(terms, Mapping):
         items = list(terms.items())
     else:
@@ -151,10 +159,7 @@ def build_pubo(n: int, terms, offset: float = 0.0) -> PuboProblem:
     merged: dict[tuple[int, ...], float] = {}
     offset = float(offset)
     for idx, coef in items:
-        key = tuple(sorted(set(int(i) for i in idx)))
-        for i in key:
-            if not 0 <= i < n:
-                raise ValueError(f"term index {i} out of range for n={n}")
+        key = tuple(sorted(set(_whole(i, "term idx", 0, n) for i in idx)))
         coef = float(coef)
         if not math.isfinite(coef):
             raise ValueError("term coefficients must be finite")
@@ -446,16 +451,13 @@ def build_maxcut(vertices: int, edges) -> QuboProblem:
 
     The cost of an assignment is minus its cut size.
     """
-    if vertices < 1:
-        raise ValueError("maxcut needs at least one vertex")
+    vertices = _whole(vertices, "vertices", 1)
     Q = np.zeros((vertices, vertices))
     c = np.zeros(vertices)
     for e in edges:
-        i, j = (int(v) for v in e)
+        i, j = (_whole(v, "edges endpoint", 0, vertices) for v in e)
         if i == j:
             raise ValueError(f"self-loop ({i},{j}) not allowed")
-        if not (0 <= i < vertices and 0 <= j < vertices):
-            raise ValueError(f"edge ({i},{j}) out of range for {vertices} vertices")
         Q[i, j] += 1.0
         Q[j, i] += 1.0
         c[i] -= 1.0
@@ -509,11 +511,10 @@ def problem_from_dict(d: Mapping):
                 labels = {int(k): str(v) for k, v in labels.items()}
             return build_qubo(Q, d.get("c"), offset=d.get("offset", 0.0), labels=labels)
         if kind == "pubo":
-            n = int(_require(d, "n", "pubo"))
             terms = [(t["idx"], t["coef"]) for t in _require(d, "terms", "pubo")]
-            return build_pubo(n, terms, offset=d.get("offset", 0.0))
+            return build_pubo(_require(d, "n", "pubo"), terms, offset=d.get("offset", 0.0))
         if kind == "maxcut":
-            return build_maxcut(int(_require(d, "vertices", "maxcut")), _require(d, "edges", "maxcut"))
+            return build_maxcut(_require(d, "vertices", "maxcut"), _require(d, "edges", "maxcut"))
         if kind == "knapsack":
             return build_knapsack(
                 _require(d, "values", "knapsack"),

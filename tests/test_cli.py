@@ -102,6 +102,22 @@ def test_exact_and_sampled_modes_find_optima(c4_file, tmp_path):
     assert sum(r1["histogram"].values()) == 1000000
 
 
+def test_shots_summary_prints_exact_energy(c4_file, tmp_path, capsys):
+    # the shot estimate of the kept angles reads low; the summary also shows their exact energy
+    out = tmp_path / "shots"
+    args = ["solve", str(c4_file), "--iters", "30", "--restarts", "2", "--seed", "3",
+            "--shots", "2000", "--out", str(out)]
+    assert cli.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    record = json.loads((out / "run.json").read_text())
+    exact = [line for line in lines if line.startswith("exact energy")]
+    assert len(exact) == 1 and float(exact[0].split()[2]) == float(f"{record['exact_energy']:.10g}")
+    assert float(lines[1].split()[2]) == float(f"{record['best_energy']:.10g}")
+    assert record["best_energy"] < record["exact_energy"]
+    assert cli.main(["solve", str(c4_file), "--iters", "3", "--out", str(tmp_path / "exact")]) == 0
+    assert "exact energy" not in capsys.readouterr().out
+
+
 def test_solve_optimizer_and_squash_flags(c4_file, tmp_path):
     out = tmp_path / "gd"
     args = ["solve", str(c4_file), "--optimizer", "gd", "--iters", "40",
@@ -265,6 +281,20 @@ def test_brute_empty_graph_all_optimal(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "optimum cost  0" in out
     assert "optima        8" in out
+
+
+def test_fractional_or_negative_counts_exit_2(tmp_path, capsys):
+    for doc, field in (
+        ({"type": "maxcut", "vertices": 3.7, "edges": [[0, 1]]}, "vertices"),
+        ({"type": "pubo", "n": -1, "terms": []}, "n"),
+    ):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        for args in (["brute", str(f)], ["solve", str(f), "--out", str(tmp_path / "run")]):
+            assert cli.main(args) == 2
+            err = capsys.readouterr().err
+            assert f"{field} must be a whole number" in err and "shift count" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_brute_loose_knapsack_prefers_all_ones(tmp_path, capsys):

@@ -204,7 +204,7 @@ def test_parity_sign_matches_popcount():
 def test_sign_view_broadcasts_to_parity_sign():
     rng = np.random.default_rng(29)
     low = ising.LOW_BITS
-    for n in range(1, 17):
+    for n in range(1, 21):
         for _ in range(20):
             k = int(rng.integers(1, min(n, 8) + 1))
             idx = tuple(int(q) for q in sorted(rng.choice(n, size=k, replace=False)))
@@ -212,6 +212,8 @@ def test_sign_view_broadcasts_to_parity_sign():
             assert np.array_equal(np.broadcast_to(pattern, shape).reshape(-1), parity_sign(n, idx))
             high = sum(q >= low for q in idx)
             assert pattern.size == (1 << n if n <= low + 2 else 1 << (low + high))
+            # one size-2 axis per bit from n - 1 down to LOW_BITS, then the low block
+            assert shape == ((1 << n,) if n <= low + 2 else (2,) * (n - low) + (1 << low,))
 
 
 def test_diagonalize_matches_popcount_loop():

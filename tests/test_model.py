@@ -267,3 +267,25 @@ def test_load_problem_errors(tmp_path):
         load_problem({"type": "mystery"})
     with pytest.raises(ProblemFormatError):
         load_problem({"type": "knapsack", "values": [1], "weights": [1]})
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"type": "maxcut", "vertices": 3.7, "edges": [[0, 1]]}, "vertices"),
+    ({"type": "maxcut", "vertices": 3, "edges": [[0.5, 1]]}, "edges"),
+    ({"type": "maxcut", "vertices": 3, "edges": [["1", 2]]}, "edges"),
+    ({"type": "maxcut", "vertices": True, "edges": []}, "vertices"),
+    ({"type": "pubo", "n": 2.9, "terms": [{"idx": [0, 1], "coef": 1.0}]}, "n"),
+    ({"type": "pubo", "n": 2, "terms": [{"idx": [0.9, 1], "coef": 1.0}]}, "idx"),
+    ({"type": "pubo", "n": -1, "terms": []}, "n"),
+])
+def test_load_problem_refuses_fractional_or_negative_counts(doc, field):
+    # int() would truncate 3.7 to 3 and 0.9 to 0, and turn "1" into 1
+    with pytest.raises(ProblemFormatError, match=rf"\b{field}\b.* must be a whole number"):
+        load_problem(doc)
+
+
+def test_whole_float_counts_still_load():
+    m = load_problem({"type": "maxcut", "vertices": 3.0, "edges": [[0, 1.0]]})
+    p = load_problem({"type": "pubo", "n": 2.0, "terms": [{"idx": [1.0], "coef": 2.0}]})
+    assert (m.n, p.n, p.terms) == (3, 2, {(1,): 2.0})
+    assert all(type(i) is int for idx in p.terms for i in idx)

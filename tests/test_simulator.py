@@ -175,7 +175,7 @@ def test_rzk_parity_sign():
 
 
 def test_rzk_view_matches_full_sign_phase():
-    # at n = 12 and 14 apply_rzk phases ising.sign_view's pattern through a view
+    # pins apply_rzk to apply_diagonal_phase of the full parity_sign at n = 12 and 14
     rng = np.random.default_rng(34)
     for n in (12, 14):
         for qubits in ((3,), (n - 1,), (2, 9), (7, 8), (8, 9, 10), (0, 5, 9, n - 1), tuple(range(n - 8, n))):
