@@ -33,10 +33,7 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def _env_flag(name: str) -> bool:
-    raw = os.environ.get("QAOAFORGE_" + name)
-    if raw is None:
-        return False
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    return _env_str(name, "").strip().lower() in ("1", "true", "yes", "on")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -154,10 +154,7 @@ def evaluate_spin(h: SpinHamiltonian, s) -> float:
         raise ValueError("spin entries must be -1 or +1")
     total = 0.0
     for idx, coef in h.terms.items():
-        p = 1
-        for i in idx:
-            p *= sv[i]
-        total += coef * p
+        total += coef * math.prod(sv[i] for i in idx)
     return float(total)
 
 

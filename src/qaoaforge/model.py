@@ -183,10 +183,7 @@ def evaluate_pubo(problem: PuboProblem, x) -> float:
     bits = as_bits(x, problem.n)
     total = problem.offset
     for idx, coef in problem.terms.items():
-        prod = 1
-        for i in idx:
-            prod *= bits[i]
-        total += coef * prod
+        total += coef * math.prod(bits[i] for i in idx)
     return float(total)
 
 
@@ -385,30 +382,26 @@ class BruteForceResult:
 def _chunk_costs(problem, lo: int, hi: int) -> np.ndarray:
     """Costs of assignments lo..hi-1 (packed index order).
 
-    Accumulates term by term in a fixed order so results do not depend on
-    how the enumeration is chunked.
+    Accumulates monomial by monomial in a fixed order so results do not
+    depend on how the enumeration is chunked.  A QUBO enters as its nonzero
+    linear terms, then its upper-triangle pairs (i <= j, off-diagonal
+    doubled); bits are 0/1, so every product is exact.
     """
     m = np.arange(lo, hi, dtype=np.int64)
     n = problem.n
     bits = ((m[:, None] >> np.arange(n)) & 1).astype(float)
     costs = np.full(hi - lo, problem.offset)
     if isinstance(problem, QuboProblem):
-        for i in range(n):
-            if problem.c[i] != 0.0:
-                costs += problem.c[i] * bits[:, i]
-        for i in range(n):
-            for j in range(i, n):
-                q = problem.Q[i, j]
-                if q == 0.0:
-                    continue
-                w = q if i == j else 2.0 * q
-                costs += w * bits[:, i] * bits[:, j]
+        Q, c = problem.Q, problem.c
+        terms = [((i,), c[i]) for i in range(n) if c[i] != 0.0] + [
+            ((i, j), Q[i, i] if i == j else 2.0 * Q[i, j]) for i in range(n) for j in range(i, n) if Q[i, j] != 0.0]
     else:
-        for idx, coef in problem.terms.items():
-            prod = bits[:, idx[0]].copy()
-            for i in idx[1:]:
-                prod *= bits[:, i]
-            costs += coef * prod
+        terms = problem.terms.items()
+    for idx, coef in terms:
+        prod = bits[:, idx[0]].copy()
+        for i in idx[1:]:
+            prod *= bits[:, i]
+        costs += coef * prod
     return costs
 
 
@@ -452,10 +445,14 @@ def build_maxcut(vertices: int, edges) -> QuboProblem:
     The cost of an assignment is minus its cut size.
     """
     vertices = _whole(vertices, "vertices", 1)
+    try:
+        pairs = [(i, j) for i, j in edges]
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"edges must be a list of [i, j] pairs: {e}") from None
     Q = np.zeros((vertices, vertices))
     c = np.zeros(vertices)
-    for e in edges:
-        i, j = (_whole(v, "edges endpoint", 0, vertices) for v in e)
+    for pair in pairs:
+        i, j = (_whole(v, "edges endpoint", 0, vertices) for v in pair)
         if i == j:
             raise ValueError(f"self-loop ({i},{j}) not allowed")
         Q[i, j] += 1.0
@@ -511,7 +508,13 @@ def problem_from_dict(d: Mapping):
                 labels = {int(k): str(v) for k, v in labels.items()}
             return build_qubo(Q, d.get("c"), offset=d.get("offset", 0.0), labels=labels)
         if kind == "pubo":
-            terms = [(t["idx"], t["coef"]) for t in _require(d, "terms", "pubo")]
+            terms = _require(d, "terms", "pubo")
+            if not isinstance(terms, (list, tuple)):
+                raise ProblemFormatError(f"pubo terms must be a list, got {terms!r}")
+            for t in terms:
+                if not (isinstance(t, Mapping) and isinstance(t.get("idx"), (list, tuple)) and "coef" in t):
+                    raise ProblemFormatError(f"pubo terms entries must be {{\"idx\": [i, ...], \"coef\": c}}, got {t!r}")
+            terms = [(t["idx"], t["coef"]) for t in terms]
             return build_pubo(_require(d, "n", "pubo"), terms, offset=d.get("offset", 0.0))
         if kind == "maxcut":
             return build_maxcut(_require(d, "vertices", "maxcut"), _require(d, "edges", "maxcut"))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -129,24 +129,8 @@ class Histogram(Mapping):
     def __len__(self) -> int:
         return self._keys.size
 
-    def items(self):
-        return _HistogramItems(self)
-
-    def values(self):
-        return _HistogramValues(self)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _HistogramItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping._keys.tolist(), self._mapping._values.tolist())
-
-
-class _HistogramValues(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._values.tolist())
 
 
 @dataclass

@@ -187,8 +187,8 @@ def parameter_shift_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> np.nd
     grad = np.zeros(2 * p)
     for k in reversed(range(p)):
         for q in range(spec.n):
-            (l0, l1), (f0, f1) = sim._halves(lam.amp, q), sim._halves(phi.amp, q)
-            grad[k] += (np.vdot(l0, f1) + np.vdot(l1, f0)).imag
+            lv, fv = lam.amp.reshape(-1, 2, 1 << q), phi.amp.reshape(-1, 2, 1 << q)
+            grad[k] += (np.vdot(lv[:, 0], fv[:, 1]) + np.vdot(lv[:, 1], fv[:, 0])).imag
         for psi in (phi, lam):
             sim.apply_mixer(psi, -float(params.beta[k]))
         grad[p + k] = (np.conj(lam.amp) * phi.amp).imag @ spec.energies

@@ -35,7 +35,7 @@ class StateVector:
     """n qubits as 2^n complex amplitudes, basis index little-endian.
 
     amp is (2^n,) for one state or (B, 2^n) for a block of B states;
-    norm_error, probabilities and sample read one state.
+    norm_error and sample read one state.
     """
 
     n: int
@@ -43,7 +43,7 @@ class StateVector:
 
     def norm_error(self) -> float:
         """|sum of probabilities - 1|, should stay within 1e-12."""
-        return abs(float(np.sum(self.amp.real ** 2 + self.amp.imag ** 2)) - 1.0)
+        return abs(float(np.sum(self.probabilities())) - 1.0)
 
     def probabilities(self) -> np.ndarray:
         return self.amp.real ** 2 + self.amp.imag ** 2
@@ -73,12 +73,6 @@ def _bit_view(amp: np.ndarray, q: int) -> np.ndarray:
     (B, 2^n) block reshapes row by row to (B, -1, 2, 2^q).
     """
     return amp.reshape(amp.shape[:-1] + (-1, 2, 1 << q))
-
-
-def _halves(amp: np.ndarray, q: int):
-    """Views of the amplitudes with bit q clear / set."""
-    v = _bit_view(amp, q)
-    return v[..., 0, :], v[..., 1, :]
 
 
 def _rx_coefficients(theta):
@@ -152,9 +146,9 @@ def apply_mixer(psi: StateVector, beta) -> None:
 def apply_rz(psi: StateVector, q: int, theta: float) -> None:
     """Phase e^{-i t/2} where bit q is 0, e^{+i t/2} where it is 1."""
     _check_qubit(psi, q)
-    a0, a1 = _halves(psi.amp, q)
-    a0 *= np.exp(-0.5j * theta)
-    a1 *= np.exp(0.5j * theta)
+    v = _bit_view(psi.amp, q)
+    v[..., 0, :] *= np.exp(-0.5j * theta)
+    v[..., 1, :] *= np.exp(0.5j * theta)
 
 
 def apply_cnot(psi: StateVector, control: int, target: int) -> None:
@@ -175,10 +169,9 @@ def apply_cnot(psi: StateVector, control: int, target: int) -> None:
 def apply_rzz(psi: StateVector, i: int, j: int, theta: float) -> None:
     """diag{e^{-it/2}, e^{+it/2}, e^{+it/2}, e^{-it/2}} on the (i, j) subspace.
 
-    The pair case of apply_rzk, so it is invariant under swapping i and j.
+    The pair case of apply_rzk, so it is invariant under swapping i and j;
+    apply_rzk refuses i == j.
     """
-    if i == j:
-        raise ValueError("qubit indices must differ")
     apply_rzk(psi, sorted((i, j)), theta)
 
 
@@ -249,7 +242,7 @@ def expectation_diagonal(psi: StateVector, energies: np.ndarray):
     product may sum in another order than the single-state dot.
     """
     _check_diagonal(psi, energies)
-    probs = psi.amp.real ** 2 + psi.amp.imag ** 2
+    probs = psi.probabilities()
     if probs.ndim == 1:
         return float(probs @ energies)
     return np.array([row @ energies for row in probs])

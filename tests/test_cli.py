@@ -237,13 +237,17 @@ def test_scan_scaled_vs_raw_differ(knapsack_file, tmp_path):
     assert diff > 0.0
 
 
-def test_scan_range_flag(c4_file, tmp_path):
+def test_scan_range_flag(c4_file, tmp_path, capsys):
     out = tmp_path / "grid.csv"
     assert cli.main(["scan", str(c4_file), "--resolution", "3",
                      "--range", "0:3.14159", "--out", str(out)]) == 0
     header = out.read_text().split("\n")[0]
     assert header.split(",")[1] == "0"
     assert cli.main(["scan", str(c4_file), "--range", "oops", "--out", str(out)]) == 2
+    out.unlink()
+    assert cli.main(["scan", str(c4_file), "--range", "1:0", "--out", str(out)]) == 2
+    assert "lower bound must be below upper" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_infinite_range_exits_2(c4_file, tmp_path, capsys):
@@ -297,6 +301,14 @@ def test_fractional_or_negative_counts_exit_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_malformed_entry_exits_2_naming_its_field(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"type": "maxcut", "vertices": 3, "edges": [[0, 1, 2]]}))
+    assert cli.main(["brute", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "edges must be a list of [i, j] pairs" in err
+
+
 def test_brute_loose_knapsack_prefers_all_ones(tmp_path, capsys):
     f = tmp_path / "loose.json"
     f.write_text(json.dumps({
@@ -310,6 +322,8 @@ def test_verify_suite_exit_codes(capsys):
     assert cli.main(["verify", "--suite", "gates"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        cli.verify.run_suite("nope")
 
 
 def test_python_dash_m_runs_the_cli(capsys):
@@ -340,6 +354,11 @@ def test_env_var_defaults(c4_file, tmp_path, monkeypatch):
     record = json.loads((out / "run.json").read_text())
     assert record["config"]["seed"] == 9
     assert record["config"]["max_iters"] == 25
+    assert json.loads((out / "manifest.json").read_text())["circuit"]["scaled"] is True
+    monkeypatch.setenv("QAOAFORGE_NO_SCALE", "1")
+    assert cli.main(["solve", str(c4_file), "--restarts", "1", "--out", str(out)]) == 0
+    circuit = json.loads((out / "manifest.json").read_text())["circuit"]
+    assert circuit["scaled"] is False and circuit["scale_factor"] == 1.0
 
 
 def test_bad_env_var_exits_2(c4_file, monkeypatch, capsys):

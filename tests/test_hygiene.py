@@ -1,4 +1,4 @@
-"""Source hygiene: unused imports, uncalled helpers, BLAS calls in the mixer, and README drift from the CLI and verify suites."""
+"""Source hygiene: unused imports, uncalled helpers, private reads across modules, BLAS calls in the mixer, and README drift from the CLI and verify suites."""
 import argparse
 import ast
 import inspect
@@ -76,6 +76,36 @@ def test_no_uncalled_public_helpers():
         if (names := [n for n in public_definitions(p.read_text()) if n not in named])
     }
     assert uncalled == {}
+
+
+def private_reads(source: str) -> list[str]:
+    """Underscore names a module imports, or reads as attributes of a name an import binds."""
+    tree = ast.parse(source)
+    bound, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+            if isinstance(node, ast.ImportFrom):
+                found += [a.name for a in node.names if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound
+                and node.attr.startswith("_") and not node.attr.endswith("__")):
+            found.append(f"{node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+GATE_KERNELS = {"apply_rx", "apply_rz", "apply_cnot", "apply_rzz", "apply_rzk", "apply_rzk_ladder"}
+
+
+def test_circuit_and_optimizer_use_only_public_kernels():
+    # verify is the oracle module: it builds gate-level references and may read internals
+    demo = "from . import simulator as sim\nfrom .ising import _canon\nimport numpy as np\n"
+    demo += "sim._halves(np._x, self._y, sim.__name__)\n"
+    assert private_reads(demo) == ["_canon", "np._x", "sim._halves"]
+    for name in ("qaoa.py", "optimize.py"):
+        source = (ROOT / "src" / "qaoaforge" / name).read_text()
+        assert private_reads(source) == [], name
+        assert names_read(source) & GATE_KERNELS == set(), name
 
 
 def test_readme_lists_every_cli_flag():

@@ -35,6 +35,12 @@ def test_spin_hamiltonian_validation():
         SpinHamiltonian(2, {(0, 0): 1.0})
     with pytest.raises(ValueError):
         SpinHamiltonian(2, {(): 1.0})
+    with pytest.raises(ValueError, match="out of range for n=2"):
+        SpinHamiltonian(2, {(0, 2): 1.0})
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        SpinHamiltonian(2, {(0,): np.inf})
+    with pytest.raises(ValueError, match="constant must be finite"):
+        SpinHamiltonian(2, {(0,): 1.0}, constant=np.nan)
     h = SpinHamiltonian(3, {(0,): 1.0, (1, 2): -2.0})
     assert not h.all_even_degrees()
     assert SpinHamiltonian(3, {(1, 2): -2.0}).all_even_degrees()
@@ -122,6 +128,9 @@ def test_scaling():
     assert hs.constant == 7.0  # constant stays in original units
     with pytest.raises(ValueError):
         scaling_factor(SpinHamiltonian(2, {}))
+    for k in (0.0, -2.0):
+        with pytest.raises(ValueError, match="positive and finite"):
+            scale(h, k)
 
 
 def test_evaluate_spin_validates_entries():
@@ -129,6 +138,8 @@ def test_evaluate_spin_validates_entries():
     assert evaluate_spin(h, (1, -1)) == -1.0
     with pytest.raises(ValueError):
         evaluate_spin(h, (1, 0))
+    with pytest.raises(ValueError, match="3 entries, expected 2"):
+        evaluate_spin(h, (1, -1, 1))
 
 
 def test_diagonalize_frozen():

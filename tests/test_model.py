@@ -53,6 +53,12 @@ def test_qubo_validation():
         build_qubo(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValueError):
         build_qubo([[np.nan]], [0.0])
+    with pytest.raises(ValueError, match="Q must be 2x2"):
+        QuboProblem(n=2, Q=np.zeros((3, 3)), c=np.zeros(2))
+    with pytest.raises(ValueError, match="c must have length 2"):
+        QuboProblem(n=2, Q=np.zeros((2, 2)), c=np.zeros(3))
+    with pytest.raises(ValueError, match="symmetric"):
+        QuboProblem(n=2, Q=[[0.0, 1.0], [0.0, 0.0]], c=np.zeros(2))
     p = zero_qubo(2)
     with pytest.raises(Exception):
         p.Q[0, 0] = 5.0  # arrays are read-only
@@ -161,6 +167,57 @@ def test_apply_penalty_on_pubo():
     assert evaluate_pubo(pen, (0, 0)) == 1.0
     assert evaluate_pubo(pen, (1, 1)) == 1.0  # original cost, zero penalty
     assert evaluate_pubo(pen, (1, 0)) == 0.0
+
+
+K = ConstraintKind
+
+
+@pytest.mark.parametrize("spec, fragment", [
+    (ConstraintSpec(K.AT_MOST_ONE_PAIR, (1, 1)), "distinct"),
+    (ConstraintSpec(K.AT_MOST_ONE_PAIR, (0, 3)), "index 3 out of range for n=3"),
+    (ConstraintSpec(K.EQUAL_PAIR, (0, 1), p1=0.0), "p1 must be positive"),
+    (ConstraintSpec(K.AT_LEAST_ONE_PAIR, (0, 1, 2)), "exactly two indices"),
+    (ConstraintSpec(K.AT_MOST_ONE_SET, (0,)), "at least two indices"),
+    (ConstraintSpec(K.EXACT_SUM, (0, 1)), "exact_sum requires a bound"),
+    (ConstraintSpec(K.EXACT_SUM, (0, 1), weights=(1.0, 2.0), bound=1), "exact_sum is unweighted"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), bound=2), "requires weights and a bound"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 1), bound=1.5), "nonnegative integer"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 1), bound=-1), "nonnegative integer"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1,), bound=2), "weights must match indices"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 0.5), bound=2), "positive integers"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, -1), bound=2), "positive integers"),
+    (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1)), "requires weights and a bound"),
+    (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1, 1), bound=1), "weights must match indices"),
+    (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1), bound=1, p2=0.0), "unbalanced penalty weights"),
+])
+def test_penalty_refusals(spec, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        apply_penalty(zero_qubo(3), spec)
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    (dict(values=(1, 2), weights=(1,), capacity=1), "equal-length"),
+    (dict(values=[[1, 2]], weights=[[1, 2]], capacity=1), "equal-length"),
+    (dict(values=(1, 0), weights=(1, 1), capacity=1), "positive"),
+    (dict(values=(1, 1), weights=(1, -2), capacity=1), "positive"),
+    (dict(values=(1, 1), weights=(1, 1), capacity=None), "explicit capacity"),
+    (dict(values=(1, 1), weights=(1, 1), capacity=float("inf")), "capacity must be finite"),
+    (dict(values=(1, 1), weights=(1, 1), capacity=1, p1=0.0), "penalty weights must be positive"),
+    (dict(values=(1, 1), weights=(1, 1), capacity=1, p2=-1.0), "penalty weights must be positive"),
+])
+def test_knapsack_refusals(kwargs, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build_knapsack(**kwargs)
+
+
+@pytest.mark.parametrize("x, fragment", [
+    ("01x", "only 0/1"),
+    ("011", "has 3 bits, expected 2"),
+    ((0, 2), "must be 0 or 1"),
+])
+def test_as_bits_refusals(x, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        model.as_bits(x, 2)
 
 
 def test_build_maxcut_square():
@@ -281,6 +338,21 @@ def test_load_problem_errors(tmp_path):
 def test_load_problem_refuses_fractional_or_negative_counts(doc, field):
     # int() would truncate 3.7 to 3 and 0.9 to 0, and turn "1" into 1
     with pytest.raises(ProblemFormatError, match=rf"\b{field}\b.* must be a whole number"):
+        load_problem(doc)
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"type": "maxcut", "vertices": 3, "edges": [[0, 1, 2]]}, "edges"),
+    ({"type": "maxcut", "vertices": 3, "edges": [0]}, "edges"),
+    ({"type": "maxcut", "vertices": 3, "edges": 5}, "edges"),
+    ({"type": "pubo", "n": 2, "terms": 5}, "terms"),
+    ({"type": "pubo", "n": 2, "terms": [{"idx": [0]}]}, "coef"),
+    ({"type": "pubo", "n": 2, "terms": [{"coef": 1.0}]}, "idx"),
+    ({"type": "pubo", "n": 2, "terms": [{"idx": 0, "coef": 1.0}]}, "idx"),
+    ({"type": "pubo", "n": 2, "terms": [[0, 1]]}, "terms"),
+])
+def test_load_problem_names_the_malformed_field(doc, field):
+    with pytest.raises(ProblemFormatError, match=rf"\b{field}\b"):
         load_problem(doc)
 
 

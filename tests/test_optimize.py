@@ -62,6 +62,8 @@ def test_squash_maps_into_boxes():
     assert abs(params.gamma[0] - math.pi * math.tanh(-1.0)) < 1e-12
     params = squash_params(np.array([0.0, 1.0, -1.0, 2.0]), even)
     assert abs(params.gamma[0] - (math.pi / 2) * (math.tanh(-1.0) + 1.0)) < 1e-12
+    with pytest.raises(ValueError, match="even positive length"):
+        squash_params(np.zeros(3), even)
 
 
 def test_config_validation():
@@ -142,6 +144,16 @@ def test_gd_divergence_detected(monkeypatch):
     with np.errstate(invalid="ignore"):
         with pytest.raises(OptimizerDivergence):
             optimize(spec, config)
+
+
+@pytest.mark.parametrize("name, broken, fragment", [
+    ("energy", lambda spec, params: math.nan, "non-finite energy"),
+    ("parameter_shift_gradient", lambda spec, params: np.full(2 * params.p, math.inf), "non-finite gradient"),
+])
+def test_non_finite_energy_or_gradient_aborts(monkeypatch, name, broken, fragment):
+    monkeypatch.setattr(qaoa, name, broken)
+    with pytest.raises(OptimizerDivergence, match=fragment):
+        optimize(c4_spec(layers=1), OptimizerConfig(method="gd", max_iters=5, restarts=1, seed=0))
 
 
 @pytest.mark.parametrize("shots", [0, 2000])
@@ -262,6 +274,7 @@ def test_histogram_mapping_contract():
             value_type = float
         hist = rec.histogram
         assert hist == as_dict and as_dict == hist
+        assert repr(hist) == f"Histogram({as_dict!r})"
         assert list(hist) == sorted(as_dict) and list(hist.items()) == list(as_dict.items())
         assert all(type(z) is int for z in hist)
         assert all(type(v) is value_type for v in hist.values())

@@ -28,6 +28,9 @@ def test_params_shapes():
         qaoa.QaoaParams(beta=[0.1], gamma=[0.2, 0.3])
     with pytest.raises(ValueError):
         qaoa.QaoaParams.from_vector([1.0, 2.0, 3.0])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            qaoa.QaoaParams(beta=[0.1], gamma=[bad])
 
 
 def test_build_circuit_scaling():

@@ -314,6 +314,8 @@ def test_expectation_diagonal():
     assert sim.expectation_diagonal(psi, energies) == 4.0
     plus = sim.init_plus(2)
     assert abs(sim.expectation_diagonal(plus, energies) - 2.0) < 1e-12
+    with pytest.raises(ValueError, match="energies length"):
+        sim.apply_diagonal_phase(plus, energies[:3], 0.1)
 
 
 def test_probabilities_sum_to_one():
@@ -334,6 +336,8 @@ def test_sample_deterministic_and_consistent():
     assert c1.sum() == 5000
     c3 = sim.sample(psi, 5000, 124)
     assert not np.array_equal(c3, c1)  # different seed, different draw (overwhelmingly)
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        sim.sample(psi, 0, 123)
 
 
 def test_sample_never_draws_zero_amplitude():
