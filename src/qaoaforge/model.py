@@ -70,7 +70,6 @@ class QuboProblem:
     Q: np.ndarray
     c: np.ndarray
     offset: float = 0.0
-    labels: dict[int, str] | None = None
 
     def __post_init__(self):
         Q = np.array(self.Q, dtype=float)
@@ -89,10 +88,7 @@ class QuboProblem:
         object.__setattr__(self, "c", c)
 
     def to_dict(self) -> dict:
-        d = {"type": "qubo", "Q": self.Q.tolist(), "c": self.c.tolist(), "offset": self.offset}
-        if self.labels:
-            d["labels"] = {str(k): v for k, v in self.labels.items()}
-        return d
+        return {"type": "qubo", "Q": self.Q.tolist(), "c": self.c.tolist(), "offset": self.offset}
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ class PuboProblem:
         }
 
 
-def build_qubo(Q, c=None, offset: float = 0.0, labels=None) -> QuboProblem:
+def build_qubo(Q, c=None, offset: float = 0.0) -> QuboProblem:
     """Construct a QUBO, symmetrizing Q as (Q + Q^T) / 2.
 
     Symmetrization never changes the cost of any assignment because
@@ -130,10 +126,8 @@ def build_qubo(Q, c=None, offset: float = 0.0, labels=None) -> QuboProblem:
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be a square matrix, got shape {Q.shape}")
     n = Q.shape[0]
-    if c is None:
-        c = np.zeros(n)
     Qs = (Q + Q.T) / 2.0
-    return QuboProblem(n=n, Q=Qs, c=np.array(c, dtype=float), offset=float(offset), labels=labels)
+    return QuboProblem(n=n, Q=Qs, c=np.zeros(n) if c is None else c, offset=float(offset))
 
 
 def _whole(v, field: str, lo: int, hi=math.inf) -> int:
@@ -152,10 +146,7 @@ def build_pubo(n: int, terms, offset: float = 0.0) -> PuboProblem:
     index tuple folds into the offset.
     """
     n = _whole(n, "n", 0)
-    if isinstance(terms, Mapping):
-        items = list(terms.items())
-    else:
-        items = [(tuple(k), float(v)) for k, v in terms]
+    items = terms.items() if isinstance(terms, Mapping) else terms
     merged: dict[tuple[int, ...], float] = {}
     offset = float(offset)
     for idx, coef in items:
@@ -331,8 +322,7 @@ def apply_penalty(problem, spec: ConstraintSpec):
     variables appended by slack_inequality enlarge n.
     """
     qadd, ladd, const, slack_weights = _penalty_parts(spec, problem.n)
-    m = len(slack_weights)
-    n2 = problem.n + m
+    n2 = problem.n + len(slack_weights)
     if isinstance(problem, QuboProblem):
         Q = np.zeros((n2, n2))
         Q[: problem.n, : problem.n] = problem.Q
@@ -346,12 +336,7 @@ def apply_penalty(problem, spec: ConstraintSpec):
                 Q[j, i] += a / 2.0
         for i, a in ladd.items():
             c[i] += a
-        labels = None
-        if problem.labels is not None:
-            labels = dict(problem.labels)
-            for j in range(m):
-                labels[problem.n + j] = f"slack{j}"
-        return QuboProblem(n=n2, Q=Q, c=c, offset=problem.offset + const, labels=labels)
+        return QuboProblem(n=n2, Q=Q, c=c, offset=problem.offset + const)
     if isinstance(problem, PuboProblem):
         items = list(problem.terms.items())
         for (i, j), a in sorted(qadd.items()):
@@ -372,7 +357,6 @@ class BruteForceResult:
     position m.
     """
 
-    n: int
     best_assignment: str
     best_cost: float
     optimum_set: tuple[str, ...]
@@ -431,7 +415,6 @@ def brute_force_solve(problem, full_table: bool = False) -> BruteForceResult:
             parts.append(c)
     strings = tuple(bits_to_string(index_assignment(m, n)) for m in optima)
     return BruteForceResult(
-        n=n,
         best_assignment=strings[0],
         best_cost=best,
         optimum_set=strings,
@@ -489,10 +472,23 @@ def build_knapsack(values, weights, capacity, p1: float | None = None, p2: float
     return build_qubo(Q, c, offset=-p1 * W + p2 * W * W)
 
 
-def _require(d: Mapping, key: str, kind: str):
+def _require(d: Mapping, key: str, kind: str, listed: bool = False):
     if key not in d:
         raise ProblemFormatError(f"{kind} problem requires '{key}'")
+    if listed and not isinstance(d[key], (list, tuple)):
+        raise ProblemFormatError(f"{kind} {key} must be a list, got {d[key]!r}")
     return d[key]
+
+
+def _numbers(v, field: str):
+    """v, once every leaf of its lists is a number (float() reads "1" and true); a top-level None passes."""
+    leaves = [] if v is None else [v]
+    for x in leaves:  # grows as it goes, so nested lists are walked without recursion
+        if isinstance(x, (list, tuple)):
+            leaves.extend(x)
+        elif isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+            raise ProblemFormatError(f"{field} must hold only numbers, got {x!r}")
+    return v
 
 
 def problem_from_dict(d: Mapping):
@@ -502,33 +498,28 @@ def problem_from_dict(d: Mapping):
     kind = d.get("type")
     try:
         if kind == "qubo":
-            Q = _require(d, "Q", "qubo")
-            labels = d.get("labels")
-            if labels is not None:
-                labels = {int(k): str(v) for k, v in labels.items()}
-            return build_qubo(Q, d.get("c"), offset=d.get("offset", 0.0), labels=labels)
+            Q = _numbers(_require(d, "Q", "qubo"), "Q")
+            return build_qubo(Q, _numbers(d.get("c"), "c"), offset=_numbers(d.get("offset", 0.0), "offset"))
         if kind == "pubo":
-            terms = _require(d, "terms", "pubo")
-            if not isinstance(terms, (list, tuple)):
-                raise ProblemFormatError(f"pubo terms must be a list, got {terms!r}")
+            terms = _require(d, "terms", "pubo", listed=True)
             for t in terms:
                 if not (isinstance(t, Mapping) and isinstance(t.get("idx"), (list, tuple)) and "coef" in t):
                     raise ProblemFormatError(f"pubo terms entries must be {{\"idx\": [i, ...], \"coef\": c}}, got {t!r}")
-            terms = [(t["idx"], t["coef"]) for t in terms]
-            return build_pubo(_require(d, "n", "pubo"), terms, offset=d.get("offset", 0.0))
+            terms = [(t["idx"], _numbers(t["coef"], "coef")) for t in terms]
+            return build_pubo(_require(d, "n", "pubo"), terms, offset=_numbers(d.get("offset", 0.0), "offset"))
         if kind == "maxcut":
-            return build_maxcut(_require(d, "vertices", "maxcut"), _require(d, "edges", "maxcut"))
+            return build_maxcut(_require(d, "vertices", "maxcut"), _require(d, "edges", "maxcut", listed=True))
         if kind == "knapsack":
             return build_knapsack(
-                _require(d, "values", "knapsack"),
-                _require(d, "weights", "knapsack"),
-                _require(d, "capacity", "knapsack"),
-                p1=d.get("p1"),
-                p2=d.get("p2"),
+                _numbers(_require(d, "values", "knapsack"), "values"),
+                _numbers(_require(d, "weights", "knapsack"), "weights"),
+                _numbers(_require(d, "capacity", "knapsack"), "capacity"),
+                p1=_numbers(d.get("p1"), "p1"),
+                p2=_numbers(d.get("p2"), "p2"),
             )
     except ProblemFormatError:
         raise
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, OverflowError) as e:
         raise ProblemFormatError(f"invalid {kind} problem: {e}") from e
     raise ProblemFormatError(f"unknown problem type: {kind!r}")
 
@@ -536,10 +527,11 @@ def problem_from_dict(d: Mapping):
 def load_problem(source):
     """Load a problem from a dict, or from the JSON file at a path.
 
-    Recognized types: qubo {Q, c?, offset?, labels?}, pubo {n, terms, offset?},
-    maxcut {vertices, edges}, knapsack {values, weights, capacity, p1?, p2?}.
-    A missing or unreadable file raises OSError (FileNotFoundError when it
-    does not exist).
+    Recognized types: qubo {Q, c?, offset?}, pubo {n, terms, offset?},
+    maxcut {vertices, edges}, knapsack {values, weights, capacity, p1?, p2?};
+    other keys are ignored, and a string or boolean in a numeric field raises
+    ProblemFormatError.  A missing or unreadable file raises OSError
+    (FileNotFoundError when it does not exist).
     """
     if isinstance(source, Mapping):
         return problem_from_dict(source)

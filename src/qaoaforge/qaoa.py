@@ -142,10 +142,9 @@ def energy(spec: QaoaCircuitSpec, params: QaoaParams) -> float:
 def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
     """energy() of every row of a (B, 2p) array of [beta..., gamma...] rows.
 
-    Rows evolve together, in blocks of as many states as fit in BLOCK_BYTES.
-    A block of one row is an energy() call: per-row angle arrays cost more
-    than they save on a single state.  Every value equals energy() of its
-    row bit for bit.  Raises ValueError, before evolving anything, when a
+    Rows evolve together, in blocks of as many states as fit in BLOCK_BYTES
+    (one state from n = 12 up).  Every value equals energy() of its row bit
+    for bit.  Raises ValueError, before evolving anything, when a
     row does not hold 2p angles or an angle is not finite.
     """
     angles = np.asarray(angles, dtype=float)
@@ -158,11 +157,8 @@ def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
     out = np.empty(len(angles))
     for start in range(0, len(angles), rows):
         block = angles[start:start + rows]
-        if len(block) == 1:
-            out[start] = energy(spec, QaoaParams.from_vector(block[0]))
-        else:
-            psi = _evolve(spec, sim.init_plus(spec.n, rows=len(block)), block[:, :p].T, block[:, p:].T)
-            out[start:start + len(block)] = sim.expectation_diagonal(psi, spec.energies)
+        psi = _evolve(spec, sim.init_plus(spec.n, rows=len(block)), block[:, :p].T, block[:, p:].T)
+        out[start:start + len(block)] = sim.expectation_diagonal(psi, spec.energies)
     return out
 
 
@@ -257,7 +253,10 @@ class DomainDescriptor:
     beta_range: tuple[float, float]
     gamma_range: tuple[float, float]
     fully_restricted: bool
-    reduction_exponent_per_layer: int
+
+    @property
+    def reduction_exponent_per_layer(self) -> int:
+        return 2 if self.fully_restricted else 1
 
     def to_dict(self) -> dict:
         return {
@@ -271,6 +270,4 @@ class DomainDescriptor:
 def restricted_domain(spec: QaoaCircuitSpec) -> DomainDescriptor:
     """Search box implied by the circuit Hamiltonian's term degrees."""
     fully = spec.hamiltonian.all_even_degrees()
-    if fully:
-        return DomainDescriptor((0.0, math.pi), (0.0, math.pi), True, 2)
-    return DomainDescriptor((0.0, math.pi), (-math.pi, math.pi), False, 1)
+    return DomainDescriptor((0.0, math.pi), (0.0, math.pi) if fully else (-math.pi, math.pi), fully)

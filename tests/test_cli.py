@@ -303,10 +303,19 @@ def test_fractional_or_negative_counts_exit_2(tmp_path, capsys):
 
 def test_malformed_entry_exits_2_naming_its_field(tmp_path, capsys):
     f = tmp_path / "bad.json"
-    f.write_text(json.dumps({"type": "maxcut", "vertices": 3, "edges": [[0, 1, 2]]}))
-    assert cli.main(["brute", str(f)]) == 2
-    err = capsys.readouterr().err
-    assert "edges must be a list of [i, j] pairs" in err
+    for doc, message in (
+        ({"type": "maxcut", "vertices": 3, "edges": [[0, 1, 2]]}, "edges must be a list of [i, j] pairs"),
+        ({"type": "maxcut", "vertices": 3, "edges": {}}, "edges must be a list"),
+        ({"type": "qubo", "Q": [[1, True]], "offset": 0}, "Q must hold only numbers"),
+        ({"type": "qubo", "Q": [[1]], "offset": "1"}, "offset must hold only numbers"),
+        ({"type": "pubo", "n": 1, "terms": [{"idx": [0], "coef": "1.5"}]}, "coef must hold only numbers"),
+        ({"type": "knapsack", "values": [1, "2"], "weights": [1, 1], "capacity": 1}, "values must hold only numbers"),
+        ({"type": "knapsack", "values": [1], "weights": [1], "capacity": True}, "capacity must hold only numbers"),
+        ({"type": "qubo", "Q": [[10 ** 400]]}, "invalid qubo problem: int too large to convert to float"),
+    ):
+        f.write_text(json.dumps(doc))
+        assert cli.main(["brute", str(f)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_brute_loose_knapsack_prefers_all_ones(tmp_path, capsys):

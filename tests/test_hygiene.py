@@ -1,6 +1,7 @@
-"""Source hygiene: unused imports, uncalled helpers, private reads across modules, BLAS calls in the mixer, and README drift from the CLI and verify suites."""
+"""Source hygiene: unused imports, uncalled helpers, private reads across modules, BLAS calls in the mixer, and README drift from the CLI, verify suites and module names."""
 import argparse
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -156,3 +157,20 @@ def test_mixer_makes_no_blas_call():
     kernels = {"apply_mixer", "_rx", "_rx_coefficients", "_bit_view"}
     assert all(callable(getattr(simulator, name, None)) for name in kernels)
     assert blas_calls(inspect.getsource(simulator), kernels) == []
+
+
+def test_readme_module_names_resolve():
+    # every backticked `module.name` (or `qaoaforge.module.name`) names an attribute of that module
+    modules = "|".join(p.stem for p in (ROOT / "src" / "qaoaforge").glob("*.py") if not p.stem.startswith("_"))
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    refs = {m.group(0).removeprefix("qaoaforge.") for span in spans
+            for m in re.finditer(rf"\bqaoaforge(?:\.\w+)+|\b(?:{modules})(?:\.\w+)+", span)}
+    assert len(refs) >= 10, refs
+    missing = []
+    for ref in sorted(refs):
+        obj = importlib.import_module("qaoaforge." + ref.split(".")[0])
+        for name in ref.split(".")[1:]:
+            obj = getattr(obj, name, None)
+        if obj is None:
+            missing.append(ref)
+    assert missing == []

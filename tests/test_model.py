@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -130,15 +131,6 @@ def test_slack_inequality_penalty():
             assert best == 0.0
         else:
             assert best > 0.0
-
-
-def test_slack_labels_appended():
-    base = build_qubo(np.zeros((2, 2)), np.zeros(2), labels={0: "a", 1: "b"})
-    pen = apply_penalty(
-        base, ConstraintSpec(ConstraintKind.SLACK_INEQUALITY, (0, 1), weights=(1.0, 1.0), bound=2)
-    )
-    assert pen.labels[2] == "slack0"
-    assert pen.labels[3] == "slack1"
 
 
 def test_unbalanced_penalty_defaults_and_bias():
@@ -361,3 +353,46 @@ def test_whole_float_counts_still_load():
     p = load_problem({"type": "pubo", "n": 2.0, "terms": [{"idx": [1.0], "coef": 2.0}]})
     assert (m.n, p.n, p.terms) == (3, 2, {(1,): 2.0})
     assert all(type(i) is int for idx in p.terms for i in idx)
+
+
+SWEEP_DOCUMENTS = [
+    {"type": "qubo", "Q": [[1, -2], [0, 3]], "c": [0.5, 0], "offset": 2 ** 70},
+    {"type": "pubo", "n": 3, "terms": [{"idx": [0, 2], "coef": 1.5}], "offset": -1},
+    {"type": "maxcut", "vertices": 3, "edges": [[0, 1], [1, 2]]},
+    {"type": "knapsack", "values": [4, 2], "weights": [3, 1], "capacity": 3, "p1": 1, "p2": 0.5},
+]
+
+
+def field_paths(doc, path=()):
+    """The path of every value in a JSON document, nested ones included: object keys and list indices."""
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield path + (key,)
+        yield from field_paths(value, path + (key,))
+
+
+def with_field(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("value", ["1", True, None, [1], {"1": 1}], ids=["string", "boolean", "null", "list", "object"])
+@pytest.mark.parametrize("doc", SWEEP_DOCUMENTS, ids=lambda doc: doc["type"])
+def test_malformed_field_sweep(doc, value):
+    # every field either loads or raises ProblemFormatError, and float() or
+    # np.array must not read a string or a boolean as a number
+    problem = load_problem(doc)
+    for path in field_paths(doc):
+        try:
+            load_problem(with_field(doc, path, value))
+        except ProblemFormatError:
+            continue
+        assert not isinstance(value, (str, bool)), path
+    if doc["type"] == "qubo":
+        # an integer past int64 loads as its float; an unknown key is ignored, whatever it holds
+        assert problem.offset == float(2 ** 70)
+        assert load_problem({**doc, "labels": value}).to_dict() == problem.to_dict()

@@ -127,6 +127,13 @@ def test_energies_equal_energy_per_row(monkeypatch):
         monkeypatch.setattr(qaoa, "BLOCK_BYTES", (16 << n) * int(rng.integers(1, 5)) + 8)
         assert np.array_equal(qaoa.energies(spec, angles), want)
         monkeypatch.undo()
+    # one-row blocks past TILE_QUBITS: the tiled mixer with per-row coefficient columns
+    spec = qaoa.build_circuit(random_hamiltonian(rng, 16), layers=2)
+    assert spec.n > sim.TILE_QUBITS
+    angles = rng.uniform(-4.0, 4.0, (2, 4))
+    want = np.array([qaoa.energy(spec, qaoa.QaoaParams.from_vector(a)) for a in angles])
+    monkeypatch.setattr(qaoa, "energy", None)
+    assert np.array_equal(qaoa.energies(spec, angles), want)
 
 
 def test_energies_shapes():
@@ -309,9 +316,13 @@ def test_energy_memory_is_a_few_states():
     try:
         qaoa.energy(spec, params)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        qaoa.energies(spec, params.as_vector()[None])  # a one-row block
+        _, block_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 2.75 * (16 << n), peak
+    assert block_peak <= 2.75 * (16 << n), block_peak
 
 
 def test_adjoint_gradient_memory_is_two_states_and_temporaries():
