@@ -480,11 +480,11 @@ def _require(d: Mapping, key: str, kind: str, listed: bool = False):
     return d[key]
 
 
-def _numbers(v, field: str):
-    """v, once every leaf of its lists is a number (float() reads "1" and true); a top-level None passes."""
-    leaves = [] if v is None else [v]
+def _numbers(v, field: str, scalar: bool = False):
+    """v, once every leaf of its lists is a number (float() reads "1" and true); None passes unless scalar."""
+    leaves = [v] if scalar or v is not None else []
     for x in leaves:  # grows as it goes, so nested lists are walked without recursion
-        if isinstance(x, (list, tuple)):
+        if isinstance(x, (list, tuple)) and not scalar:
             leaves.extend(x)
         elif isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
             raise ProblemFormatError(f"{field} must hold only numbers, got {x!r}")
@@ -499,23 +499,23 @@ def problem_from_dict(d: Mapping):
     try:
         if kind == "qubo":
             Q = _numbers(_require(d, "Q", "qubo"), "Q")
-            return build_qubo(Q, _numbers(d.get("c"), "c"), offset=_numbers(d.get("offset", 0.0), "offset"))
+            return build_qubo(Q, _numbers(d.get("c"), "c"), offset=_numbers(d.get("offset", 0.0), "offset", scalar=True))
         if kind == "pubo":
             terms = _require(d, "terms", "pubo", listed=True)
             for t in terms:
                 if not (isinstance(t, Mapping) and isinstance(t.get("idx"), (list, tuple)) and "coef" in t):
                     raise ProblemFormatError(f"pubo terms entries must be {{\"idx\": [i, ...], \"coef\": c}}, got {t!r}")
-            terms = [(t["idx"], _numbers(t["coef"], "coef")) for t in terms]
-            return build_pubo(_require(d, "n", "pubo"), terms, offset=_numbers(d.get("offset", 0.0), "offset"))
+            terms = [(t["idx"], _numbers(t["coef"], "coef", scalar=True)) for t in terms]
+            return build_pubo(_require(d, "n", "pubo"), terms, offset=_numbers(d.get("offset", 0.0), "offset", scalar=True))
         if kind == "maxcut":
             return build_maxcut(_require(d, "vertices", "maxcut"), _require(d, "edges", "maxcut", listed=True))
         if kind == "knapsack":
             return build_knapsack(
                 _numbers(_require(d, "values", "knapsack"), "values"),
                 _numbers(_require(d, "weights", "knapsack"), "weights"),
-                _numbers(_require(d, "capacity", "knapsack"), "capacity"),
-                p1=_numbers(d.get("p1"), "p1"),
-                p2=_numbers(d.get("p2"), "p2"),
+                _numbers(_require(d, "capacity", "knapsack"), "capacity", scalar=True),
+                p1=_numbers(d.get("p1"), "p1", scalar="p1" in d),
+                p2=_numbers(d.get("p2"), "p2", scalar="p2" in d),
             )
     except ProblemFormatError:
         raise
@@ -529,9 +529,9 @@ def load_problem(source):
 
     Recognized types: qubo {Q, c?, offset?}, pubo {n, terms, offset?},
     maxcut {vertices, edges}, knapsack {values, weights, capacity, p1?, p2?};
-    other keys are ignored, and a string or boolean in a numeric field raises
-    ProblemFormatError.  A missing or unreadable file raises OSError
-    (FileNotFoundError when it does not exist).
+    other keys are ignored.  A string or boolean in a numeric field, or null or a
+    list in offset, coef, capacity, p1 or p2, raises ProblemFormatError; a missing
+    file raises FileNotFoundError, an unreadable one OSError.
     """
     if isinstance(source, Mapping):
         return problem_from_dict(source)

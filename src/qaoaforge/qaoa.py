@@ -1,14 +1,12 @@
 """Layered alternating circuits over a diagonal target Hamiltonian.
 
-Layer k applies the target-phase operator U_f(gamma_k) = e^{-i(gamma_k/2)H_f}
-and then the mixer U_i(beta_k) = prod_q R_x(beta_k), layers in increasing
-order on the uniform superposition; U_f is one phase multiply on the
-diagonal of H_f (verify.gate_decomposed_run is its gate-level reference).
-One layer loop evolves one state (run, energy, the adjoint gradient) or a
-block of states with one angle row each (energies, which scans go through).
-Energies are exact expectations of the scaled Hamiltonian; unscaled and
-original-unit values follow by multiplying back the scale factor and adding
-the dropped constant.
+Layer k = 1..p applies U_f(gamma_k) = e^{-i(gamma_k/2)H_f}, one phase multiply
+on the diagonal of H_f (verify.gate_decomposed_run is its gate-level reference),
+then the mixer U_i(beta_k) = prod_q R_x(beta_k), starting from |+>^n.  One layer
+loop evolves one state (run, energy, adjoint gradient) or a block with one angle
+row each (energies); landscape_scan forms U_f(gamma)|+> once per gamma column
+and mixes its beta rows from copies.  Energies are exact expectations of the
+scaled Hamiltonian; in original units, multiply by k_scale and add the constant.
 """
 from __future__ import annotations
 
@@ -218,24 +216,31 @@ def landscape_scan(
     beta_range: tuple[float, float] | None = None,
     gamma_range: tuple[float, float] | None = None,
 ) -> LandscapeGrid:
-    """Dense grid of energy() over one layer's (beta, gamma) box, one energies() call per beta."""
+    """Dense grid of energy() over one layer's (beta, gamma) box, gamma column by column.
+
+    A column forms U_f(gamma)|+> once and mixes copies of it, one beta per row in energies()'s
+    blocks; each row gets energies()'s kernels and arithmetic, so values equal energy() bit for bit."""
     if spec.layers != 1:
         raise ValueError("landscape scans are defined for single-layer circuits only")
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     if resolution > SCAN_RESOLUTION_CAP:
         raise SizeCapError(f"scan resolution must be <= {SCAN_RESOLUTION_CAP}, got {resolution}")
-    if beta_range is None:
-        beta_range = (-math.pi, math.pi)
-    if gamma_range is None:
-        gamma_range = (-math.pi, math.pi)
+    beta_range = (-math.pi, math.pi) if beta_range is None else beta_range
+    gamma_range = (-math.pi, math.pi) if gamma_range is None else gamma_range
     if not np.isfinite([beta_range, gamma_range]).all():
         raise ValueError("scan range bounds must be finite")
     beta_axis = np.linspace(beta_range[0], beta_range[1], resolution)
     gamma_axis = np.linspace(gamma_range[0], gamma_range[1], resolution)
     values = np.empty((resolution, resolution))
-    for i, b in enumerate(beta_axis):
-        values[i] = energies(spec, np.column_stack([np.full(resolution, b), gamma_axis]))
+    rows = max(1, BLOCK_BYTES // (16 << spec.n))
+    for j, g in enumerate(gamma_axis.tolist()):
+        psi = sim.init_plus(spec.n)
+        sim.apply_diagonal_phase(psi, spec.energies, g)
+        for start in range(0, resolution, rows):
+            block = sim.StateVector(spec.n, np.tile(psi.amp, (min(rows, resolution - start), 1)))
+            sim.apply_mixer(block, beta_axis[start:start + rows])
+            values[start:start + rows, j] = sim.expectation_diagonal(block, spec.energies)
     return LandscapeGrid(beta_axis=beta_axis, gamma_axis=gamma_axis, values=values)
 
 

@@ -385,14 +385,43 @@ def test_landscape_grid_shape_and_values():
 
 
 def test_landscape_scan_equals_per_point_loop(monkeypatch):
+    # 4-row blocks over 7 beta rows end in a partial block; n = 16 mixes
+    # one-row copies with the tiled mixer
     rng = np.random.default_rng(52)
-    for n, block_bytes in ((2, qaoa.BLOCK_BYTES), (5, qaoa.BLOCK_BYTES), (5, 4 * (16 << 5)), (12, qaoa.BLOCK_BYTES)):
+    cases = ((2, qaoa.BLOCK_BYTES, 7), (5, qaoa.BLOCK_BYTES, 7), (5, 4 * (16 << 5), 7),
+             (12, qaoa.BLOCK_BYTES, 7), (16, qaoa.BLOCK_BYTES, 5))
+    for n, block_bytes, resolution in cases:
         monkeypatch.setattr(qaoa, "BLOCK_BYTES", block_bytes)
         spec = random_instance(rng, n, 1)
-        grid = qaoa.landscape_scan(spec, 7, beta_range=(-0.5, 2.0), gamma_range=(-3.0, 1.0))
+        grid = qaoa.landscape_scan(spec, resolution, beta_range=(-0.5, 2.0), gamma_range=(-3.0, 1.0))
         want = np.array([[qaoa.energy(spec, qaoa.QaoaParams([b], [g])) for g in grid.gamma_axis]
                          for b in grid.beta_axis])
         assert np.array_equal(grid.values, want)
+
+
+def test_landscape_scan_forms_each_gamma_column_once(monkeypatch):
+    # gamma-major: one |+> and one U_f(gamma) per column, not per grid point
+    spec = random_instance(np.random.default_rng(53), 12, 1)
+    calls = {"init_plus": 0, "apply_diagonal_phase": 0}
+    for name in calls:
+        kernel = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *a, name=name, kernel=kernel, **k: calls.update({name: calls[name] + 1})
+                            or kernel(*a, **k))
+    qaoa.landscape_scan(spec, 7)
+    assert calls == {"init_plus": 7, "apply_diagonal_phase": 7}
+
+
+def test_scan_memory_at_tiled_size_is_a_few_states():
+    # the column state, one block copy and the phase step's temporaries
+    n = 16
+    spec = random_instance(np.random.default_rng(54), n, 1)
+    tracemalloc.start()
+    try:
+        qaoa.landscape_scan(spec, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (16 << n), peak
 
 
 def test_landscape_csv_format():
