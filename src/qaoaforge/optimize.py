@@ -235,10 +235,13 @@ def _calibrate_a0(objective, vec, rng, big_a: float) -> float:
 def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initial_params):
     """One restart on its own [seed, r] stream; SPSA and GD differ only in the step.
 
-    Returns the trace, the initial energy, the best energy seen, its vector
-    and the SPSA gain a0 (None for gradient descent).
+    Gradient descent reads an iterate's energy and gradient from one
+    forward evolution, and the last iterate's energy alone: max_iters + 1
+    evolutions per restart.  Returns the trace, the initial energy, the best
+    energy seen, its vector and the SPSA gain a0 (None for gradient descent).
     """
     rng = np.random.default_rng([config.seed, r])
+    spsa = config.method == "spsa"
 
     def objective(vec: np.ndarray) -> float:
         params = _decode(vec, config, domain)
@@ -246,9 +249,15 @@ def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initia
             return qaoa.shot_energy(spec, params, config.shots, rng)
         return qaoa.energy(spec, params)
 
-    spsa = config.method == "spsa"
+    def point(vec: np.ndarray, k: int):
+        """Checked energy at iterate k, and the gradient there when GD steps from it (else None)."""
+        if spsa or k == config.max_iters:
+            return _check_finite(objective(vec), "energy"), None
+        e, g = qaoa.energy_and_gradient(spec, _decode(vec, config, domain))
+        return _check_finite(e, "energy"), g
+
     vec = _start_vector(spec, domain, config, rng, initial_params)
-    e0 = _check_finite(objective(vec), "energy")
+    e0, g = point(vec, 0)
     a0 = None
     if spsa:
         a0 = config.a0 if config.a0 is not None else _calibrate_a0(objective, vec, rng, big_a)
@@ -263,7 +272,6 @@ def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initia
             g = slope * delta
         else:
             step = GD_LEARNING_RATE
-            g = qaoa.parameter_shift_gradient(spec, _decode(vec, config, domain))
             if not np.isfinite(g).all():
                 raise OptimizerDivergence("non-finite gradient encountered; aborting")
             if config.squash == "tanh":
@@ -271,7 +279,7 @@ def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initia
         vec = vec - step * g
         if not np.isfinite(vec).all():
             raise OptimizerDivergence("parameter vector diverged; aborting")
-        e = _check_finite(objective(vec), "energy")
+        e, g = point(vec, k + 1)
         trace.append(e)
         if e < best_e:
             best_e, best_vec = e, vec.copy()

@@ -3,10 +3,20 @@
 Layer k = 1..p applies U_f(gamma_k) = e^{-i(gamma_k/2)H_f}, one phase multiply
 on the diagonal of H_f (verify.gate_decomposed_run is its gate-level reference),
 then the mixer U_i(beta_k) = prod_q R_x(beta_k), starting from |+>^n.  One layer
-loop evolves one state (run, energy, adjoint gradient) or a block with one angle
-row each (energies); landscape_scan forms U_f(gamma)|+> once per gamma column
-and mixes its beta rows from copies.  Energies are exact expectations of the
-scaled Hamiltonian; in original units, multiply by k_scale and add the constant.
+loop evolves one state (run, energy, energy_and_gradient) or a block with one
+angle row each (energies); landscape_scan forms U_f(gamma)|+> once per gamma
+column and mixes its beta rows from copies.  energy_and_gradient reads the
+energy from the adjoint's own forward run, so gradient descent evolves once
+per iterate.
+
+Every U_f goes through one phase route.  When all coefficients are integers
+(an unweighted max-cut after scaling) and n >= LEVEL_TABLE_MIN_QUBITS, the
+spec carries a level table: the diagonal takes at most 2 span + 1 values,
+span = sum |coef|, so U_f takes cos and sin of those levels and gathers them
+by a one- or two-byte index per entry (up to 2^16 levels, and at most half
+as many as entries).  Otherwise the direct phase of all 2^n entries runs.
+Both give the same bits.  Energies are exact expectations of the scaled
+Hamiltonian; in original units, multiply by k_scale and add the constant.
 """
 from __future__ import annotations
 
@@ -24,6 +34,10 @@ SCAN_RESOLUTION_CAP = 4096
 
 # Amplitude bytes per block in energies(); from n = 12 up a block is one state.
 BLOCK_BYTES = 64 << 10
+
+# Fewest qubits for which build_circuit attaches a level table: below 8 the
+# gather of one state costs more than the cos and sin of its 2^n entries.
+LEVEL_TABLE_MIN_QUBITS = 8
 
 
 @dataclass(frozen=True)
@@ -64,12 +78,17 @@ class QaoaParams:
 
 @dataclass
 class QaoaCircuitSpec:
-    """Prepared circuit context: scaled Hamiltonian and its diagonal."""
+    """Prepared circuit context: scaled Hamiltonian and its diagonal.
+
+    level_table is (levels, index) with levels[index] == energies, or None;
+    see build_circuit.
+    """
 
     hamiltonian: SpinHamiltonian
     k_scale: float
     layers: int
     energies: np.ndarray
+    level_table: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -93,7 +112,8 @@ def build_circuit(
 
     With scaled=True every coefficient is divided by the largest magnitude,
     so max |coef| == 1 and rotation angles stop being redundant across
-    scale; minimizers are unchanged.
+    scale; minimizers are unchanged.  Integer coefficients from
+    LEVEL_TABLE_MIN_QUBITS qubits up also give the spec a level table.
     """
     if not h_raw.terms:
         raise ValueError("Hamiltonian has no terms")
@@ -101,12 +121,47 @@ def build_circuit(
         raise ValueError("layers must be >= 1")
     k = scaling_factor(h_raw) if scaled else 1.0
     h = scale(h_raw, k) if scaled else h_raw
+    energies = diagonalize(h)
     return QaoaCircuitSpec(
         hamiltonian=h,
         k_scale=k,
         layers=layers,
-        energies=diagonalize(h),
+        energies=energies,
+        level_table=_level_table(h, energies),
     )
+
+
+def _level_table(h: SpinHamiltonian, energies: np.ndarray):
+    """(levels, index) with levels[index] == energies exactly, or None.
+
+    When every coefficient is an integer, as for an unweighted max-cut after
+    scaling (+/-1), every entry of diagonalize is an exact integer sum in
+    [-span, span], span = sum |coef|: levels = -span..span and index =
+    energies + span, one byte or two per entry.  None below
+    LEVEL_TABLE_MIN_QUBITS, past 2^16 levels, or with more levels than half
+    the entries, where the direct phase is as fast.
+    """
+    coefs = list(h.terms.values())
+    if h.n < LEVEL_TABLE_MIN_QUBITS or not all(float(c).is_integer() for c in coefs):
+        return None
+    span = int(sum(abs(c) for c in coefs))
+    count = 2 * span + 1
+    if count > min(1 << 16, 1 << (h.n - 1)):
+        return None
+    index = (energies + span).astype(np.uint8 if count <= 1 << 8 else np.uint16)
+    return np.arange(-span, span + 1, dtype=float), index
+
+
+def _apply_uf(spec: QaoaCircuitSpec, psi: sim.StateVector, gamma) -> None:
+    """U_f(gamma) on a state or a block: the one phase route of every evolution.
+
+    Through the level table when the spec has one, else the direct phase;
+    both give the same amplitudes bit for bit.
+    """
+    if spec.level_table is None:
+        sim.apply_diagonal_phase(psi, spec.energies, gamma)
+    else:
+        sim.apply_level_phase(psi, *spec.level_table, gamma)
 
 
 def _evolve(spec: QaoaCircuitSpec, psi: sim.StateVector, betas, gammas) -> sim.StateVector:
@@ -116,7 +171,7 @@ def _evolve(spec: QaoaCircuitSpec, psi: sim.StateVector, betas, gammas) -> sim.S
     per row of a block.
     """
     for beta, gamma in zip(betas, gammas):
-        sim.apply_diagonal_phase(psi, spec.energies, gamma)
+        _apply_uf(spec, psi, gamma)
         sim.apply_mixer(psi, beta)
     return psi
 
@@ -157,6 +212,7 @@ def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
         block = angles[start:start + rows]
         psi = _evolve(spec, sim.init_plus(spec.n, rows=len(block)), block[:, :p].T, block[:, p:].T)
         out[start:start + len(block)] = sim.expectation_diagonal(psi, spec.energies)
+        del psi  # freed before the next block's |+> and phase
     return out
 
 
@@ -168,14 +224,23 @@ def shot_energy(spec: QaoaCircuitSpec, params: QaoaParams, shots: int, seed) -> 
 def parameter_shift_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> np.ndarray:
     """Exact gradient of energy() w.r.t. [beta_1..beta_p, gamma_1..gamma_p].
 
-    The adjoint method (Jones & Gacon 2020, arXiv:2009.02823): one run gives
-    phi, and lam = E * phi.  For layer k = p..1 it reads
-    d/d(beta_k) = Im <lam| sum_q X_q |phi>, undoes R_x(beta_k) on both
-    states, reads d/d(gamma_k) = Im <lam| E |phi> and undoes U_f(gamma_k).
-    About three runs of work on two states; verify.shift_rule_gradient and
+    The gradient half of energy_and_gradient; verify.shift_rule_gradient and
     verify.fd_gradient are its oracles.
     """
+    return energy_and_gradient(spec, params)[1]
+
+
+def energy_and_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> tuple[float, np.ndarray]:
+    """energy() and its exact gradient w.r.t. [beta..., gamma...], from one forward run.
+
+    The adjoint method (Jones & Gacon 2020, arXiv:2009.02823): one run gives
+    phi, whose expectation is energy() bit for bit, and lam = E * phi.  For
+    layer k = p..1 it reads d/d(beta_k) = Im <lam| sum_q X_q |phi>, undoes
+    R_x(beta_k) on both states, reads d/d(gamma_k) = Im <lam| E |phi> and
+    undoes U_f(gamma_k).  About three runs of work on two states.
+    """
     phi = run(spec, params)
+    e = sim.expectation_diagonal(phi, spec.energies)
     lam = sim.StateVector(spec.n, spec.energies * phi.amp)
     p = params.p
     grad = np.zeros(2 * p)
@@ -188,8 +253,8 @@ def parameter_shift_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> np.nd
         grad[p + k] = (np.conj(lam.amp) * phi.amp).imag @ spec.energies
         if k > 0:
             for psi in (phi, lam):
-                sim.apply_diagonal_phase(psi, spec.energies, -float(params.gamma[k]))
-    return grad
+                _apply_uf(spec, psi, -float(params.gamma[k]))
+    return e, grad
 
 
 @dataclass
@@ -236,11 +301,12 @@ def landscape_scan(
     rows = max(1, BLOCK_BYTES // (16 << spec.n))
     for j, g in enumerate(gamma_axis.tolist()):
         psi = sim.init_plus(spec.n)
-        sim.apply_diagonal_phase(psi, spec.energies, g)
+        _apply_uf(spec, psi, g)
         for start in range(0, resolution, rows):
             block = sim.StateVector(spec.n, np.tile(psi.amp, (min(rows, resolution - start), 1)))
             sim.apply_mixer(block, beta_axis[start:start + rows])
             values[start:start + rows, j] = sim.expectation_diagonal(block, spec.energies)
+        del block, psi  # freed before the next column's |+> and phase
     return LandscapeGrid(beta_axis=beta_axis, gamma_axis=gamma_axis, values=values)
 
 

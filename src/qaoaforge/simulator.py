@@ -4,9 +4,10 @@ Little-endian convention throughout: qubit q is bit q of the basis index,
 so qubit 0 is the least-significant bit.  All gate kernels mutate the state
 in place through reshaped views of the amplitude array, and all of them
 also take a block of B states, a C-contiguous (B, 2^n) amplitude array,
-with one shared angle.  apply_rx, apply_mixer and apply_diagonal_phase also
-take one angle per row, and expectation_diagonal returns one value per row.
-Each row gets exactly the arithmetic of a single state.
+with one shared angle.  apply_rx, apply_mixer, apply_diagonal_phase and
+apply_level_phase also take one angle per row, and expectation_diagonal
+returns one value per row.  Each row gets exactly the arithmetic of a
+single state.
 
 apply_mixer is the mixer of every evolution: apply_rx's in-place update
 on each qubit, tile by tile past TILE_QUBITS qubits.  apply_rx stays for
@@ -216,23 +217,41 @@ def _check_diagonal(psi: StateVector, energies: np.ndarray) -> None:
         raise ValueError(f"energies length {energies.shape} != state size {psi.amp.shape[-1:]}")
 
 
+def _phase(values: np.ndarray, gamma) -> np.ndarray:
+    """e^{-i (gamma/2) values}: a vector, or one row per angle of a gamma array.
+
+    The cos and sin of the one real argument fill one complex buffer's real
+    and imaginary views: np.exp's values without its complex temporaries.
+    """
+    if isinstance(gamma, np.ndarray):
+        gamma = gamma[:, None]
+    arg = (-0.5 * gamma) * values
+    phase = np.empty(arg.shape, dtype=np.complex128)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    return phase
+
+
 def apply_diagonal_phase(psi: StateVector, energies: np.ndarray, gamma) -> None:
     """amp[z] *= e^{-i (gamma/2) energies[z]}: one shot for a full diagonal layer.
 
     gamma is a float, or an array of one angle per row of a (B, 2^n) block.
     Equals the gate-level term-by-term sequence on the same Hamiltonian up
-    to the global phase of any constant left out of the energy table.  The
-    cos and sin of the one real argument fill one complex buffer's real and
-    imaginary views: np.exp's values without its complex temporaries.
+    to the global phase of any constant left out of the energy table.
     """
     _check_diagonal(psi, energies)
-    if isinstance(gamma, np.ndarray):
-        gamma = gamma[:, None]
-    arg = (-0.5 * gamma) * energies
-    phase = np.empty(arg.shape, dtype=np.complex128)
-    np.cos(arg, out=phase.real)
-    np.sin(arg, out=phase.imag)
-    psi.amp *= phase
+    psi.amp *= _phase(energies, gamma)
+
+
+def apply_level_phase(psi: StateVector, levels: np.ndarray, index: np.ndarray, gamma) -> None:
+    """apply_diagonal_phase of the diagonal levels[index], from the phases of its levels.
+
+    cos and sin are taken of the L levels alone, a (B, L) table for a block,
+    and gathered by the small-integer index, so each amplitude is multiplied
+    by the very phase apply_diagonal_phase computes for its entry, bit for bit.
+    """
+    _check_diagonal(psi, index)
+    psi.amp *= np.take(_phase(levels, gamma), index, axis=-1)
 
 
 def expectation_diagonal(psi: StateVector, energies: np.ndarray):

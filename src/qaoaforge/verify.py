@@ -25,6 +25,7 @@ from .model import (
     QuboProblem,
     apply_penalty,
     brute_force_solve,
+    build_maxcut,
     build_pubo,
     build_qubo,
     evaluate_qubo,
@@ -620,6 +621,52 @@ def check_tiled_mixer(n: int = 16, trials: int = 3, seed: int = 0) -> CheckResul
     return _result("tiled_mixer_vs_rx_loop", worst, 0.0)
 
 
+def _integer_instances(rng, n: int) -> list[qaoa.QaoaCircuitSpec]:
+    """Unweighted max-cut (scaled), integer-weighted max-cut and integer degree-3 PUBO (unscaled).
+
+    2n terms of |coef| <= 3 keep 2 span + 1 <= 12n + 1 levels, few enough
+    for a table from n = 8 up whatever the draw.
+    """
+    pairs = list(combinations(range(n), 2))
+    edges = [pairs[i] for i in rng.choice(len(pairs), size=2 * n, replace=False)]
+    triples = [tuple(sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist())) for _ in range(2 * n)]
+    weighted = SpinHamiltonian(n, {e: float(rng.integers(1, 4)) for e in edges})
+    pubo = SpinHamiltonian(n, {t: float(rng.choice([-3, -2, -1, 1, 2, 3])) for t in triples})
+    return [qaoa.build_circuit(qubo_to_spin(build_maxcut(n, edges))),
+            qaoa.build_circuit(weighted, scaled=False), qaoa.build_circuit(pubo, scaled=False)]
+
+
+def check_level_table(nmax: int = 12, rows: int = 3, seed: int = 0) -> CheckResult:
+    """U_f through build_circuit's level table vs apply_diagonal_phase: bit for bit.
+
+    On integer-coefficient instances from LEVEL_TABLE_MIN_QUBITS to nmax
+    qubits, levels[index] equals the diagonal, and apply_level_phase equals
+    the direct phase on a random state and on a block with one gamma per
+    row; a non-integer instance builds no table.
+    """
+    rng = np.random.default_rng(seed)
+    worst, bad = 0.0, []
+    for n in (qaoa.LEVEL_TABLE_MIN_QUBITS, nmax):
+        for spec in _integer_instances(rng, n):
+            if spec.level_table is None:
+                bad.append(f"no table at n={n}")
+                continue
+            levels, index = spec.level_table
+            worst = max(worst, float(np.abs(levels[index] - spec.energies).max()))
+            for gamma in (float(rng.uniform(-2 * math.pi, 2 * math.pi)), rng.uniform(-2 * math.pi, 2 * math.pi, rows)):
+                shape = (1 << n,) if isinstance(gamma, float) else (rows, 1 << n)
+                a = sim.StateVector(n, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                b = sim.StateVector(n, a.amp.copy())
+                sim.apply_diagonal_phase(a, spec.energies, gamma)
+                sim.apply_level_phase(b, levels, index, gamma)
+                worst = max(worst, float(np.abs(a.amp - b.amp).max()))
+    if qaoa.build_circuit(random_spin_mixed(rng, nmax)).level_table is not None:
+        bad.append("non-integer instance built a table")
+    result = _result("level_table_vs_direct_phase", worst, 0.0, "; ".join(bad))
+    result.passed = result.passed and not bad
+    return result
+
+
 def check_expectation_vs_dense(trials: int = 20, nmax: int = 5, tol: float = 1e-10, seed: int = 0) -> CheckResult:
     """expectation_diagonal vs dense <psi|H|psi> on random states."""
     rng = np.random.default_rng(seed)
@@ -791,6 +838,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
         check_unbalanced_inexact(),
         check_fast_gate_agreement(seed=seed),
         check_tiled_mixer(seed=seed),
+        check_level_table(seed=seed),
         check_expectation_vs_dense(seed=seed),
         check_gradient_methods_agree(seed=seed),
         check_adjoint_gradient(seed=seed),

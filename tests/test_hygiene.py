@@ -174,3 +174,24 @@ def test_readme_module_names_resolve():
         if obj is None:
             missing.append(ref)
     assert missing == []
+
+
+def attribute_sites(source: str, names) -> dict[str, list[str]]:
+    """For each attribute name read, the module-level definition (or '<module>') of every read."""
+    sites = {}
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in names:
+                sites.setdefault(node.attr, []).append(owner)
+    return sites
+
+
+def test_qaoa_applies_u_f_through_one_route():
+    # every U_f in qaoa (layer loop, scan column, adjoint undo) goes through the one
+    # phase route, so no caller can bypass the level table
+    demo = "x = sim.a\ndef f():\n    sim.a(sim.b)\nclass C:\n    def g(self):\n        self.b\n"
+    assert attribute_sites(demo, {"a", "b"}) == {"a": ["<module>", "f"], "b": ["f", "C"]}
+    source = (ROOT / "src" / "qaoaforge" / "qaoa.py").read_text()
+    kernels = {"apply_diagonal_phase", "apply_level_phase"}
+    assert attribute_sites(source, kernels) == dict.fromkeys(kernels, ["_apply_uf"])

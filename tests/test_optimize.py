@@ -151,9 +151,73 @@ def test_gd_divergence_detected(monkeypatch):
     ("parameter_shift_gradient", lambda spec, params: np.full(2 * params.p, math.inf), "non-finite gradient"),
 ])
 def test_non_finite_energy_or_gradient_aborts(monkeypatch, name, broken, fragment):
+    # GD reads both values from energy_and_gradient, so its half breaks along with the function
+    real, half = qaoa.energy_and_gradient, ("energy", "parameter_shift_gradient").index(name)
+
+    def energy_and_gradient(spec, params):
+        both = list(real(spec, params))
+        both[half] = broken(spec, params)
+        return tuple(both)
+
     monkeypatch.setattr(qaoa, name, broken)
+    monkeypatch.setattr(qaoa, "energy_and_gradient", energy_and_gradient)
     with pytest.raises(OptimizerDivergence, match=fragment):
         optimize(c4_spec(layers=1), OptimizerConfig(method="gd", max_iters=5, restarts=1, seed=0))
+
+
+def gd_reference(spec, config):
+    """GD restarts at two evolutions per iterate: qaoa.energy there, then qaoa.parameter_shift_gradient.
+
+    Returns each restart's trace, initial energy, best energy and its vector.
+    """
+    domain = qaoa.restricted_domain(spec)
+    tanh = config.squash == "tanh"
+    decode = (lambda v: squash_params(v, domain)) if tanh else qaoa.QaoaParams.from_vector
+    restarts = []
+    for r in range(config.restarts):
+        vec = np.concatenate(box_draw(domain, spec.layers, config.seed, r))
+        if tanh:
+            vec = optimize_module._unsquash(vec, domain)
+        e0 = qaoa.energy(spec, decode(vec))
+        best, trace = (e0, vec), []
+        for _ in range(config.max_iters):
+            g = qaoa.parameter_shift_gradient(spec, decode(vec))
+            if tanh:
+                g = g * optimize_module._squash_jacobian(vec, domain)
+            vec = vec - optimize_module.GD_LEARNING_RATE * g
+            trace.append(qaoa.energy(spec, decode(vec)))
+            if trace[-1] < best[0]:
+                best = (trace[-1], vec)
+        restarts.append((trace, e0, *best))
+    return restarts, decode
+
+
+@pytest.mark.parametrize("squash", ["none", "tanh"])
+def test_gd_record_equals_two_evolution_reference(squash):
+    # one energy_and_gradient per iterate gives the very numbers of energy() plus
+    # parameter_shift_gradient(); the 8-vertex spec runs U_f through its level table
+    ring8 = build_maxcut(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)])
+    for spec in (c4_spec(layers=2), qaoa.build_circuit(qubo_to_spin(ring8), layers=2)):
+        config = OptimizerConfig(method="gd", max_iters=6, restarts=3, seed=8, squash=squash)
+        rec = optimize(spec, config)
+        restarts, decode = gd_reference(spec, config)
+        traces, initials, finals, vectors = (list(x) for x in zip(*restarts))
+        assert rec.traces == traces
+        assert rec.initial_energies == initials
+        assert rec.restart_finals == finals
+        best = decode(vectors[int(np.argmin(finals))])
+        assert rec.final_params == {"beta": best.beta.tolist(), "gamma": best.gamma.tolist()}
+    assert spec.level_table is not None
+
+
+def test_gd_evolves_once_per_iterate(monkeypatch):
+    # per restart max_iters energy_and_gradient calls and the last energy, then the final histogram
+    init_plus, calls = sim.init_plus, []
+    monkeypatch.setattr(sim, "init_plus", lambda *a, **k: calls.append(1) or init_plus(*a, **k))
+    for restarts, iters in ((1, 0), (2, 5), (3, 4)):
+        calls.clear()
+        optimize(c4_spec(), OptimizerConfig(method="gd", max_iters=iters, restarts=restarts, seed=2))
+        assert len(calls) == restarts * (iters + 1) + 1
 
 
 @pytest.mark.parametrize("shots", [0, 2000])

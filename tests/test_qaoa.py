@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -134,6 +135,61 @@ def test_energies_equal_energy_per_row(monkeypatch):
     want = np.array([qaoa.energy(spec, qaoa.QaoaParams.from_vector(a)) for a in angles])
     monkeypatch.setattr(qaoa, "energy", None)
     assert np.array_equal(qaoa.energies(spec, angles), want)
+
+
+def ring_with_chords(n, weights=None):
+    """Max-cut of the n-ring plus chords i -- i + n/2; with weights, couplings w_e on Z_i Z_j."""
+    edges = [tuple(sorted((i, (i + 1) % n))) for i in range(n)] + [(i, i + n // 2) for i in range(0, n // 2, 2)]
+    if weights is None:
+        return qubo_to_spin(build_maxcut(n, edges))
+    return SpinHamiltonian(n, {e: float(w) for e, w in zip(edges, weights)})
+
+
+def test_level_table_condition():
+    # integer coefficients from LEVEL_TABLE_MIN_QUBITS up give levels -span..span and a 1- or 2-byte index
+    n = qaoa.LEVEL_TABLE_MIN_QUBITS
+    spec = qaoa.build_circuit(ring_with_chords(n))
+    levels, index = spec.level_table
+    span = len(spec.hamiltonian.terms)  # every scaled coupling is +/-1
+    assert np.array_equal(levels, np.arange(-span, span + 1))
+    assert index.dtype == np.uint8 and np.array_equal(levels[index], spec.energies)
+    big = SpinHamiltonian(12, {(q,): 40.0 + q for q in range(10)} | {(0, 5): 3.0})
+    levels, index = qaoa.build_circuit(big, scaled=False).level_table
+    assert index.dtype == np.uint16 and len(levels) == 2 * 448 + 1
+    assert np.array_equal(levels[index], qaoa.build_circuit(big, scaled=False).energies)
+    assert qaoa.build_circuit(ring_with_chords(n - 2)).level_table is None  # too few qubits
+    assert qaoa.build_circuit(big).level_table is None                      # 3/43 after scaling
+    assert qaoa.build_circuit(random_hamiltonian(np.random.default_rng(57), n)).level_table is None
+    # more levels than half the entries: the cos and sin of every level would cost more
+    assert qaoa.build_circuit(SpinHamiltonian(n, {(0,): 64.0, (1, 2): 1.0}), scaled=False).level_table is None
+
+
+def test_level_table_changes_no_number():
+    # every caller of the phase route, with the table and without it, bit for bit
+    rng = np.random.default_rng(58)
+    for n, p in ((8, 2), (10, 1), (12, 3)):
+        table = qaoa.build_circuit(ring_with_chords(n, rng.integers(-3, 4, 2 * n)), layers=p, scaled=False)
+        assert table.level_table is not None
+        direct = dataclasses.replace(table, level_table=None)
+        angles = rng.uniform(-3.0, 3.0, (5, 2 * p))
+        params = qaoa.QaoaParams.from_vector(angles[0])
+        assert np.array_equal(qaoa.run(table, params).amp, qaoa.run(direct, params).amp)
+        assert np.array_equal(qaoa.energies(table, angles), qaoa.energies(direct, angles))
+        e_table, g_table = qaoa.energy_and_gradient(table, params)
+        e_direct, g_direct = qaoa.energy_and_gradient(direct, params)
+        assert e_table == e_direct and np.array_equal(g_table, g_direct)
+        if p == 1:
+            assert np.array_equal(qaoa.landscape_scan(table, 9).values, qaoa.landscape_scan(direct, 9).values)
+
+
+def test_energy_and_gradient_equals_energy_and_parameter_shift_gradient():
+    rng = np.random.default_rng(59)
+    for n, p in ((3, 2), (8, 3), (11, 1)):
+        for spec in (random_instance(rng, n, p), qaoa.build_circuit(ring_with_chords(n + n % 2), layers=p)):
+            params = qaoa.QaoaParams.from_vector(rng.uniform(-3.0, 3.0, 2 * p))
+            e, g = qaoa.energy_and_gradient(spec, params)
+            assert e == qaoa.energy(spec, params)
+            assert np.array_equal(g, qaoa.parameter_shift_gradient(spec, params))
 
 
 def test_energies_shapes():
@@ -282,8 +338,8 @@ def test_adjoint_gradient_matches_shift_rule():
 def test_depth_mismatch_raises():
     spec = qaoa.build_circuit(single_z(), layers=1)
     params = qaoa.QaoaParams([0.1, 0.2], [0.3, 0.4])
-    for call in (qaoa.run, qaoa.energy, qaoa.parameter_shift_gradient, verify.fd_gradient,
-                 verify.shift_rule_gradient):
+    for call in (qaoa.run, qaoa.energy, qaoa.parameter_shift_gradient, qaoa.energy_and_gradient,
+                 verify.fd_gradient, verify.shift_rule_gradient):
         with pytest.raises(ValueError, match="layers"):
             call(spec, params)
 
@@ -338,6 +394,22 @@ def test_adjoint_gradient_memory_is_two_states_and_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 3.75 * (16 << n), peak
+
+
+def test_energies_releases_each_block_before_the_next():
+    # one block's states go before the next block's |+> and phase temporaries;
+    # a non-integer instance, so the direct phase with its 1.5 states of temporaries runs
+    n = 16
+    spec = random_instance(np.random.default_rng(55), n, 1)
+    assert spec.level_table is None
+    angles = np.random.default_rng(56).uniform(-3.0, 3.0, (3, 2))
+    tracemalloc.start()
+    try:
+        qaoa.energies(spec, angles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * (16 << n), peak
 
 
 def test_scan_memory_is_its_values():
@@ -400,28 +472,34 @@ def test_landscape_scan_equals_per_point_loop(monkeypatch):
 
 
 def test_landscape_scan_forms_each_gamma_column_once(monkeypatch):
-    # gamma-major: one |+> and one U_f(gamma) per column, not per grid point
-    spec = random_instance(np.random.default_rng(53), 12, 1)
-    calls = {"init_plus": 0, "apply_diagonal_phase": 0}
+    # gamma-major: one |+> and one U_f(gamma) per column, not per grid point,
+    # through the direct phase or the level table
+    mixed = random_instance(np.random.default_rng(53), 12, 1)
+    ring = qaoa.build_circuit(qubo_to_spin(build_maxcut(12, [(i, (i + 1) % 12) for i in range(12)])))
+    calls = {"init_plus": 0, "apply_diagonal_phase": 0, "apply_level_phase": 0}
     for name in calls:
         kernel = getattr(sim, name)
         monkeypatch.setattr(sim, name, lambda *a, name=name, kernel=kernel, **k: calls.update({name: calls[name] + 1})
                             or kernel(*a, **k))
-    qaoa.landscape_scan(spec, 7)
-    assert calls == {"init_plus": 7, "apply_diagonal_phase": 7}
+    for spec, phase in ((mixed, "apply_diagonal_phase"), (ring, "apply_level_phase")):
+        calls.update(dict.fromkeys(calls, 0))
+        qaoa.landscape_scan(spec, 7)
+        assert calls == {"init_plus": 7, "apply_diagonal_phase": 0, "apply_level_phase": 0, phase: 7}
 
 
 def test_scan_memory_at_tiled_size_is_a_few_states():
-    # the column state, one block copy and the phase step's temporaries
+    # the column state, one block copy and the expectation's temporaries; each
+    # column's states go before the next column's |+> and direct-phase temporaries
     n = 16
     spec = random_instance(np.random.default_rng(54), n, 1)
+    assert spec.level_table is None
     tracemalloc.start()
     try:
         qaoa.landscape_scan(spec, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (16 << n), peak
+    assert peak <= 3.25 * (16 << n), peak
 
 
 def test_landscape_csv_format():

@@ -263,6 +263,29 @@ def test_diagonal_phase_is_bitwise_exp():
             assert np.array_equal(row, want)
 
 
+def test_level_phase_is_bitwise_direct_phase():
+    # levels[index] as the diagonal: the same amplitudes as apply_diagonal_phase,
+    # for a state and for a block with one angle per row, with 1- and 2-byte indices
+    rng = np.random.default_rng(39)
+    for n, count, dtype in ((1, 3, np.uint8), (6, 9, np.uint8), (10, 301, np.uint16), (16, 41, np.uint8)):
+        levels = np.arange(count, dtype=float) - count // 2
+        index = rng.integers(0, count, 1 << n).astype(dtype)
+        gammas = rng.uniform(-7.0, 7.0, 3)
+        a = sim.StateVector(n, np.stack([random_state(rng, n).amp for _ in gammas]))
+        b = sim.StateVector(n, a.amp.copy())
+        sim.apply_diagonal_phase(a, levels[index], gammas)
+        sim.apply_level_phase(b, levels, index, gammas)
+        assert np.array_equal(a.amp, b.amp)
+        for gamma in gammas.tolist():
+            a, b = random_state(rng, n), random_state(rng, n)
+            b.amp[:] = a.amp
+            sim.apply_diagonal_phase(a, levels[index], gamma)
+            sim.apply_level_phase(b, levels, index, gamma)
+            assert np.array_equal(a.amp, b.amp)
+    with pytest.raises(ValueError, match="energies length"):
+        sim.apply_level_phase(sim.init_plus(2), levels, index[:3], 0.1)
+
+
 def test_block_kernels_match_single_states():
     rng = np.random.default_rng(38)
     n = 4
