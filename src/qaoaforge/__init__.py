@@ -43,8 +43,8 @@ from .qaoa import (
     build_circuit,
     energies,
     energy,
+    energy_and_gradient,
     landscape_scan,
-    parameter_shift_gradient,
     restricted_domain,
     run,
 )
@@ -82,6 +82,7 @@ __all__ = [
     "diagonalize",
     "energies",
     "energy",
+    "energy_and_gradient",
     "evaluate_pubo",
     "evaluate_qubo",
     "evaluate_spin",
@@ -89,7 +90,6 @@ __all__ = [
     "landscape_scan",
     "load_problem",
     "optimize",
-    "parameter_shift_gradient",
     "problem_from_dict",
     "pubo_to_spin",
     "qubo_to_spin",

@@ -29,11 +29,20 @@ def _env_str(name: str, fallback: str) -> str:
 
 def _env_int(name: str, fallback: int) -> int:
     raw = os.environ.get("QAOAFORGE_" + name)
-    return fallback if raw is None else int(raw)
+    try:
+        return fallback if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"QAOAFORGE_{name} must be an integer, got {raw!r}") from None
+
+
+_FLAG_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off", ""), False)
 
 
 def _env_flag(name: str) -> bool:
-    return _env_str(name, "").strip().lower() in ("1", "true", "yes", "on")
+    raw = _env_str(name, "")
+    if (word := raw.strip().lower()) not in _FLAG_WORDS:
+        raise ValueError(f"QAOAFORGE_{name} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
+    return _FLAG_WORDS[word]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,9 +5,9 @@ on the diagonal of H_f (verify.gate_decomposed_run is its gate-level reference),
 then the mixer U_i(beta_k) = prod_q R_x(beta_k), starting from |+>^n.  One layer
 loop evolves one state (run, energy, energy_and_gradient) or a block with one
 angle row each (energies); landscape_scan forms U_f(gamma)|+> once per gamma
-column and mixes its beta rows from copies.  energy_and_gradient reads the
-energy from the adjoint's own forward run, so gradient descent evolves once
-per iterate.
+column and mixes its beta rows from copies.  energy_and_gradient, the one
+gradient entry point, reads the energy from the adjoint's own forward run,
+so gradient descent evolves once per iterate.
 
 Every U_f goes through one phase route.  When all coefficients are integers
 (an unweighted max-cut after scaling) and n >= LEVEL_TABLE_MIN_QUBITS, the
@@ -221,15 +221,6 @@ def shot_energy(spec: QaoaCircuitSpec, params: QaoaParams, shots: int, seed) -> 
     return float(sim.sample(run(spec, params), shots, seed) @ spec.energies / shots)
 
 
-def parameter_shift_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> np.ndarray:
-    """Exact gradient of energy() w.r.t. [beta_1..beta_p, gamma_1..gamma_p].
-
-    The gradient half of energy_and_gradient; verify.shift_rule_gradient and
-    verify.fd_gradient are its oracles.
-    """
-    return energy_and_gradient(spec, params)[1]
-
-
 def energy_and_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> tuple[float, np.ndarray]:
     """energy() and its exact gradient w.r.t. [beta..., gamma...], from one forward run.
 
@@ -238,6 +229,7 @@ def energy_and_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> tuple[floa
     layer k = p..1 it reads d/d(beta_k) = Im <lam| sum_q X_q |phi>, undoes
     R_x(beta_k) on both states, reads d/d(gamma_k) = Im <lam| E |phi> and
     undoes U_f(gamma_k).  About three runs of work on two states.
+    verify.shift_rule_gradient and verify.fd_gradient are its oracles.
     """
     phi = run(spec, params)
     e = sim.expectation_diagonal(phi, spec.energies)

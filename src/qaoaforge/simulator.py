@@ -10,9 +10,9 @@ returns one value per row.  Each row gets exactly the arithmetic of a
 single state.
 
 apply_mixer is the mixer of every evolution: apply_rx's in-place update
-on each qubit, tile by tile past TILE_QUBITS qubits.  apply_rx stays for
-the gate-level references in verify, as does apply_rzk, the phase of the
-full ising.parity_sign.
+on each qubit, tile by tile past TILE_QUBITS qubits.  apply_rx, apply_rz,
+apply_cnot and apply_rzk_ladder stay for verify's gate-level references; a
+lone Z-product rotation is apply_diagonal_phase of ising.parity_sign.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeCapError
-from .ising import DIAGONAL_CAP, parity_sign
+from .ising import DIAGONAL_CAP
 
 # The engine needs the 2^n energy table too, so it shares its ceiling.
 STATEVECTOR_CAP = DIAGONAL_CAP
@@ -167,15 +167,6 @@ def apply_cnot(psi: StateVector, control: int, target: int) -> None:
     b[:] = tmp
 
 
-def apply_rzz(psi: StateVector, i: int, j: int, theta: float) -> None:
-    """diag{e^{-it/2}, e^{+it/2}, e^{+it/2}, e^{-it/2}} on the (i, j) subspace.
-
-    The pair case of apply_rzk, so it is invariant under swapping i and j;
-    apply_rzk refuses i == j.
-    """
-    apply_rzk(psi, sorted((i, j)), theta)
-
-
 def _check_tuple(psi: StateVector, qubits) -> tuple[int, ...]:
     qs = tuple(int(q) for q in qubits)
     if len(qs) < 1:
@@ -187,21 +178,12 @@ def _check_tuple(psi: StateVector, qubits) -> tuple[int, ...]:
     return qs
 
 
-def apply_rzk(psi: StateVector, qubits, theta: float) -> None:
-    """Rotation generated by a product of sigma_z on the given qubits.
-
-    Phase e^{-i(t/2) s} where s = (-1)^(number of set bits among qubits):
-    apply_diagonal_phase of ising.parity_sign.
-    """
-    apply_diagonal_phase(psi, parity_sign(psi.n, _check_tuple(psi, qubits)), theta)
-
-
 def apply_rzk_ladder(psi: StateVector, qubits, theta: float) -> None:
-    """Same rotation as apply_rzk, built from gates.
+    """Z-product rotation e^{-i(t/2) Z...Z} on the given qubits, built from gates.
 
-    CNOTs accumulate the parity of all selected bits onto the last (highest)
-    qubit of the tuple, a single R_z applies the phase there, and the ladder
-    is undone in reverse.  Must agree with apply_rzk to rounding.
+    CNOTs gather the parity of the selected bits onto the highest one, an R_z
+    applies the phase there, and the ladder is undone in reverse: the phase
+    kernel on ising.parity_sign, to rounding.
     """
     qs = _check_tuple(psi, qubits)
     last = qs[-1]

@@ -95,12 +95,12 @@ def _random_spec(rng, nmax: int, pmax: int) -> qaoa.QaoaCircuitSpec:
 # ------------------------------------------------------------------- gates
 
 def check_rzz_diagonal(trials: int = 100, tol: float = 1e-12, seed: int = 0) -> CheckResult:
-    """Kernel matrix of the two-qubit ZZ rotation vs its diagonal form."""
+    """The phase kernel on the ZZ sign, as a matrix, vs the rotation's diagonal form."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, zz = 0.0, parity_sign(2, (0, 1))
     for _ in range(trials):
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        u = dense.operator_of(lambda psi: sim.apply_rzz(psi, 0, 1, theta), 2)
+        u = dense.operator_of(lambda psi: sim.apply_diagonal_phase(psi, zz, theta), 2)
         em, ep = np.exp(-0.5j * theta), np.exp(0.5j * theta)
         expected = np.diag([em, ep, ep, em])
         worst = max(worst, float(np.abs(u - expected).max()))
@@ -110,11 +110,11 @@ def check_rzz_diagonal(trials: int = 100, tol: float = 1e-12, seed: int = 0) -> 
 def check_rzz_swap(trials: int = 100, tol: float = 1e-12, seed: int = 0) -> CheckResult:
     """The ZZ rotation is invariant under swapping its two qubits."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, zz01, zz10 = 0.0, parity_sign(3, (0, 1)), parity_sign(3, (1, 0))
     for _ in range(trials):
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        u01 = dense.operator_of(lambda psi: sim.apply_rzz(psi, 0, 1, theta), 3)
-        u10 = dense.operator_of(lambda psi: sim.apply_rzz(psi, 1, 0, theta), 3)
+        u01 = dense.operator_of(lambda psi: sim.apply_diagonal_phase(psi, zz01, theta), 3)
+        u10 = dense.operator_of(lambda psi: sim.apply_diagonal_phase(psi, zz10, theta), 3)
         worst = max(worst, float(np.abs(u01 - u10).max()))
     return _result("rzz_swap_invariance", worst, tol)
 
@@ -133,7 +133,8 @@ def check_rzz_cnot_composite(trials: int = 20, tol: float = 1e-12, seed: int = 0
             sim.apply_cnot(psi, i, j)
 
         ua = dense.operator_of(composite, 3)
-        ub = dense.operator_of(lambda psi: sim.apply_rzz(psi, int(i), int(j), theta), 3)
+        zz = parity_sign(3, (int(i), int(j)))
+        ub = dense.operator_of(lambda psi: sim.apply_diagonal_phase(psi, zz, theta), 3)
         worst = max(worst, float(np.abs(ua - ub).max()))
     return _result("rzz_cnot_composite", worst, tol)
 
@@ -218,10 +219,9 @@ def check_gate_inverses(trials: int = 20, tol: float = 1e-12, seed: int = 0) -> 
         sim.apply_rx(psi, 1, -theta)
         sim.apply_rz(psi, 2, theta)
         sim.apply_rz(psi, 2, -theta)
-        sim.apply_rzz(psi, 0, 3, theta)
-        sim.apply_rzz(psi, 0, 3, -theta)
-        sim.apply_rzk(psi, (0, 1, 3), theta)
-        sim.apply_rzk(psi, (0, 1, 3), -theta)
+        for sign in (parity_sign(n, (0, 3)), parity_sign(n, (0, 1, 3))):
+            sim.apply_diagonal_phase(psi, sign, theta)
+            sim.apply_diagonal_phase(psi, sign, -theta)
         sim.apply_rzk_ladder(psi, (1, 2, 3), theta)
         sim.apply_rzk_ladder(psi, (1, 2, 3), -theta)
         worst = max(worst, float(np.abs(psi.amp - amp).max()), psi.norm_error())
@@ -778,7 +778,7 @@ def check_gradient_methods_agree(
 def check_adjoint_gradient(
     instances: int = 30, nmax: int = 5, pmax: int = 3, atol: float = 1e-10, rtol: float = 1e-6, seed: int = 0,
 ) -> CheckResult:
-    """qaoa.parameter_shift_gradient, the adjoint, vs both gradient oracles.
+    """The adjoint gradient of qaoa.energy_and_gradient vs both gradient oracles.
 
     Against shift_rule_gradient the max component difference stays within
     atol; against fd_gradient, which carries an O(FD_STEP^2) step error,
@@ -789,7 +789,7 @@ def check_adjoint_gradient(
     for _ in range(instances):
         spec = _random_spec(rng, nmax, pmax)
         params = _random_params(rng, spec.layers)
-        g, g_fd = qaoa.parameter_shift_gradient(spec, params), fd_gradient(spec, params)
+        g, g_fd = qaoa.energy_and_gradient(spec, params)[1], fd_gradient(spec, params)
         worst_sh = max(worst_sh, float(np.abs(g - shift_rule_gradient(spec, params)).max()))
         worst_fd = max(worst_fd, float(np.abs(g - g_fd).max()) / max(float(np.abs(g_fd).max()), 1e-8))
     detail = f"max deviation {worst_sh:.3e} (tolerance {atol:.1e}); vs fd {worst_fd:.3e} relative (tolerance {rtol:.1e})"

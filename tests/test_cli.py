@@ -374,3 +374,23 @@ def test_bad_env_var_exits_2(c4_file, monkeypatch, capsys):
     monkeypatch.setenv("QAOAFORGE_ITERS", "many")
     assert cli.main(["solve", str(c4_file)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, no_scale", [("1", True), ("TRUE", True), (" yes ", True), ("On", True),
+                                             ("0", False), ("false", False), ("NO", False), ("off", False),
+                                             ("", False)])
+def test_env_flag_spellings(monkeypatch, value, no_scale):
+    monkeypatch.setenv("QAOAFORGE_NO_SCALE", value)
+    for command in (["scan", "p.json"], ["solve", "p.json"]):
+        assert cli.build_parser().parse_args(command).no_scale is no_scale
+
+
+@pytest.mark.parametrize("name, value", [("NO_SCALE", "ture"), ("NO_SCALE", "2"), ("SEED", "1.5"),
+                                         ("RESOLUTION", "")])
+def test_malformed_env_value_exits_2_naming_its_variable(c4_file, tmp_path, monkeypatch, capsys, name, value):
+    # an unknown flag spelling used to read as false, and int()'s message named no variable
+    monkeypatch.setenv("QAOAFORGE_" + name, value)
+    assert cli.main(["scan", str(c4_file), "--resolution", "3", "--out", str(tmp_path / "grid.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"QAOAFORGE_{name}" in err and repr(value) in err
+    assert not (tmp_path / "grid.csv").exists()

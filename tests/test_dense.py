@@ -6,7 +6,7 @@ import pytest
 from qaoaforge import dense
 from qaoaforge import simulator as sim
 from qaoaforge.errors import SizeCapError
-from qaoaforge.ising import diagonalize, qubo_to_spin
+from qaoaforge.ising import diagonalize, parity_sign, qubo_to_spin
 from qaoaforge.verify import random_qubo
 
 
@@ -62,14 +62,14 @@ def test_operator_of_matches_column_by_column(n):
         rx_then_rz,
         lambda psi: sim.apply_rx(psi, q, theta),
         lambda psi: sim.apply_rz(psi, q, theta),
-        lambda psi: sim.apply_rzk(psi, qs, theta),
+        lambda psi: sim.apply_diagonal_phase(psi, parity_sign(n, qs), theta),
         lambda psi: sim.apply_rzk_ladder(psi, qs, theta),
     ]
     if n >= 2:
         i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
         kernels += [
             lambda psi: sim.apply_cnot(psi, i, j),
-            lambda psi: sim.apply_rzz(psi, i, j, theta),
+            lambda psi: sim.apply_diagonal_phase(psi, parity_sign(n, (i, j)), theta),
         ]
     for kernel in kernels:
         assert np.array_equal(dense.operator_of(kernel, n), operator_column_by_column(kernel, n))

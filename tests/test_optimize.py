@@ -148,25 +148,27 @@ def test_gd_divergence_detected(monkeypatch):
 
 @pytest.mark.parametrize("name, broken, fragment", [
     ("energy", lambda spec, params: math.nan, "non-finite energy"),
-    ("parameter_shift_gradient", lambda spec, params: np.full(2 * params.p, math.inf), "non-finite gradient"),
+    ("grad", lambda spec, params: np.full(2 * params.p, math.inf), "non-finite gradient"),
 ])
 def test_non_finite_energy_or_gradient_aborts(monkeypatch, name, broken, fragment):
-    # GD reads both values from energy_and_gradient, so its half breaks along with the function
-    real, half = qaoa.energy_and_gradient, ("energy", "parameter_shift_gradient").index(name)
+    # GD reads each iterate's pair from energy_and_gradient and the last iterate's energy
+    # from qaoa.energy, so the named half breaks wherever GD reads it
+    real, half = qaoa.energy_and_gradient, ("energy", "grad").index(name)
 
     def energy_and_gradient(spec, params):
         both = list(real(spec, params))
         both[half] = broken(spec, params)
         return tuple(both)
 
-    monkeypatch.setattr(qaoa, name, broken)
+    if name == "energy":
+        monkeypatch.setattr(qaoa, "energy", broken)
     monkeypatch.setattr(qaoa, "energy_and_gradient", energy_and_gradient)
     with pytest.raises(OptimizerDivergence, match=fragment):
         optimize(c4_spec(layers=1), OptimizerConfig(method="gd", max_iters=5, restarts=1, seed=0))
 
 
 def gd_reference(spec, config):
-    """GD restarts at two evolutions per iterate: qaoa.energy there, then qaoa.parameter_shift_gradient.
+    """GD restarts at two evolutions per iterate: qaoa.energy, then energy_and_gradient's gradient.
 
     Returns each restart's trace, initial energy, best energy and its vector.
     """
@@ -181,7 +183,7 @@ def gd_reference(spec, config):
         e0 = qaoa.energy(spec, decode(vec))
         best, trace = (e0, vec), []
         for _ in range(config.max_iters):
-            g = qaoa.parameter_shift_gradient(spec, decode(vec))
+            g = qaoa.energy_and_gradient(spec, decode(vec))[1]
             if tanh:
                 g = g * optimize_module._squash_jacobian(vec, domain)
             vec = vec - optimize_module.GD_LEARNING_RATE * g
@@ -194,8 +196,8 @@ def gd_reference(spec, config):
 
 @pytest.mark.parametrize("squash", ["none", "tanh"])
 def test_gd_record_equals_two_evolution_reference(squash):
-    # one energy_and_gradient per iterate gives the very numbers of energy() plus
-    # parameter_shift_gradient(); the 8-vertex spec runs U_f through its level table
+    # one energy_and_gradient per iterate gives the very numbers of a separate energy()
+    # and gradient evolution; the 8-vertex spec runs U_f through its level table
     ring8 = build_maxcut(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)])
     for spec in (c4_spec(layers=2), qaoa.build_circuit(qubo_to_spin(ring8), layers=2)):
         config = OptimizerConfig(method="gd", max_iters=6, restarts=3, seed=8, squash=squash)

@@ -9,6 +9,7 @@ from qaoaforge import qaoa, verify
 from qaoaforge import simulator as sim
 from qaoaforge.ising import SpinHamiltonian, parity_sign, qubo_to_spin
 from qaoaforge.model import build_maxcut, build_qubo
+from qaoaforge.optimize import OptimizerConfig, optimize
 
 
 def single_z():
@@ -182,14 +183,14 @@ def test_level_table_changes_no_number():
             assert np.array_equal(qaoa.landscape_scan(table, 9).values, qaoa.landscape_scan(direct, 9).values)
 
 
-def test_energy_and_gradient_equals_energy_and_parameter_shift_gradient():
+def test_energy_and_gradient_equals_energy_and_shift_rule():
     rng = np.random.default_rng(59)
     for n, p in ((3, 2), (8, 3), (11, 1)):
         for spec in (random_instance(rng, n, p), qaoa.build_circuit(ring_with_chords(n + n % 2), layers=p)):
             params = qaoa.QaoaParams.from_vector(rng.uniform(-3.0, 3.0, 2 * p))
             e, g = qaoa.energy_and_gradient(spec, params)
             assert e == qaoa.energy(spec, params)
-            assert np.array_equal(g, qaoa.parameter_shift_gradient(spec, params))
+            assert np.abs(g - verify.shift_rule_gradient(spec, params)).max() <= 1e-12
 
 
 def test_energies_shapes():
@@ -302,13 +303,16 @@ def shift_rule_rerun(spec, params):
                 sim.apply_rx(psi, q, float(params.beta[j]))
         return sim.expectation_diagonal(psi, spec.energies)
 
+    def rzk(psi, idx, angle):
+        sim.apply_diagonal_phase(psi, parity_sign(spec.n, idx), angle)
+
     def shift_diff(k, gate, target):
         return 0.5 * energy_with(k, gate, target, math.pi / 2.0) - 0.5 * energy_with(k, gate, target, -math.pi / 2.0)
 
     grad = np.zeros(2 * p)
     for k in range(p):
         grad[k] = sum(shift_diff(k, sim.apply_rx, q) for q in range(spec.n))
-        grad[p + k] = sum(coef * shift_diff(k, sim.apply_rzk, idx) for idx, coef in spec.hamiltonian.terms.items())
+        grad[p + k] = sum(coef * shift_diff(k, rzk, idx) for idx, coef in spec.hamiltonian.terms.items())
     return grad
 
 
@@ -330,7 +334,7 @@ def test_adjoint_gradient_matches_shift_rule():
         spec = random_instance(rng, n, p)
         assert max(len(idx) for idx in spec.hamiltonian.terms) <= 4
         params = qaoa.QaoaParams(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
-        g = qaoa.parameter_shift_gradient(spec, params)
+        g = qaoa.energy_and_gradient(spec, params)[1]
         assert g.shape == (2 * p,)
         assert np.abs(g - verify.shift_rule_gradient(spec, params)).max() <= 1e-12
 
@@ -338,8 +342,7 @@ def test_adjoint_gradient_matches_shift_rule():
 def test_depth_mismatch_raises():
     spec = qaoa.build_circuit(single_z(), layers=1)
     params = qaoa.QaoaParams([0.1, 0.2], [0.3, 0.4])
-    for call in (qaoa.run, qaoa.energy, qaoa.parameter_shift_gradient, qaoa.energy_and_gradient,
-                 verify.fd_gradient, verify.shift_rule_gradient):
+    for call in (qaoa.run, qaoa.energy, qaoa.energy_and_gradient, verify.fd_gradient, verify.shift_rule_gradient):
         with pytest.raises(ValueError, match="layers"):
             call(spec, params)
 
@@ -389,7 +392,7 @@ def test_adjoint_gradient_memory_is_two_states_and_temporaries():
     params = qaoa.QaoaParams([0.4, -1.1], [0.9, 0.3])
     tracemalloc.start()
     try:
-        qaoa.parameter_shift_gradient(spec, params)
+        qaoa.energy_and_gradient(spec, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -500,6 +503,40 @@ def test_scan_memory_at_tiled_size_is_a_few_states():
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * (16 << n), peak
+
+
+@pytest.mark.parametrize("route", ["direct", "table"])
+def test_memory_table_at_16_qubits(route):
+    # README's memory table: traced peaks in states (16 * 2^n bytes) at n = 16, through
+    # the direct phase and the level table; the direct phase's energies and scan rows
+    # are the two tests above
+    n = 16
+    h = verify.random_spin_mixed(np.random.default_rng(57), n) if route == "direct" else ring_with_chords(n)
+    spec, spec1 = (qaoa.build_circuit(h, layers=p) for p in (2, 1))
+    assert (spec.level_table is not None) == (route == "table")
+    params = qaoa.QaoaParams([0.4, -1.1], [0.9, 0.3])
+    rows = {
+        "run": (2.75, lambda: qaoa.run(spec, params)),
+        "energy": (2.75, lambda: qaoa.energy(spec, params)),
+        "energies": (2.75, lambda: qaoa.energies(spec, np.random.default_rng(58).uniform(-3.0, 3.0, (3, 4)))),
+        "landscape_scan": (3.25, lambda: qaoa.landscape_scan(spec1, 3)),
+        "energy_and_gradient": (3.75, lambda: qaoa.energy_and_gradient(spec, params)),
+        "gd": (3.75, lambda: optimize(spec, OptimizerConfig(method="gd", max_iters=2, restarts=1, seed=0))),
+        "spsa": (2.75, lambda: optimize(spec, OptimizerConfig(max_iters=2, restarts=1, seed=0, a0=0.5))),
+    }
+    if route == "direct":
+        del rows["energies"], rows["landscape_scan"]
+    over = {}
+    for name, (bound, call) in rows.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1] / (16 << n)
+        finally:
+            tracemalloc.stop()
+        if peak > bound:
+            over[name] = peak
+    assert over == {}
 
 
 def test_landscape_csv_format():

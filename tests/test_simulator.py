@@ -156,7 +156,7 @@ def test_cnot_matches_permutation_index():
 def test_rzz_diagonal_phases():
     theta = 0.9
     psi = sim.init_plus(2)
-    sim.apply_rzz(psi, 0, 1, theta)
+    sim.apply_diagonal_phase(psi, parity_sign(2, (0, 1)), theta)
     em, ep = np.exp(-1j * theta / 2) / 2, np.exp(1j * theta / 2) / 2
     assert np.allclose(psi.amp, [em, ep, ep, em])
 
@@ -166,27 +166,12 @@ def test_rzk_parity_sign():
     n, theta = 4, 1.7
     psi = random_state(rng, n)
     before = psi.amp.copy()
-    sim.apply_rzk(psi, (0, 2, 3), theta)
+    sim.apply_diagonal_phase(psi, parity_sign(n, (0, 2, 3)), theta)
     mask = 0b1101
     for z in range(1 << n):
         parity = bin(z & mask).count("1") % 2
         phase = np.exp(-1j * (theta / 2) * (1 - 2 * parity))
         assert abs(psi.amp[z] - phase * before[z]) < 1e-12
-
-
-def test_rzk_view_matches_full_sign_phase():
-    # pins apply_rzk to apply_diagonal_phase of the full parity_sign at n = 12 and 14
-    rng = np.random.default_rng(34)
-    for n in (12, 14):
-        for qubits in ((3,), (n - 1,), (2, 9), (7, 8), (8, 9, 10), (0, 5, 9, n - 1), tuple(range(n - 8, n))):
-            theta = float(rng.uniform(-6, 6))
-            for rows in (None, 3):
-                amp = rng.normal(size=(rows or 1, 1 << n)) + 1j * rng.normal(size=(rows or 1, 1 << n))
-                a = sim.StateVector(n, amp[0].copy() if rows is None else amp.copy())
-                b = sim.StateVector(n, a.amp.copy())
-                sim.apply_rzk(a, qubits, theta)
-                sim.apply_diagonal_phase(b, parity_sign(n, qubits), theta)
-                assert np.array_equal(a.amp, b.amp), (n, qubits, rows)
 
 
 def test_rzk_ladder_matches_direct():
@@ -198,7 +183,7 @@ def test_rzk_ladder_matches_direct():
         theta = float(rng.uniform(-6, 6))
         a = random_state(rng, n)
         b = sim.StateVector(n, a.amp.copy())
-        sim.apply_rzk(a, qubits, theta)
+        sim.apply_diagonal_phase(a, parity_sign(n, qubits), theta)
         sim.apply_rzk_ladder(b, qubits, theta)
         assert np.abs(a.amp - b.amp).max() < 1e-12
 
@@ -207,12 +192,9 @@ def test_qubit_index_validation():
     psi = sim.init_plus(2)
     with pytest.raises(ValueError):
         sim.apply_rx(psi, 2, 0.1)
-    with pytest.raises(ValueError):
-        sim.apply_rzk(psi, (0, 0), 0.1)
-    with pytest.raises(ValueError):
-        sim.apply_rzk(psi, (), 0.1)
-    with pytest.raises(ValueError):
-        sim.apply_rzz(psi, 1, 1, 0.1)
+    for qubits in ((0, 0), (), (1, 1), (1, 0), (0, 2)):
+        with pytest.raises(ValueError):
+            sim.apply_rzk_ladder(psi, qubits, 0.1)
 
 
 def test_norm_preserved_random_circuit():
@@ -316,8 +298,8 @@ def test_block_kernels_match_single_states():
         lambda psi: sim.apply_rz(psi, 1, theta),
         lambda psi: sim.apply_cnot(psi, 3, 0),
         lambda psi: sim.apply_cnot(psi, 0, 2),
-        lambda psi: sim.apply_rzz(psi, 3, 1, theta),
-        lambda psi: sim.apply_rzk(psi, (0, 2, 3), theta),
+        lambda psi: sim.apply_diagonal_phase(psi, parity_sign(n, (3, 1)), theta),
+        lambda psi: sim.apply_diagonal_phase(psi, parity_sign(n, (0, 2, 3)), theta),
         lambda psi: sim.apply_rzk_ladder(psi, (0, 1, 3), theta),
         lambda psi: sim.apply_rzk_ladder(psi, (2,), theta),
         lambda psi: sim.apply_diagonal_phase(psi, energies, theta),
