@@ -1,7 +1,10 @@
 """Command-line front end: solve, scan, verify, and brute subcommands.
 
-Every flag can also be set through an environment variable with the
-QAOAFORGE_ prefix (for example QAOAFORGE_SEED=7); explicit flags win.
+Every option can also be set through QAOAFORGE_<FLAG>, <FLAG> being its
+long flag upper-cased with - as _ (QAOAFORGE_SEED=7, QAOAFORGE_NO_SCALE=1).
+build_parser checks each set variable against its option's type and choices,
+so a bad value exits 2 naming the variable before any file is read.
+Explicit flags win.
 
 Exit codes: 0 success, 1 failed verification property, 2 unreadable or
 malformed problem / bad arguments, 3 size cap exceeded, 4 optimizer abort.
@@ -23,26 +26,29 @@ from .model import bits_to_string, brute_force_solve, load_problem
 from .optimize import OptimizerConfig, optimize
 
 
-def _env_str(name: str, fallback: str) -> str:
-    return os.environ.get("QAOAFORGE_" + name, fallback)
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get("QAOAFORGE_" + name)
-    try:
-        return fallback if raw is None else int(raw)
-    except ValueError:
-        raise ValueError(f"QAOAFORGE_{name} must be an integer, got {raw!r}") from None
-
-
 _FLAG_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off", ""), False)
 
 
-def _env_flag(name: str) -> bool:
-    raw = _env_str(name, "")
-    if (word := raw.strip().lower()) not in _FLAG_WORDS:
-        raise ValueError(f"QAOAFORGE_{name} must be one of 1/true/yes/on or 0/false/no/off, got {raw!r}")
-    return _FLAG_WORDS[word]
+def _option(parser: argparse.ArgumentParser, *flags: str, **kwargs) -> None:
+    """add_argument, defaulting to QAOAFORGE_<FLAG> when that is set.
+
+    <FLAG> is the first long flag upper-cased with - as _.  The value is parsed
+    as the flag's: a switch through _FLAG_WORDS, else its type (or str), then its choices.
+    """
+    action = parser.add_argument(*flags, **kwargs)
+    name = "QAOAFORGE_" + next(f for f in flags if f.startswith("--"))[2:].upper().replace("-", "_")
+    if (raw := os.environ.get(name)) is None:
+        return
+    switch = action.const is True  # store_true
+    try:
+        value = _FLAG_WORDS[raw.strip().lower()] if switch else (action.type or str)(raw)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError
+    except (KeyError, ValueError):
+        wanted = ("1/true/yes/on or 0/false/no/off" if switch else "/".join(map(str, action.choices or ()))
+                  or f"parsable as {(action.type or str).__name__}")
+        raise ValueError(f"{name} must be {wanted}, got {raw!r}") from None
+    action.default = value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,39 +61,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="optimize a problem file and write run artifacts")
     solve.add_argument("problem_file")
-    solve.add_argument("--layers", "-p", type=int, default=_env_int("LAYERS", 1))
-    solve.add_argument(
-        "--optimizer", choices=("spsa", "gd"), default=_env_str("OPTIMIZER", "spsa")
-    )
-    solve.add_argument("--restarts", type=int, default=_env_int("RESTARTS", 10))
-    solve.add_argument("--seed", type=int, default=_env_int("SEED", 0))
-    solve.add_argument("--shots", type=int, default=_env_int("SHOTS", 0),
-                       help="0 = exact expectations")
-    solve.add_argument("--iters", type=int, default=_env_int("ITERS", 2000))
-    solve.add_argument("--out", default=_env_str("OUT", "qaoa_run"),
-                       help="output directory for manifest/run/histogram/trace files")
-    solve.add_argument("--no-scale", action="store_true", default=_env_flag("NO_SCALE"))
-    solve.add_argument(
-        "--squash", choices=("none", "tanh"), default=_env_str("SQUASH", "none")
-    )
+    _option(solve, "--layers", "-p", type=int, default=1)
+    _option(solve, "--optimizer", choices=("spsa", "gd"), default=OptimizerConfig.method)
+    _option(solve, "--restarts", type=int, default=OptimizerConfig.restarts)
+    _option(solve, "--seed", type=int, default=OptimizerConfig.seed)
+    _option(solve, "--shots", type=int, default=OptimizerConfig.shots, help="0 = exact expectations")
+    _option(solve, "--iters", type=int, default=OptimizerConfig.max_iters)
+    _option(solve, "--out", default="qaoa_run", help="output directory for manifest/run/histogram/trace files")
+    _option(solve, "--no-scale", action="store_true")
+    _option(solve, "--squash", choices=("none", "tanh"), default=OptimizerConfig.squash)
     solve.set_defaults(func=cmd_solve)
 
     scan = sub.add_parser("scan", help="write a p=1 energy landscape grid as CSV")
     scan.add_argument("problem_file")
-    scan.add_argument("--resolution", type=int, default=_env_int("RESOLUTION", 33))
-    scan.add_argument("--range", dest="range_spec", default=_env_str("RANGE", ""),
-                      help="LO:HI in radians applied to both axes (default -pi:pi)")
-    scan.add_argument("--no-scale", action="store_true", default=_env_flag("NO_SCALE"))
-    scan.add_argument("--out", default=_env_str("OUT", "landscape.csv"))
+    _option(scan, "--resolution", type=int, default=33)
+    _option(scan, "--range", dest="range_spec", default="", help="LO:HI in radians for both axes (default -pi:pi)")
+    _option(scan, "--no-scale", action="store_true")
+    _option(scan, "--out", default="landscape.csv")
     scan.set_defaults(func=cmd_scan)
 
     ver = sub.add_parser("verify", help="run a property-check suite")
-    ver.add_argument(
-        "--suite",
-        choices=tuple(sorted(verify.SUITES)) + ("all",),
-        default=_env_str("SUITE", "all"),
-    )
-    ver.add_argument("--seed", type=int, default=_env_int("SEED", 0))
+    _option(ver, "--suite", choices=tuple(sorted(verify.SUITES)) + ("all",), default="all")
+    _option(ver, "--seed", type=int, default=0)
     ver.set_defaults(func=cmd_verify)
 
     brute = sub.add_parser("brute", help="enumerate the exact optimum set")
@@ -195,19 +190,19 @@ def cmd_solve(args) -> int:
 def _parse_range(spec_text: str) -> tuple[float, float] | None:
     if not spec_text:
         return None
-    lo, sep, hi = spec_text.partition(":")
-    if not sep:
-        raise ValueError(f"range must look like LO:HI, got {spec_text!r}")
-    bounds = (float(lo), float(hi))
-    if not bounds[0] < bounds[1]:
+    try:
+        lo, hi = map(float, spec_text.split(":"))
+    except ValueError:
+        raise ValueError(f"--range (QAOAFORGE_RANGE) must look like LO:HI with numeric bounds, got {spec_text!r}") from None
+    if not lo < hi:
         raise ValueError(f"range lower bound must be below upper, got {spec_text!r}")
-    return bounds
+    return lo, hi
 
 
 def cmd_scan(args) -> int:
+    bounds = _parse_range(args.range_spec)
     problem = _load_circuit_problem(args.problem_file)
     spec = qaoa.build_circuit(to_spin(problem), layers=1, scaled=not args.no_scale)
-    bounds = _parse_range(args.range_spec)
     grid = qaoa.landscape_scan(
         spec, args.resolution, beta_range=bounds, gamma_range=bounds
     )

@@ -108,14 +108,17 @@ def check_rzz_diagonal(trials: int = 100, tol: float = 1e-12, seed: int = 0) -> 
 
 
 def check_rzz_swap(trials: int = 100, tol: float = 1e-12, seed: int = 0) -> CheckResult:
-    """The ZZ rotation is invariant under swapping its two qubits."""
+    """The ZZ rotation on a random pair (i, j) commutes with the SWAP of i and j."""
     rng = np.random.default_rng(seed)
-    worst, zz01, zz10 = 0.0, parity_sign(3, (0, 1)), parity_sign(3, (1, 0))
+    worst, z = 0.0, np.arange(8)
     for _ in range(trials):
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        u01 = dense.operator_of(lambda psi: sim.apply_diagonal_phase(psi, zz01, theta), 3)
-        u10 = dense.operator_of(lambda psi: sim.apply_diagonal_phase(psi, zz10, theta), 3)
-        worst = max(worst, float(np.abs(u01 - u10).max()))
+        i, j = (int(q) for q in rng.choice(3, size=2, replace=False))
+        zz = parity_sign(3, (i, j))
+        u = dense.operator_of(lambda psi: sim.apply_diagonal_phase(psi, zz, theta), 3)
+        d = (z >> i ^ z >> j) & 1
+        s = z ^ (d << i | d << j)  # basis index z with bits i and j exchanged
+        worst = max(worst, float(np.abs(u - u[np.ix_(s, s)]).max()))
     return _result("rzz_swap_invariance", worst, tol)
 
 

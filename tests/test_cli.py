@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -243,8 +244,11 @@ def test_scan_range_flag(c4_file, tmp_path, capsys):
                      "--range", "0:3.14159", "--out", str(out)]) == 0
     header = out.read_text().split("\n")[0]
     assert header.split(",")[1] == "0"
-    assert cli.main(["scan", str(c4_file), "--range", "oops", "--out", str(out)]) == 2
     out.unlink()
+    for spec in ("oops", "1:x"):
+        assert cli.main(["scan", str(tmp_path / "missing.json"), "--range", spec, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--range" in err and repr(spec) in err and "No such file" not in err
     assert cli.main(["scan", str(c4_file), "--range", "1:0", "--out", str(out)]) == 2
     assert "lower bound must be below upper" in capsys.readouterr().err
     assert not out.exists()
@@ -386,11 +390,43 @@ def test_env_flag_spellings(monkeypatch, value, no_scale):
 
 
 @pytest.mark.parametrize("name, value", [("NO_SCALE", "ture"), ("NO_SCALE", "2"), ("SEED", "1.5"),
-                                         ("RESOLUTION", "")])
-def test_malformed_env_value_exits_2_naming_its_variable(c4_file, tmp_path, monkeypatch, capsys, name, value):
-    # an unknown flag spelling used to read as false, and int()'s message named no variable
+                                         ("RESOLUTION", ""), ("SUITE", "bogus"), ("OPTIMIZER", "bogus"),
+                                         ("SQUASH", "bogus"), ("RANGE", "1:x")])
+def test_malformed_env_value_exits_2_naming_its_variable(tmp_path, monkeypatch, capsys, name, value):
+    # a misspelt switch, a non-integer, an unknown choice or a malformed range each fails
+    # by its variable's name, and before the problem file is read
     monkeypatch.setenv("QAOAFORGE_" + name, value)
-    assert cli.main(["scan", str(c4_file), "--resolution", "3", "--out", str(tmp_path / "grid.csv")]) == 2
+    assert cli.main(["scan", str(tmp_path / "missing.json"), "--resolution", "3",
+                     "--out", str(tmp_path / "grid.csv")]) == 2
     err = capsys.readouterr().err
-    assert f"QAOAFORGE_{name}" in err and repr(value) in err
+    assert f"QAOAFORGE_{name}" in err and repr(value) in err and "No such file" not in err
     assert not (tmp_path / "grid.csv").exists()
+
+
+def test_every_option_follows_its_variable(monkeypatch):
+    # QAOAFORGE_<FLAG> from the first long flag; an option added without cli._option fails here
+    for key in [k for k in os.environ if k.startswith("QAOAFORGE_")]:
+        monkeypatch.delenv(key)
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    names = set()
+    for command, subparser in sub.choices.items():
+        positionals = ["p.json"] * sum(not a.option_strings for a in subparser._actions)
+        for action in subparser._actions:
+            flag = next((f for f in action.option_strings if f.startswith("--")), "--help")
+            if flag == "--help":
+                continue
+            if action.const is True:
+                raw, want = "1", True
+            elif action.choices:
+                raw = want = next(c for c in action.choices if c != action.default)
+            elif action.type is int:
+                raw, want = str(action.default + 1), action.default + 1
+            else:
+                raw = want = action.default + "-env"
+            name = "QAOAFORGE_" + flag[2:].upper().replace("-", "_")
+            monkeypatch.setenv(name, raw)
+            assert getattr(cli.build_parser().parse_args([command, *positionals]), action.dest) == want, name
+            monkeypatch.delenv(name)
+            names.add(name[len("QAOAFORGE_"):])
+    assert names == {"LAYERS", "OPTIMIZER", "RESTARTS", "SEED", "SHOTS", "ITERS", "OUT", "NO_SCALE", "SQUASH",
+                     "RESOLUTION", "RANGE", "SUITE"}

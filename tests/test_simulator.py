@@ -6,7 +6,7 @@ import pytest
 
 from qaoaforge.errors import SizeCapError
 from qaoaforge.ising import parity_sign
-from qaoaforge import dense
+from qaoaforge import dense, verify
 from qaoaforge import simulator as sim
 
 
@@ -159,6 +159,20 @@ def test_rzz_diagonal_phases():
     sim.apply_diagonal_phase(psi, parity_sign(2, (0, 1)), theta)
     em, ep = np.exp(-1j * theta / 2) / 2, np.exp(1j * theta / 2) / 2
     assert np.allclose(psi.amp, [em, ep, ep, em])
+
+
+def test_swap_check_fails_on_a_kernel_that_is_not_swap_invariant(monkeypatch):
+    # an extra phase on qubit 0 alone keeps the operator diagonal but breaks swap invariance
+    kernel = sim.apply_diagonal_phase
+
+    def lopsided(psi, signs, theta):
+        kernel(psi, signs, theta)
+        kernel(psi, parity_sign(psi.n, (0,)), 0.8)
+
+    assert verify.check_rzz_swap().passed
+    monkeypatch.setattr(sim, "apply_diagonal_phase", lopsided)
+    r = verify.check_rzz_swap()
+    assert not r.passed and r.name == "rzz_swap_invariance", r.detail
 
 
 def test_rzk_parity_sign():
