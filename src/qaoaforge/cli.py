@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -27,6 +28,19 @@ from .optimize import OptimizerConfig, optimize
 
 
 _FLAG_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off", ""), False)
+
+
+def _at_least(floor: int):
+    """Option type: an integer no smaller than floor.
+
+    argparse and _option name the type by its __name__ when they refuse a value.
+    """
+    def parse(text: str) -> int:
+        if (value := int(text)) < floor:
+            raise ValueError
+        return value
+    parse.__name__ = f"integer >= {floor}"
+    return parse
 
 
 def _option(parser: argparse.ArgumentParser, *flags: str, **kwargs) -> None:
@@ -61,12 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="optimize a problem file and write run artifacts")
     solve.add_argument("problem_file")
-    _option(solve, "--layers", "-p", type=int, default=1)
+    _option(solve, "--layers", "-p", type=_at_least(1), default=1)
     _option(solve, "--optimizer", choices=("spsa", "gd"), default=OptimizerConfig.method)
-    _option(solve, "--restarts", type=int, default=OptimizerConfig.restarts)
-    _option(solve, "--seed", type=int, default=OptimizerConfig.seed)
-    _option(solve, "--shots", type=int, default=OptimizerConfig.shots, help="0 = exact expectations")
-    _option(solve, "--iters", type=int, default=OptimizerConfig.max_iters)
+    _option(solve, "--restarts", type=_at_least(1), default=OptimizerConfig.restarts)
+    _option(solve, "--seed", type=_at_least(0), default=OptimizerConfig.seed)
+    _option(solve, "--shots", type=_at_least(0), default=OptimizerConfig.shots, help="0 = exact expectations")
+    _option(solve, "--iters", type=_at_least(0), default=OptimizerConfig.max_iters)
     _option(solve, "--out", default="qaoa_run", help="output directory for manifest/run/histogram/trace files")
     _option(solve, "--no-scale", action="store_true")
     _option(solve, "--squash", choices=("none", "tanh"), default=OptimizerConfig.squash)
@@ -74,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="write a p=1 energy landscape grid as CSV")
     scan.add_argument("problem_file")
-    _option(scan, "--resolution", type=int, default=33)
+    _option(scan, "--resolution", type=_at_least(2), default=33)
     _option(scan, "--range", dest="range_spec", default="", help="LO:HI in radians for both axes (default -pi:pi)")
     _option(scan, "--no-scale", action="store_true")
     _option(scan, "--out", default="landscape.csv")
@@ -82,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a property-check suite")
     _option(ver, "--suite", choices=tuple(sorted(verify.SUITES)) + ("all",), default="all")
-    _option(ver, "--seed", type=int, default=0)
+    _option(ver, "--seed", type=_at_least(0), default=0)
     ver.set_defaults(func=cmd_verify)
 
     brute = sub.add_parser("brute", help="enumerate the exact optimum set")
@@ -192,10 +206,12 @@ def _parse_range(spec_text: str) -> tuple[float, float] | None:
         return None
     try:
         lo, hi = map(float, spec_text.split(":"))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError
     except ValueError:
-        raise ValueError(f"--range (QAOAFORGE_RANGE) must look like LO:HI with numeric bounds, got {spec_text!r}") from None
+        raise ValueError(f"--range (QAOAFORGE_RANGE) must look like LO:HI with finite bounds, got {spec_text!r}") from None
     if not lo < hi:
-        raise ValueError(f"range lower bound must be below upper, got {spec_text!r}")
+        raise ValueError(f"--range (QAOAFORGE_RANGE) lower bound must be below upper, got {spec_text!r}")
     return lo, hi
 
 

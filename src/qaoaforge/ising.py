@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SizeCapError
-from .model import PuboProblem, QuboProblem
+from .model import PuboProblem, QuboProblem, _canon
 
 # Largest n for a 2^n table: this diagonal and the statevector engine's
 # amplitudes (simulator.STATEVECTOR_CAP is this value).
@@ -59,11 +59,6 @@ class SpinHamiltonian:
 
     def all_even_degrees(self) -> bool:
         return all(len(k) % 2 == 0 for k in self.terms)
-
-
-def _canon(terms: dict) -> dict:
-    """Deterministic term order (by degree, then indices), exact zeros dropped."""
-    return {k: terms[k] for k in sorted(terms, key=lambda k: (len(k), k)) if terms[k] != 0.0}
 
 
 def qubo_to_spin(problem: QuboProblem) -> SpinHamiltonian:

@@ -95,13 +95,23 @@ class QuboProblem:
 class PuboProblem:
     """Multilinear binary minimization: sum of coef * prod(x_i for i in idx) + offset.
 
-    Term keys are strictly increasing index tuples; coefficients of permuted
-    or repeated-index inputs are merged at construction (x_i^2 = x_i).
+    Term keys are non-empty, strictly increasing index tuples inside [0, n),
+    and every coefficient and the offset are finite, as construction checks;
+    build_pubo merges permuted or repeated-index inputs (x_i^2 = x_i).
     """
 
     n: int
     terms: dict[tuple[int, ...], float]
     offset: float = 0.0
+
+    def __post_init__(self):
+        for idx, coef in self.terms.items():
+            if len(idx) == 0 or list(idx) != sorted(set(idx)) or not all(0 <= i < self.n for i in idx):
+                raise ValueError(f"term key must be non-empty, strictly increasing and inside [0, {self.n}): {idx}")
+            if not math.isfinite(coef):
+                raise ValueError("term coefficients must be finite")
+        if not math.isfinite(self.offset):
+            raise ValueError("offset must be finite")
 
     @property
     def degree(self) -> int:
@@ -137,6 +147,11 @@ def _whole(v, field: str, lo: int, hi=math.inf) -> int:
     raise ValueError(f"{field} must be a whole number in [{lo}, {hi}), got {v!r}")
 
 
+def _canon(terms: dict) -> dict:
+    """Deterministic term order (by degree, then indices), exact zeros dropped."""
+    return {k: terms[k] for k in sorted(terms, key=lambda k: (len(k), k)) if terms[k] != 0.0}
+
+
 def build_pubo(n: int, terms, offset: float = 0.0) -> PuboProblem:
     """Construct a PUBO from (index_tuple, coef) pairs or a mapping.
 
@@ -152,14 +167,11 @@ def build_pubo(n: int, terms, offset: float = 0.0) -> PuboProblem:
     for idx, coef in items:
         key = tuple(sorted(set(_whole(i, "term idx", 0, n) for i in idx)))
         coef = float(coef)
-        if not math.isfinite(coef):
-            raise ValueError("term coefficients must be finite")
         if not key:
             offset += coef
             continue
         merged[key] = merged.get(key, 0.0) + coef
-    canon = {k: merged[k] for k in sorted(merged, key=lambda k: (len(k), k)) if merged[k] != 0.0}
-    return PuboProblem(n=n, terms=canon, offset=offset)
+    return PuboProblem(n=n, terms=_canon(merged), offset=offset)
 
 
 def evaluate_qubo(problem: QuboProblem, x) -> float:

@@ -92,6 +92,8 @@ class OptimizerConfig:
             raise ValueError(f"squash must be 'none' or 'tanh', got {self.squash!r}")
         if self.max_iters < 0 or self.restarts < 1 or self.shots < 0:
             raise ValueError("max_iters >= 0, restarts >= 1, shots >= 0 required")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.a0 is not None and not (math.isfinite(self.a0) and self.a0 > 0):
             raise ValueError("a0 must be positive and finite")
         if self.method == "gd" and self.shots != 0:

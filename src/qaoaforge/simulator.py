@@ -1,18 +1,15 @@
 """Exact statevector engine.
 
 Little-endian convention throughout: qubit q is bit q of the basis index,
-so qubit 0 is the least-significant bit.  All gate kernels mutate the state
-in place through reshaped views of the amplitude array, and all of them
-also take a block of B states, a C-contiguous (B, 2^n) amplitude array,
-with one shared angle.  apply_rx, apply_mixer, apply_diagonal_phase and
-apply_level_phase also take one angle per row, and expectation_diagonal
-returns one value per row.  Each row gets exactly the arithmetic of a
-single state.
+so qubit 0 is the least-significant bit.  apply_mixer, apply_diagonal_phase
+and apply_level_phase mutate the state in place through reshaped views of
+the amplitude array, and take a block of B states, a C-contiguous (B, 2^n)
+amplitude array, with one shared angle or one per row; expectation_diagonal
+returns one value per row.  Each row gets exactly a single state's arithmetic.
 
-apply_mixer is the mixer of every evolution: apply_rx's in-place update
-on each qubit, tile by tile past TILE_QUBITS qubits.  apply_rx, apply_rz,
-apply_cnot and apply_rzk_ladder stay for verify's gate-level references; a
-lone Z-product rotation is apply_diagonal_phase of ising.parity_sign.
+apply_mixer is the mixer of every evolution: _rx's in-place update on
+each qubit, tile by tile past TILE_QUBITS qubits.  This module holds only
+the engine; the gate-level kernels of the reference circuit live in verify.
 """
 from __future__ import annotations
 
@@ -61,11 +58,6 @@ def init_plus(n: int, rows: int | None = None) -> StateVector:
     return StateVector(n, np.full(shape, 2.0 ** (-n / 2.0), dtype=np.complex128))
 
 
-def _check_qubit(psi: StateVector, q: int):
-    if not 0 <= q < psi.n:
-        raise ValueError(f"qubit index {q} out of range for n={psi.n}")
-
-
 def _bit_view(amp: np.ndarray, q: int) -> np.ndarray:
     """The amplitudes with bit q on an axis of its own.
 
@@ -107,20 +99,11 @@ def _rx(amp: np.ndarray, q: int, c, s) -> None:
     v += t
 
 
-def apply_rx(psi: StateVector, q: int, theta) -> None:
-    """cos(t/2) I - i sin(t/2) sigma_x on qubit q.
-
-    theta is a float, or an array of one angle per row of a (B, 2^n) block.
-    """
-    _check_qubit(psi, q)
-    _rx(psi.amp, q, *_rx_coefficients(theta))
-
-
 def apply_mixer(psi: StateVector, beta) -> None:
     """R_x(beta) on every qubit: the mixer U_i(beta) of one layer.
 
     beta is a float, or an array of one angle per row of a (B, 2^n) block.
-    The coefficients are formed once; each qubit gets apply_rx's update.
+    The coefficients are formed once; each qubit gets _rx's update.
     Past TILE_QUBITS qubits a state is swept in cache-sized tiles: rows of
     2^TILE_QUBITS amplitudes for the qubits below it, then transposed column
     tiles, whose last axis is the row index, for the rest.  Each amplitude
@@ -142,56 +125,6 @@ def apply_mixer(psi: StateVector, beta) -> None:
         for c0 in range(0, rows.shape[1], width):
             for j in range(psi.n - TILE_QUBITS):
                 _rx(rows[:, c0:c0 + width].T, j, cb, sb)
-
-
-def apply_rz(psi: StateVector, q: int, theta: float) -> None:
-    """Phase e^{-i t/2} where bit q is 0, e^{+i t/2} where it is 1."""
-    _check_qubit(psi, q)
-    v = _bit_view(psi.amp, q)
-    v[..., 0, :] *= np.exp(-0.5j * theta)
-    v[..., 1, :] *= np.exp(0.5j * theta)
-
-
-def apply_cnot(psi: StateVector, control: int, target: int) -> None:
-    """Flip the target bit on the half of the state where the control bit is 1."""
-    _check_qubit(psi, control)
-    _check_qubit(psi, target)
-    if control == target:
-        raise ValueError("control and target must differ")
-    lo, hi = sorted((control, target))
-    # z = block * 2^{hi+1} + b_hi * 2^hi + mid * 2^{lo+1} + b_lo * 2^lo + low
-    v = psi.amp.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    a, b = (v[:, 1, :, 0], v[:, 1, :, 1]) if control == hi else (v[:, 0, :, 1], v[:, 1, :, 1])
-    tmp = a.copy()
-    a[:] = b
-    b[:] = tmp
-
-
-def _check_tuple(psi: StateVector, qubits) -> tuple[int, ...]:
-    qs = tuple(int(q) for q in qubits)
-    if len(qs) < 1:
-        raise ValueError("need at least one qubit")
-    if list(qs) != sorted(set(qs)):
-        raise ValueError(f"qubit tuple must be strictly increasing: {qs}")
-    for q in qs:
-        _check_qubit(psi, q)
-    return qs
-
-
-def apply_rzk_ladder(psi: StateVector, qubits, theta: float) -> None:
-    """Z-product rotation e^{-i(t/2) Z...Z} on the given qubits, built from gates.
-
-    CNOTs gather the parity of the selected bits onto the highest one, an R_z
-    applies the phase there, and the ladder is undone in reverse: the phase
-    kernel on ising.parity_sign, to rounding.
-    """
-    qs = _check_tuple(psi, qubits)
-    last = qs[-1]
-    for q in qs[:-1]:
-        apply_cnot(psi, q, last)
-    apply_rz(psi, last, theta)
-    for q in reversed(qs[:-1]):
-        apply_cnot(psi, q, last)
 
 
 def _check_diagonal(psi: StateVector, energies: np.ndarray) -> None:

@@ -5,6 +5,8 @@ independent computation routes (bit-kernel vs dense matrix, expansion vs
 closed form, exhaustive enumeration vs spin diagonal), and reports a
 CheckResult.  The CLI verify command groups them into suites; the
 acceptance tests call them directly with pinned counts and tolerances.
+The gate-level kernels (R_x, R_z, CNOT, the CNOT ladder) live here, not in
+the engine: gate_decomposed_run is the reference the engine is checked against.
 """
 from __future__ import annotations
 
@@ -17,12 +19,13 @@ import numpy as np
 
 from . import dense, qaoa
 from . import simulator as sim
-from .ising import SpinHamiltonian, _canon, diagonalize, parity_sign, pubo_to_spin, qubo_to_spin
+from .ising import SpinHamiltonian, diagonalize, parity_sign, pubo_to_spin, qubo_to_spin
 from .model import (
     ConstraintKind,
     ConstraintSpec,
     PuboProblem,
     QuboProblem,
+    _canon,
     apply_penalty,
     brute_force_solve,
     build_maxcut,
@@ -94,6 +97,70 @@ def _random_spec(rng, nmax: int, pmax: int) -> qaoa.QaoaCircuitSpec:
 
 # ------------------------------------------------------------------- gates
 
+def _check_qubit(psi: sim.StateVector, q: int):
+    if not 0 <= q < psi.n:
+        raise ValueError(f"qubit index {q} out of range for n={psi.n}")
+
+
+def apply_rx(psi: sim.StateVector, q: int, theta) -> None:
+    """cos(t/2) I - i sin(t/2) sigma_x on qubit q.
+
+    theta is a float, or an array of one angle per row of a (B, 2^n) block.
+    """
+    _check_qubit(psi, q)
+    sim._rx(psi.amp, q, *sim._rx_coefficients(theta))
+
+
+def apply_rz(psi: sim.StateVector, q: int, theta: float) -> None:
+    """Phase e^{-i t/2} where bit q is 0, e^{+i t/2} where it is 1."""
+    _check_qubit(psi, q)
+    v = sim._bit_view(psi.amp, q)
+    v[..., 0, :] *= np.exp(-0.5j * theta)
+    v[..., 1, :] *= np.exp(0.5j * theta)
+
+
+def apply_cnot(psi: sim.StateVector, control: int, target: int) -> None:
+    """Flip the target bit on the half of the state where the control bit is 1."""
+    _check_qubit(psi, control)
+    _check_qubit(psi, target)
+    if control == target:
+        raise ValueError("control and target must differ")
+    lo, hi = sorted((control, target))
+    # z = block * 2^{hi+1} + b_hi * 2^hi + mid * 2^{lo+1} + b_lo * 2^lo + low
+    v = psi.amp.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    a, b = (v[:, 1, :, 0], v[:, 1, :, 1]) if control == hi else (v[:, 0, :, 1], v[:, 1, :, 1])
+    tmp = a.copy()
+    a[:] = b
+    b[:] = tmp
+
+
+def _check_tuple(psi: sim.StateVector, qubits) -> tuple[int, ...]:
+    qs = tuple(int(q) for q in qubits)
+    if len(qs) < 1:
+        raise ValueError("need at least one qubit")
+    if list(qs) != sorted(set(qs)):
+        raise ValueError(f"qubit tuple must be strictly increasing: {qs}")
+    for q in qs:
+        _check_qubit(psi, q)
+    return qs
+
+
+def apply_rzk_ladder(psi: sim.StateVector, qubits, theta: float) -> None:
+    """Z-product rotation e^{-i(t/2) Z...Z} on the given qubits, built from gates.
+
+    CNOTs gather the parity of the selected bits onto the highest one, an R_z
+    applies the phase there, and the ladder is undone in reverse: the phase
+    kernel on ising.parity_sign, to rounding.
+    """
+    qs = _check_tuple(psi, qubits)
+    last = qs[-1]
+    for q in qs[:-1]:
+        apply_cnot(psi, q, last)
+    apply_rz(psi, last, theta)
+    for q in reversed(qs[:-1]):
+        apply_cnot(psi, q, last)
+
+
 def check_rzz_diagonal(trials: int = 100, tol: float = 1e-12, seed: int = 0) -> CheckResult:
     """The phase kernel on the ZZ sign, as a matrix, vs the rotation's diagonal form."""
     rng = np.random.default_rng(seed)
@@ -131,9 +198,9 @@ def check_rzz_cnot_composite(trials: int = 20, tol: float = 1e-12, seed: int = 0
         i, j = rng.choice(3, size=2, replace=False)
 
         def composite(psi, i=int(i), j=int(j), theta=theta):
-            sim.apply_cnot(psi, i, j)
-            sim.apply_rz(psi, j, theta)
-            sim.apply_cnot(psi, i, j)
+            apply_cnot(psi, i, j)
+            apply_rz(psi, j, theta)
+            apply_cnot(psi, i, j)
 
         ua = dense.operator_of(composite, 3)
         zz = parity_sign(3, (int(i), int(j)))
@@ -155,7 +222,7 @@ def check_rzk_ladder_vs_dense(kmax: int = 5, trials: int = 20, tol: float = 1e-1
         for _ in range(trials):
             theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
             u_ladder = dense.operator_of(
-                lambda psi: sim.apply_rzk_ladder(psi, tuple(range(k)), theta), k
+                lambda psi: apply_rzk_ladder(psi, tuple(range(k)), theta), k
             )
             u_dense = dense.expm_hermitian(zk, theta / 2.0)
             worst = max(worst, float(np.abs(u_ladder - u_dense).max()))
@@ -165,7 +232,7 @@ def check_rzk_ladder_vs_dense(kmax: int = 5, trials: int = 20, tol: float = 1e-1
         k = int(rng.integers(2, kmax + 1))
         qs = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         theta = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        u_ladder = dense.operator_of(lambda psi: sim.apply_rzk_ladder(psi, qs, theta), n)
+        u_ladder = dense.operator_of(lambda psi: apply_rzk_ladder(psi, qs, theta), n)
         u_dense = dense.expm_hermitian(dense.z_product_matrix(qs, n), theta / 2.0)
         worst = max(worst, float(np.abs(u_ladder - u_dense).max()))
     return _result("rzk_ladder_vs_dense", worst, tol)
@@ -181,7 +248,7 @@ def check_single_qubit_gates(trials: int = 20, tol: float = 1e-12, seed: int = 0
         q = int(rng.integers(0, n))
         amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         amp /= np.linalg.norm(amp)
-        for kernel, mat in ((sim.apply_rx, dense.rx_matrix), (sim.apply_rz, dense.rz_matrix)):
+        for kernel, mat in ((apply_rx, dense.rx_matrix), (apply_rz, dense.rz_matrix)):
             psi = sim.StateVector(n, amp.copy())
             kernel(psi, q, theta)
             want = dense.embed_single(mat(theta), q, n) @ amp
@@ -203,7 +270,7 @@ def check_cnot_projector_form(tol: float = 1e-12) -> CheckResult:
                 dense.embed_single(p0, control, n)
                 + dense.embed_single(p1, control, n) @ dense.embed_single(dense.SIGMA_X, target, n)
             )
-            got = dense.operator_of(lambda psi: sim.apply_cnot(psi, control, target), n)
+            got = dense.operator_of(lambda psi: apply_cnot(psi, control, target), n)
             worst = max(worst, float(np.abs(got - want).max()))
     return _result("cnot_projector_form", worst, tol)
 
@@ -218,15 +285,15 @@ def check_gate_inverses(trials: int = 20, tol: float = 1e-12, seed: int = 0) -> 
         amp = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         amp /= np.linalg.norm(amp)
         psi = sim.StateVector(n, amp.copy())
-        sim.apply_rx(psi, 1, theta)
-        sim.apply_rx(psi, 1, -theta)
-        sim.apply_rz(psi, 2, theta)
-        sim.apply_rz(psi, 2, -theta)
+        apply_rx(psi, 1, theta)
+        apply_rx(psi, 1, -theta)
+        apply_rz(psi, 2, theta)
+        apply_rz(psi, 2, -theta)
         for sign in (parity_sign(n, (0, 3)), parity_sign(n, (0, 1, 3))):
             sim.apply_diagonal_phase(psi, sign, theta)
             sim.apply_diagonal_phase(psi, sign, -theta)
-        sim.apply_rzk_ladder(psi, (1, 2, 3), theta)
-        sim.apply_rzk_ladder(psi, (1, 2, 3), -theta)
+        apply_rzk_ladder(psi, (1, 2, 3), theta)
+        apply_rzk_ladder(psi, (1, 2, 3), -theta)
         worst = max(worst, float(np.abs(psi.amp - amp).max()), psi.norm_error())
     return _result("gate_inverses", worst, tol)
 
@@ -589,9 +656,9 @@ def gate_decomposed_run(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> 
     psi = sim.init_plus(spec.n)
     for beta, gamma in zip(params.beta, params.gamma):
         for idx, coef in spec.hamiltonian.terms.items():
-            sim.apply_rzk_ladder(psi, idx, float(gamma) * coef)
+            apply_rzk_ladder(psi, idx, float(gamma) * coef)
         for q in range(spec.n):
-            sim.apply_rx(psi, q, float(beta))
+            apply_rx(psi, q, float(beta))
     return psi
 
 
@@ -619,7 +686,7 @@ def check_tiled_mixer(n: int = 16, trials: int = 3, seed: int = 0) -> CheckResul
         b = sim.StateVector(n, a.amp.copy())
         sim.apply_mixer(a, beta)
         for q in range(n):
-            sim.apply_rx(b, q, beta)
+            apply_rx(b, q, beta)
         worst = max(worst, float(np.abs(a.amp - b.amp).max()))
     return _result("tiled_mixer_vs_rx_loop", worst, 0.0)
 
@@ -722,7 +789,7 @@ def shift_rule_gradient(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> 
             for amp, (target, angle) in zip(block.amp, chunk):
                 psi = sim.StateVector(n, amp)
                 if isinstance(target, int):
-                    sim.apply_rx(psi, target, angle)
+                    apply_rx(psi, target, angle)
                 else:  # a term's + run builds its sign, the - run right after reuses it
                     sign = parity_sign(n, target) if angle > 0.0 else sign
                     sim.apply_diagonal_phase(psi, sign, angle)
@@ -730,13 +797,13 @@ def shift_rule_gradient(spec: qaoa.QaoaCircuitSpec, params: qaoa.QaoaParams) -> 
                 if j > k:
                     sim.apply_diagonal_phase(block, spec.energies, gammas[j])
                 for q in range(n):
-                    sim.apply_rx(block, q, betas[j])
+                    apply_rx(block, q, betas[j])
             e.extend(sim.expectation_diagonal(block, spec.energies).tolist())
         diffs = [0.5 * up - 0.5 * dn for up, dn in zip(e[0::2], e[1::2])]
         grad[k] = sum(diffs[:n])
         grad[p + k] = sum(coef * d for coef, d in zip(spec.hamiltonian.terms.values(), diffs[n:]))
         for q in range(n):
-            sim.apply_rx(prefix, q, betas[k])
+            apply_rx(prefix, q, betas[k])
     return grad
 
 

@@ -403,6 +403,30 @@ def test_malformed_env_value_exits_2_naming_its_variable(tmp_path, monkeypatch, 
     assert not (tmp_path / "grid.csv").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--seed", "-1"), ("solve", "--seed", "-1"), ("solve", "--restarts", "0"),
+    ("solve", "--layers", "0"), ("solve", "--iters", "-1"), ("solve", "--shots", "-5"),
+    ("scan", "--resolution", "1"), ("scan", "--range", "-inf:inf"),
+])
+def test_option_ranges_are_checked_before_the_problem_file(tmp_path, monkeypatch, capsys, command, flag, value):
+    # a value below its option's floor exits 2 naming the flag, or the variable that set it
+    def exit_code(argv):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:  # argparse refuses a flag itself
+            return exc.code
+
+    problem = [] if command == "verify" else [str(tmp_path / "missing.json")]
+    assert exit_code([command, *problem, f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "No such file" not in err, err
+    name = "QAOAFORGE_" + flag[2:].upper()
+    monkeypatch.setenv(name, value)
+    assert exit_code([command, *problem]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "No such file" not in err, err
+
+
 def test_every_option_follows_its_variable(monkeypatch):
     # QAOAFORGE_<FLAG> from the first long flag; an option added without cli._option fails here
     for key in [k for k in os.environ if k.startswith("QAOAFORGE_")]:
@@ -419,7 +443,7 @@ def test_every_option_follows_its_variable(monkeypatch):
                 raw, want = "1", True
             elif action.choices:
                 raw = want = next(c for c in action.choices if c != action.default)
-            elif action.type is int:
+            elif isinstance(action.default, int):
                 raw, want = str(action.default + 1), action.default + 1
             else:
                 raw = want = action.default + "-env"

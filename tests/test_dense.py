@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qaoaforge import dense
+from qaoaforge import dense, verify
 from qaoaforge import simulator as sim
 from qaoaforge.errors import SizeCapError
 from qaoaforge.ising import diagonalize, parity_sign, qubo_to_spin
@@ -55,20 +55,20 @@ def test_operator_of_matches_column_by_column(n):
 
     def rx_then_rz(psi):
         # not a symmetric matrix, so a transposed operator would show
-        sim.apply_rx(psi, q, theta)
-        sim.apply_rz(psi, q, 0.5 * theta)
+        verify.apply_rx(psi, q, theta)
+        verify.apply_rz(psi, q, 0.5 * theta)
 
     kernels = [
         rx_then_rz,
-        lambda psi: sim.apply_rx(psi, q, theta),
-        lambda psi: sim.apply_rz(psi, q, theta),
+        lambda psi: verify.apply_rx(psi, q, theta),
+        lambda psi: verify.apply_rz(psi, q, theta),
         lambda psi: sim.apply_diagonal_phase(psi, parity_sign(n, qs), theta),
-        lambda psi: sim.apply_rzk_ladder(psi, qs, theta),
+        lambda psi: verify.apply_rzk_ladder(psi, qs, theta),
     ]
     if n >= 2:
         i, j = (int(x) for x in rng.choice(n, size=2, replace=False))
         kernels += [
-            lambda psi: sim.apply_cnot(psi, i, j),
+            lambda psi: verify.apply_cnot(psi, i, j),
             lambda psi: sim.apply_diagonal_phase(psi, parity_sign(n, (i, j)), theta),
         ]
     for kernel in kernels:

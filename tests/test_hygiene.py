@@ -111,6 +111,25 @@ def test_circuit_and_optimizer_use_only_public_kernels():
         assert names_read(source) & GATE_KERNELS == set(), name
 
 
+def module_functions(source: str) -> list[str]:
+    """Public module-level functions, classes and methods left out."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def test_simulator_holds_only_the_engine():
+    # every public simulator function serves the circuit, the optimizer or the dense oracles;
+    # the gate-level kernels of the reference circuit live in verify
+    demo = "def f(): pass\ndef _g(): pass\nclass C:\n    def h(self): pass\n"
+    assert module_functions(demo) == ["f"]
+    read = set()
+    for name in ("qaoa.py", "optimize.py", "dense.py"):
+        read |= names_read((ROOT / "src" / "qaoaforge" / name).read_text())
+    engine = module_functions(inspect.getsource(simulator))
+    assert engine and [n for n in engine if n not in read] == []
+    assert all(callable(getattr(verify, name, None)) for name in GATE_KERNELS)
+
+
 def test_readme_lists_every_cli_flag():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("### Subcommands and flags\n\n", 1)[1].split("\n\n", 1)[0]

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ def test_build_pubo_canonicalization():
     assert p.offset == 7.0
     assert list(p.terms) == sorted(p.terms, key=lambda k: (len(k), k))
     assert p.degree == 2
+
+
+@pytest.mark.parametrize("terms, offset, fragment", [
+    ({(): 1.0}, 0.0, "non-empty"), ({(1, 0): 1.0}, 0.0, "strictly increasing"),
+    ({(0, 0): 1.0}, 0.0, "strictly increasing"), ({(2,): 1.0}, 0.0, "inside [0, 2)"),
+    ({(5,): 1.0}, 0.0, "inside [0, 2)"), ({(-1,): 1.0}, 0.0, "inside [0, 2)"),
+    ({(0, 1): float("nan")}, 0.0, "coefficients must be finite"),
+    ({(0,): float("inf")}, 0.0, "coefficients must be finite"),
+    ({(0,): 1.0}, float("nan"), "offset must be finite"), ({(0,): 1.0}, -float("inf"), "offset must be finite"),
+])
+def test_pubo_problem_validates_itself(terms, offset, fragment):
+    # a bad key or a non-finite value is refused at construction, not by a later IndexError
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        PuboProblem(n=2, terms=terms, offset=offset)
+
+
+def test_build_pubo_refuses_non_finite_coefficients():
+    for items in ([((0,), float("nan"))], [((0, 1), float("inf"))], [((0,), 1e308), ((0,), 1e308)]):
+        with pytest.raises(ValueError, match="term coefficients must be finite"):
+            build_pubo(2, items)
 
 
 def test_pubo_evaluation():

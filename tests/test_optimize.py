@@ -79,6 +79,13 @@ def test_config_validation():
     OptimizerConfig(max_iters=0)  # zero iterations allowed
 
 
+def test_config_refuses_negative_seed():
+    # numpy would refuse it later without naming the field
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        OptimizerConfig(seed=-1)
+    OptimizerConfig(seed=0)
+
+
 def test_init_params_deterministic_and_in_box():
     spec = c4_spec(layers=3)
     domain = qaoa.restricted_domain(spec)

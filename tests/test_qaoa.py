@@ -82,7 +82,7 @@ def test_run_matches_manual_layering():
     for k in range(2):
         sim.apply_diagonal_phase(psi, spec.energies, float(params.gamma[k]))
         for q in range(3):
-            sim.apply_rx(psi, q, float(params.beta[k]))
+            verify.apply_rx(psi, q, float(params.beta[k]))
     got = qaoa.run(spec, params)
     assert np.abs(got.amp - psi.amp).max() < 1e-12
 
@@ -300,7 +300,7 @@ def shift_rule_rerun(spec, params):
             if j == k:
                 gate(psi, target, angle)
             for q in range(spec.n):
-                sim.apply_rx(psi, q, float(params.beta[j]))
+                verify.apply_rx(psi, q, float(params.beta[j]))
         return sim.expectation_diagonal(psi, spec.energies)
 
     def rzk(psi, idx, angle):
@@ -311,7 +311,7 @@ def shift_rule_rerun(spec, params):
 
     grad = np.zeros(2 * p)
     for k in range(p):
-        grad[k] = sum(shift_diff(k, sim.apply_rx, q) for q in range(spec.n))
+        grad[k] = sum(shift_diff(k, verify.apply_rx, q) for q in range(spec.n))
         grad[p + k] = sum(coef * shift_diff(k, rzk, idx) for idx, coef in spec.hamiltonian.terms.items())
     return grad
 

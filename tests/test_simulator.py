@@ -36,14 +36,14 @@ def test_statevector_cap():
 
 def test_rx_on_zero():
     psi = basis(1, 0)
-    sim.apply_rx(psi, 0, 0.8)
+    verify.apply_rx(psi, 0, 0.8)
     assert abs(psi.amp[0] - math.cos(0.4)) < 1e-15
     assert abs(psi.amp[1] - (-1j * math.sin(0.4))) < 1e-15
 
 
 def test_rx_acts_on_named_qubit():
     psi = basis(2, 0)
-    sim.apply_rx(psi, 1, math.pi)  # |00> -> -i|10>: flips bit 1, index 2
+    verify.apply_rx(psi, 1, math.pi)  # |00> -> -i|10>: flips bit 1, index 2
     assert abs(psi.amp[2] + 1j) < 1e-12
     assert abs(psi.amp[0]) < 1e-12
 
@@ -118,7 +118,7 @@ def test_tiled_mixer_at_17_qubits_keeps_one_tile_temporary():
 def test_rz_phases():
     theta = 1.3
     psi = sim.init_plus(1)
-    sim.apply_rz(psi, 0, theta)
+    verify.apply_rz(psi, 0, theta)
     assert abs(psi.amp[0] - np.exp(-1j * theta / 2) / math.sqrt(2)) < 1e-15
     assert abs(psi.amp[1] - np.exp(+1j * theta / 2) / math.sqrt(2)) < 1e-15
 
@@ -127,15 +127,15 @@ def test_cnot_truth_table():
     # control 0, target 1: basis order z = (bit1 bit0)
     for z_in, z_out in [(0, 0), (1, 3), (2, 2), (3, 1)]:
         psi = basis(2, z_in)
-        sim.apply_cnot(psi, 0, 1)
+        verify.apply_cnot(psi, 0, 1)
         assert abs(psi.amp[z_out] - 1.0) < 1e-15
     for z_in, z_out in [(0, 0), (1, 1), (2, 3), (3, 2)]:
         psi = basis(2, z_in)
-        sim.apply_cnot(psi, 1, 0)
+        verify.apply_cnot(psi, 1, 0)
         assert abs(psi.amp[z_out] - 1.0) < 1e-15
     psi = basis(2, 0)
     with pytest.raises(ValueError):
-        sim.apply_cnot(psi, 0, 0)
+        verify.apply_cnot(psi, 0, 0)
 
 
 def test_cnot_matches_permutation_index():
@@ -149,7 +149,7 @@ def test_cnot_matches_permutation_index():
                     continue
                 psi = random_state(rng, n)
                 want = psi.amp[z ^ (((z >> c) & 1) << t)]
-                sim.apply_cnot(psi, c, t)
+                verify.apply_cnot(psi, c, t)
                 assert np.array_equal(psi.amp, want)
 
 
@@ -198,17 +198,17 @@ def test_rzk_ladder_matches_direct():
         a = random_state(rng, n)
         b = sim.StateVector(n, a.amp.copy())
         sim.apply_diagonal_phase(a, parity_sign(n, qubits), theta)
-        sim.apply_rzk_ladder(b, qubits, theta)
+        verify.apply_rzk_ladder(b, qubits, theta)
         assert np.abs(a.amp - b.amp).max() < 1e-12
 
 
 def test_qubit_index_validation():
     psi = sim.init_plus(2)
     with pytest.raises(ValueError):
-        sim.apply_rx(psi, 2, 0.1)
+        verify.apply_rx(psi, 2, 0.1)
     for qubits in ((0, 0), (), (1, 1), (1, 0), (0, 2)):
         with pytest.raises(ValueError):
-            sim.apply_rzk_ladder(psi, qubits, 0.1)
+            verify.apply_rzk_ladder(psi, qubits, 0.1)
 
 
 def test_norm_preserved_random_circuit():
@@ -219,15 +219,15 @@ def test_norm_preserved_random_circuit():
         theta = float(rng.uniform(-6, 6))
         q = int(rng.integers(0, 5))
         if gate == 0:
-            sim.apply_rx(psi, q, theta)
+            verify.apply_rx(psi, q, theta)
         elif gate == 1:
-            sim.apply_rz(psi, q, theta)
+            verify.apply_rz(psi, q, theta)
         elif gate == 2:
             r = int((q + 1 + rng.integers(0, 4)) % 5)
-            sim.apply_cnot(psi, q, r)
+            verify.apply_cnot(psi, q, r)
         else:
             qs = tuple(sorted(rng.choice(5, size=3, replace=False)))
-            sim.apply_rzk_ladder(psi, qs, theta)
+            verify.apply_rzk_ladder(psi, qs, theta)
     assert psi.norm_error() < 1e-12
 
 
@@ -290,9 +290,9 @@ def test_block_kernels_match_single_states():
     block = sim.StateVector(n, np.stack([random_state(rng, n).amp for _ in thetas]))
     singles = [sim.StateVector(n, amp.copy()) for amp in block.amp]
     for q in range(n):
-        sim.apply_rx(block, q, thetas)
+        verify.apply_rx(block, q, thetas)
         for psi, theta in zip(singles, thetas):
-            sim.apply_rx(psi, q, float(theta))
+            verify.apply_rx(psi, q, float(theta))
     sim.apply_mixer(block, thetas)
     for psi, theta in zip(singles, thetas):
         sim.apply_mixer(psi, float(theta))
@@ -307,15 +307,15 @@ def test_block_kernels_match_single_states():
     # which dense.operator_of relies on
     theta = float(rng.uniform(-4.0, 4.0))
     shared = [
-        lambda psi: sim.apply_rx(psi, 2, theta),
+        lambda psi: verify.apply_rx(psi, 2, theta),
         lambda psi: sim.apply_mixer(psi, theta),
-        lambda psi: sim.apply_rz(psi, 1, theta),
-        lambda psi: sim.apply_cnot(psi, 3, 0),
-        lambda psi: sim.apply_cnot(psi, 0, 2),
+        lambda psi: verify.apply_rz(psi, 1, theta),
+        lambda psi: verify.apply_cnot(psi, 3, 0),
+        lambda psi: verify.apply_cnot(psi, 0, 2),
         lambda psi: sim.apply_diagonal_phase(psi, parity_sign(n, (3, 1)), theta),
         lambda psi: sim.apply_diagonal_phase(psi, parity_sign(n, (0, 2, 3)), theta),
-        lambda psi: sim.apply_rzk_ladder(psi, (0, 1, 3), theta),
-        lambda psi: sim.apply_rzk_ladder(psi, (2,), theta),
+        lambda psi: verify.apply_rzk_ladder(psi, (0, 1, 3), theta),
+        lambda psi: verify.apply_rzk_ladder(psi, (2,), theta),
         lambda psi: sim.apply_diagonal_phase(psi, energies, theta),
     ]
     for kernel in shared:
