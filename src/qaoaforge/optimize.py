@@ -2,10 +2,13 @@
 
 SPSA perturbs all parameters at once with a Bernoulli +/-1 vector and
 estimates the gradient from two energy evaluations; gradient descent takes
-the exact adjoint gradient.  Both run the same restart loop and differ only
-in the step: multiple restarts, each on its own deterministic PRNG stream
-derived from (seed, restart index), and optional tanh squashing that keeps
-angles inside the restricted search box.
+the exact adjoint gradient.  Both run one restart loop and differ only in
+the step: all restarts step together as the rows of one (restarts, 2p)
+array, each row on its own deterministic PRNG stream derived from (seed,
+restart index), with optional tanh squashing that keeps angles inside the
+restricted search box.  In exact mode SPSA evaluates every step's rows in
+one qaoa.energies batch: the start points as R rows, each calibration probe
+and each iteration's probe as 2R rows (E+ over E-), then the R new iterates.
 """
 from __future__ import annotations
 
@@ -46,13 +49,18 @@ def _box(domain: qaoa.DomainDescriptor, p: int):
     return (hi - lo) / 2.0, (hi + lo) / (hi - lo)
 
 
+def _squash(raw: np.ndarray, domain: qaoa.DomainDescriptor) -> np.ndarray:
+    """h (tanh x + m) on a raw vector, or on every row of an array of them."""
+    h, m = _box(domain, raw.shape[-1] // 2)
+    return h * (np.tanh(raw) + m)
+
+
 def squash_params(raw, domain: qaoa.DomainDescriptor) -> qaoa.QaoaParams:
     """Map 2p raw reals monotonically into the open restricted box."""
     raw = np.asarray(raw, dtype=float)
     if raw.size % 2 != 0 or raw.size == 0:
         raise ValueError("raw vector must have even positive length")
-    h, m = _box(domain, raw.size // 2)
-    return qaoa.QaoaParams.from_vector(h * (np.tanh(raw) + m))
+    return qaoa.QaoaParams.from_vector(_squash(raw, domain))
 
 
 def _unsquash(angles: np.ndarray, domain: qaoa.DomainDescriptor) -> np.ndarray:
@@ -63,8 +71,8 @@ def _unsquash(angles: np.ndarray, domain: qaoa.DomainDescriptor) -> np.ndarray:
 
 
 def _squash_jacobian(raw: np.ndarray, domain: qaoa.DomainDescriptor) -> np.ndarray:
-    """d(angle)/d(raw), elementwise."""
-    h, _ = _box(domain, raw.size // 2)
+    """d(angle)/d(raw), elementwise, on a raw vector or on every row of an array."""
+    h, _ = _box(domain, raw.shape[-1] // 2)
     return h * (1.0 - np.tanh(raw) ** 2)
 
 
@@ -141,8 +149,10 @@ class RunRecord:
 
     Per restart, the final iterate is the best energy seen during that
     restart (including its initial point), so restart_finals[r] is restart
-    r's final energy and best_energy == min(restart_finals); every restart
-    runs max_iters iterations, so len(traces[r]) == max_iters.  With shots these
+    r's final energy and best_energy == min(restart_finals).  Every restart
+    runs max_iters iterations, so traces is one read-only (restarts,
+    max_iters) float64 array, row r holding restart r's energy after each
+    iteration; to_dict() writes it as nested lists.  With shots these
     are shot estimates, and best_energy, the lowest, reads low; exact_energy is
     the exact expectation of final_params, equal to best_energy without shots.
     best_energy_unscaled and best_objective are best_energy in unscaled and
@@ -161,7 +171,7 @@ class RunRecord:
     final_params: dict
     best_restart: int
     restart_finals: list
-    traces: list
+    traces: np.ndarray
     initial_energies: list
     histogram: Histogram
     histogram_mode: str
@@ -171,6 +181,7 @@ class RunRecord:
 
     def to_dict(self) -> dict:
         d = asdict(self)
+        d["traces"] = self.traces.tolist()
         d["histogram"] = {str(z): v for z, v in self.histogram.items()}
         return d
 
@@ -209,83 +220,95 @@ def _decode(vec: np.ndarray, config: OptimizerConfig, domain) -> qaoa.QaoaParams
     return qaoa.QaoaParams.from_vector(vec)
 
 
-def _check_finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise OptimizerDivergence(f"non-finite {what} encountered; aborting")
-    return value
+def _check_finite(values: np.ndarray, restarts, what: str) -> np.ndarray:
+    """values, when every entry is finite; else OptimizerDivergence naming the first bad row's restart.
 
-
-def _spsa_slope(objective, vec: np.ndarray, c: float, rng):
-    """One SPSA probe: draw a Bernoulli +/-1 delta, return (E+ - E-)/2c and delta."""
-    delta = rng.integers(0, 2, size=vec.size) * 2.0 - 1.0
-    e_plus = _check_finite(objective(vec + c * delta), "energy")
-    e_minus = _check_finite(objective(vec - c * delta), "energy")
-    return (e_plus - e_minus) / (2.0 * c), delta
-
-
-def _calibrate_a0(objective, vec, rng, big_a: float) -> float:
-    """Pick a0 so the first step moves roughly 0.1 rad.
-
-    Probes the SPSA gradient magnitude a few times at the initial point with
-    the k=0 perturbation size; a0 = target_step * (A+1)^alpha / |g|.
+    restarts[i] is the restart that row i of values belongs to.
     """
-    mags = [abs(_spsa_slope(objective, vec, SPSA_C0, rng)[0]) for _ in range(5)]
-    gmag = max(float(np.mean(mags)), 1e-3)
-    return min(0.1 * (big_a + 1.0) ** SPSA_ALPHA / gmag, 50.0)
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if not finite.all():
+        raise OptimizerDivergence(f"restart {restarts[int(np.argmin(finite))]}: {what}; aborting")
+    return values
 
 
-def _restart(spec, config: OptimizerConfig, domain, r: int, big_a: float, initial_params):
-    """One restart on its own [seed, r] stream; SPSA and GD differ only in the step.
+def _restarts(spec, config: OptimizerConfig, domain, big_a: float, initial_params):
+    """Every restart in lockstep: row r of each (R, 2p) array is restart r, on its [seed, r] stream.
 
-    Gradient descent reads an iterate's energy and gradient from one
-    forward evolution, and the last iterate's energy alone: max_iters + 1
-    evolutions per restart.  Returns the trace, the initial energy, the best
-    energy seen, its vector and the SPSA gain a0 (None for gradient descent).
+    Each entry gets the float operations a lone restart would give it; exact
+    SPSA evaluates each step as one qaoa.energies batch (see the module
+    docstring).  With shots, row r draws its deltas and samples from its own
+    generator in a lone restart's order: start, five probes, then per
+    iteration delta, E+, E-, E.  Gradient descent reads each row's energy and
+    gradient from one qaoa.energy_and_gradient call and the last iterate's
+    energy from qaoa.energy: max_iters + 1 evolutions per restart.  Returns
+    the (R, max_iters) traces, the initial energies, each restart's best
+    energy and its vector, and the SPSA gains a0 as a list (None for GD).
     """
-    rng = np.random.default_rng([config.seed, r])
+    rows = np.arange(config.restarts)
+    both = np.tile(rows, 2)  # the restart of each row of an E+ over E- batch
+    rngs = [np.random.default_rng([config.seed, r]) for r in rows]
     spsa = config.method == "spsa"
 
-    def objective(vec: np.ndarray) -> float:
-        params = _decode(vec, config, domain)
+    def energies(vecs: np.ndarray, restarts: np.ndarray) -> np.ndarray:
+        """Checked SPSA energies of optimizer rows; row i belongs to restarts[i]."""
         if config.shots > 0:
-            return qaoa.shot_energy(spec, params, config.shots, rng)
-        return qaoa.energy(spec, params)
+            e = [qaoa.shot_energy(spec, _decode(v, config, domain), config.shots, rngs[r])
+                 for v, r in zip(vecs, restarts)]
+        else:
+            e = qaoa.energies(spec, _squash(vecs, domain) if config.squash == "tanh" else vecs)
+        return _check_finite(np.asarray(e, dtype=float), restarts, "non-finite energy encountered")
 
-    def point(vec: np.ndarray, k: int):
-        """Checked energy at iterate k, and the gradient there when GD steps from it (else None)."""
-        if spsa or k == config.max_iters:
-            return _check_finite(objective(vec), "energy"), None
-        e, g = qaoa.energy_and_gradient(spec, _decode(vec, config, domain))
-        return _check_finite(e, "energy"), g
+    def slopes(vecs: np.ndarray, c: float):
+        """One SPSA probe per row: Bernoulli +/-1 deltas, then (E+ - E-)/2c and the deltas."""
+        deltas = np.array([rng.integers(0, 2, size=vecs.shape[1]) * 2.0 - 1.0 for rng in rngs])
+        e = energies(np.concatenate((vecs + c * deltas, vecs - c * deltas)), both)
+        return (e[:rows.size] - e[rows.size:]) / (2.0 * c), deltas
 
-    vec = _start_vector(spec, domain, config, rng, initial_params)
-    e0, g = point(vec, 0)
+    def point(vecs: np.ndarray, k: int):
+        """Checked energies at iterate k, and the gradients there when GD steps from it (else None)."""
+        if spsa:
+            return energies(vecs, rows), None
+        params = [_decode(v, config, domain) for v in vecs]
+        if k == config.max_iters:
+            e, g = [qaoa.energy(spec, x) for x in params], None
+        else:
+            e, g = zip(*(qaoa.energy_and_gradient(spec, x) for x in params))
+            g = np.array(g)
+        return _check_finite(np.array(e, dtype=float), rows, "non-finite energy encountered"), g
+
+    vecs = np.array([_start_vector(spec, domain, config, rng, initial_params) for rng in rngs])
+    e0, g = point(vecs, 0)
     a0 = None
-    if spsa:
-        a0 = config.a0 if config.a0 is not None else _calibrate_a0(objective, vec, rng, big_a)
-    best_e, best_vec = e0, vec.copy()
-    trace: list[float] = []
+    if spsa and config.a0 is not None:
+        a0 = [config.a0] * rows.size
+    elif spsa:
+        # pick a0 so the first step moves roughly 0.1 rad: five probes of the gradient
+        # magnitude at the start with the k = 0 perturbation, a0 = 0.1 (A+1)^alpha / |g|
+        mags = np.column_stack([np.abs(slopes(vecs, SPSA_C0)[0]) for _ in range(5)])
+        gmag = np.maximum(mags.mean(axis=1), 1e-3)
+        a0 = np.minimum(0.1 * (big_a + 1.0) ** SPSA_ALPHA / gmag, 50.0).tolist()
+    gains = np.asarray(a0, dtype=float) if spsa else None
+    best_e, best_vecs = e0.copy(), vecs.copy()
+    traces = np.empty((rows.size, config.max_iters))
     for k in range(config.max_iters):
         if spsa:
-            step = a0 / (big_a + k + 1) ** SPSA_ALPHA
+            step = (gains / (big_a + k + 1) ** SPSA_ALPHA)[:, None]
             ck = SPSA_C0 / (k + 1) ** SPSA_GAMMA_DECAY
-            slope, delta = _spsa_slope(objective, vec, ck, rng)
+            slope, delta = slopes(vecs, ck)
             # 1/delta_i == delta_i for Bernoulli +/-1 perturbations
-            g = slope * delta
+            g = slope[:, None] * delta
         else:
             step = GD_LEARNING_RATE
-            if not np.isfinite(g).all():
-                raise OptimizerDivergence("non-finite gradient encountered; aborting")
+            _check_finite(g, rows, "non-finite gradient encountered")
             if config.squash == "tanh":
-                g = g * _squash_jacobian(vec, domain)
-        vec = vec - step * g
-        if not np.isfinite(vec).all():
-            raise OptimizerDivergence("parameter vector diverged; aborting")
-        e, g = point(vec, k + 1)
-        trace.append(e)
-        if e < best_e:
-            best_e, best_vec = e, vec.copy()
-    return trace, e0, best_e, best_vec, a0
+                g = g * _squash_jacobian(vecs, domain)
+        vecs = _check_finite(vecs - step * g, rows, "parameter vector diverged")
+        e, g = point(vecs, k + 1)
+        traces[:, k] = e
+        better = e < best_e
+        best_e[better], best_vecs[better] = e[better], vecs[better]
+    traces.setflags(write=False)
+    return traces, e0, best_e, best_vecs, a0
 
 
 def _largest(values: np.ndarray) -> np.ndarray:
@@ -328,9 +351,7 @@ def optimize(
     t_start = time.perf_counter()
     domain = qaoa.restricted_domain(spec)
     big_a = 0.1 * config.max_iters
-    traces, initials, finals, vectors, a0s = zip(*(
-        _restart(spec, config, domain, r, big_a, initial_params) for r in range(config.restarts)
-    ))
+    traces, initials, finals, vectors, a0s = _restarts(spec, config, domain, big_a, initial_params)
     best_r = int(np.argmin(finals))
     final_params = _decode(vectors[best_r], config, domain)
     best_e = float(finals[best_r])
@@ -341,7 +362,7 @@ def optimize(
     config_echo = asdict(config)
     if config.method == "spsa":
         config_echo["A_resolved"] = big_a
-        config_echo["a0_resolved"] = list(a0s)
+        config_echo["a0_resolved"] = a0s
     else:
         del config_echo["a0"]
     return RunRecord(
@@ -355,9 +376,9 @@ def optimize(
         best_cost=float(spec.objective(spec.energies[best_z])),
         final_params={"beta": final_params.beta.tolist(), "gamma": final_params.gamma.tolist()},
         best_restart=best_r,
-        restart_finals=[float(v) for v in finals],
-        traces=[[float(v) for v in t] for t in traces],
-        initial_energies=[float(v) for v in initials],
+        restart_finals=finals.tolist(),
+        traces=traces,
+        initial_energies=initials.tolist(),
         histogram=hist,
         histogram_mode=mode,
         config=config_echo,

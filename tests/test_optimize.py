@@ -12,8 +12,8 @@ import pytest
 from qaoaforge import qaoa
 from qaoaforge import simulator as sim
 from qaoaforge.errors import OptimizerDivergence
-from qaoaforge.ising import SpinHamiltonian, qubo_to_spin
-from qaoaforge.model import build_maxcut
+from qaoaforge.ising import SpinHamiltonian, qubo_to_spin, to_spin
+from qaoaforge.model import build_knapsack, build_maxcut
 from qaoaforge.optimize import (
     HISTOGRAM_MAX_ENTRIES,
     OptimizerConfig,
@@ -106,7 +106,8 @@ def test_zero_iterations_returns_initial_point():
     spec = c4_spec()
     config = OptimizerConfig(method="spsa", max_iters=0, restarts=1, seed=5)
     rec = optimize(spec, config)
-    assert rec.traces == [[]]
+    assert rec.traces.shape == (1, 0) and rec.traces.dtype == np.float64
+    assert rec.to_dict()["traces"] == [[]]
     assert rec.best_energy == rec.initial_energies[0]
     beta, gamma = box_draw(qaoa.restricted_domain(spec), 2, seed=5, restart=0)
     assert np.allclose(rec.final_params["beta"], beta)
@@ -120,9 +121,10 @@ def test_spsa_improves_and_keeps_invariants():
     assert rec.best_energy < min(rec.initial_energies)
     assert rec.best_energy == min(rec.restart_finals)
     assert rec.best_restart == int(np.argmin(rec.restart_finals))
+    assert rec.traces.shape == (3, 200) and not rec.traces.flags.writeable
     for r in range(3):
         assert len(rec.traces[r]) == config.max_iters  # every restart runs every iteration
-        seen = [rec.initial_energies[r]] + rec.traces[r]
+        seen = np.concatenate(([rec.initial_energies[r]], rec.traces[r]))
         assert abs(rec.restart_finals[r] - min(seen)) < 1e-15
     assert rec.method == "spsa"
     assert rec.config["A_resolved"] == 20.0
@@ -149,7 +151,7 @@ def test_gd_divergence_detected(monkeypatch):
     monkeypatch.setattr(optimize_module, "GD_LEARNING_RATE", math.inf)
     config = OptimizerConfig(method="gd", max_iters=5, restarts=1, seed=0)
     with np.errstate(invalid="ignore"):
-        with pytest.raises(OptimizerDivergence):
+        with pytest.raises(OptimizerDivergence, match="^restart 0: parameter vector diverged; aborting$"):
             optimize(spec, config)
 
 
@@ -201,6 +203,134 @@ def gd_reference(spec, config):
     return restarts, decode
 
 
+def spsa_reference(spec, config, initial_params=None):
+    """SPSA restarts one at a time, each point through qaoa.energy or qaoa.shot_energy.
+
+    Restart r draws from default_rng([seed, r]) in order: the start vector, five
+    calibration probes when a0 is None (delta, E+, E- each), then per iteration delta,
+    E+, E-, E.  Returns each restart's trace, initial energy, best energy, its vector
+    and a0.
+    """
+    domain = qaoa.restricted_domain(spec)
+    tanh = config.squash == "tanh"
+    decode = (lambda v: squash_params(v, domain)) if tanh else qaoa.QaoaParams.from_vector
+    big_a, p = 0.1 * config.max_iters, spec.layers
+    restarts = []
+    for r in range(config.restarts):
+        rng = np.random.default_rng([config.seed, r])
+
+        def objective(vec):
+            if config.shots:
+                return qaoa.shot_energy(spec, decode(vec), config.shots, rng)
+            return qaoa.energy(spec, decode(vec))
+
+        def slope(vec, c):
+            delta = rng.integers(0, 2, size=vec.size) * 2.0 - 1.0
+            e_plus = objective(vec + c * delta)
+            e_minus = objective(vec - c * delta)
+            return (e_plus - e_minus) / (2.0 * c), delta
+
+        if initial_params is None:
+            beta = rng.uniform(domain.beta_range[0], domain.beta_range[1], p)
+            gamma = rng.uniform(domain.gamma_range[0], domain.gamma_range[1], p)
+            vec = np.concatenate([beta, gamma])
+        else:
+            vec = initial_params.as_vector()
+        if tanh:
+            vec = optimize_module._unsquash(vec, domain)
+        e0 = objective(vec)
+        a0 = config.a0
+        if a0 is None:
+            mags = [abs(slope(vec, optimize_module.SPSA_C0)[0]) for _ in range(5)]
+            gmag = max(float(np.mean(mags)), 1e-3)
+            a0 = min(0.1 * (big_a + 1.0) ** optimize_module.SPSA_ALPHA / gmag, 50.0)
+        best, trace = (e0, vec), []
+        for k in range(config.max_iters):
+            step = a0 / (big_a + k + 1) ** optimize_module.SPSA_ALPHA
+            s, delta = slope(vec, optimize_module.SPSA_C0 / (k + 1) ** optimize_module.SPSA_GAMMA_DECAY)
+            vec = vec - step * (s * delta)
+            trace.append(objective(vec))
+            if trace[-1] < best[0]:
+                best = (trace[-1], vec)
+        restarts.append((trace, e0, *best, a0))
+    return restarts, decode
+
+
+def knapsack_spec(layers=2):
+    # odd-degree terms, so gamma keeps the full (-pi, pi) range
+    problem = build_knapsack((4, 4, 2), (3, 1, 2), 4, p1=1.0, p2=0.25)
+    return qaoa.build_circuit(to_spin(problem), layers=layers)
+
+
+@pytest.mark.parametrize("squash, a0, shots, warm", [
+    ("none", None, 0, False),
+    ("tanh", None, 0, False),
+    ("none", 0.3, 0, False),
+    ("tanh", 0.3, 200, False),
+    ("none", None, 200, False),
+    ("none", None, 0, True),
+    ("tanh", None, 200, True),
+])
+def test_spsa_record_equals_sequential_reference(squash, a0, shots, warm):
+    # lockstep restarts give the numbers of restarts run one at a time, bit for bit;
+    # the 8-vertex spec runs U_f through its level table
+    ring8 = build_maxcut(8, [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)])
+    start = qaoa.QaoaParams(beta=[0.3, 0.4], gamma=[0.5, 0.6]) if warm else None
+    for spec in (c4_spec(), knapsack_spec(), qaoa.build_circuit(qubo_to_spin(ring8), layers=2)):
+        config = OptimizerConfig(max_iters=12, restarts=3, seed=11, squash=squash, a0=a0, shots=shots)
+        rec = optimize(spec, config, initial_params=start)
+        restarts, decode = spsa_reference(spec, config, start)
+        traces, initials, finals, vectors, a0s = (list(x) for x in zip(*restarts))
+        assert rec.traces.shape == (3, 12) and np.array_equal(rec.traces, traces)
+        assert rec.initial_energies == initials
+        assert rec.restart_finals == finals
+        assert rec.config["a0_resolved"] == a0s
+        best = decode(vectors[int(np.argmin(finals))])
+        assert rec.final_params == {"beta": best.beta.tolist(), "gamma": best.gamma.tolist()}
+    assert not qaoa.restricted_domain(knapsack_spec()).fully_restricted
+    assert spec.level_table is not None
+
+
+def test_spsa_evaluates_each_step_as_one_batch(monkeypatch):
+    # exact SPSA: the R starts, five calibration probes of 2R rows (E+ over E-),
+    # then per iteration 2R probe rows and the R new iterates
+    real, sizes = qaoa.energies, []
+    monkeypatch.setattr(qaoa, "energies", lambda spec, angles: sizes.append(len(angles)) or real(spec, angles))
+    for restarts, iters in ((1, 0), (3, 4), (4, 2)):
+        for a0 in (None, 0.5):
+            sizes.clear()
+            optimize(c4_spec(), OptimizerConfig(max_iters=iters, restarts=restarts, seed=1, a0=a0))
+            calibration = [2 * restarts] * 5 if a0 is None else []
+            assert sizes == [restarts] + calibration + [2 * restarts, restarts] * iters
+    sizes.clear()
+    optimize(c4_spec(), OptimizerConfig(method="gd", max_iters=3, restarts=2, seed=1))
+    optimize(c4_spec(), OptimizerConfig(max_iters=3, restarts=2, seed=1, shots=50))
+    assert sizes == []
+
+
+@pytest.mark.parametrize("call, row, restart", [
+    (0, 1, 1),   # a start point
+    (1, 5, 2),   # E- of the first calibration probe, rows R..2R-1
+    (6, 0, 0),   # E+ of the first iteration's probe
+    (7, 2, 2),   # the first new iterates
+])
+def test_divergence_names_its_restart(monkeypatch, call, row, restart):
+    real, calls = qaoa.energies, []
+
+    def energies(spec, angles):
+        e = real(spec, angles)
+        if len(calls) == call:
+            e[row] = math.nan
+        calls.append(len(angles))
+        return e
+
+    monkeypatch.setattr(qaoa, "energies", energies)
+    message = f"^restart {restart}: non-finite energy encountered; aborting$"
+    with pytest.raises(OptimizerDivergence, match=message):
+        optimize(c4_spec(), OptimizerConfig(max_iters=3, restarts=3, seed=0))
+    assert len(calls) == call + 1
+
+
 @pytest.mark.parametrize("squash", ["none", "tanh"])
 def test_gd_record_equals_two_evolution_reference(squash):
     # one energy_and_gradient per iterate gives the very numbers of a separate energy()
@@ -211,7 +341,7 @@ def test_gd_record_equals_two_evolution_reference(squash):
         rec = optimize(spec, config)
         restarts, decode = gd_reference(spec, config)
         traces, initials, finals, vectors = (list(x) for x in zip(*restarts))
-        assert rec.traces == traces
+        assert rec.traces.shape == (3, 6) and np.array_equal(rec.traces, traces)
         assert rec.initial_energies == initials
         assert rec.restart_finals == finals
         best = decode(vectors[int(np.argmin(finals))])
