@@ -4,11 +4,10 @@ SPSA perturbs all parameters at once with a Bernoulli +/-1 vector and
 estimates the gradient from two energy evaluations; gradient descent takes
 the exact adjoint gradient.  Both run one restart loop and differ only in
 the step: all restarts step together as the rows of one (restarts, 2p)
-array, each row on its own deterministic PRNG stream derived from (seed,
-restart index), with optional tanh squashing that keeps angles inside the
-restricted search box.  In exact mode SPSA evaluates every step's rows in
-one qaoa.energies batch: the start points as R rows, each calibration probe
-and each iteration's probe as 2R rows (E+ over E-), then the R new iterates.
+array, each row on its own PRNG stream from (seed, restart index), with
+optional tanh squashing into the restricted search box.  Each step is one
+qaoa call on all its rows: energies (shot_energies with shots) for SPSA, and
+energy_and_gradient for every GD iterate but the last.
 """
 from __future__ import annotations
 
@@ -20,13 +19,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import OptimizerDivergence
+from .errors import OptimizerDivergence, SizeCapError
 from .ising import assignment_of_basis_index
 from .model import bits_to_string
 from . import qaoa
 from . import simulator as sim
 
 HISTOGRAM_MAX_ENTRIES = 4096
+
+# Largest run, 1 GiB of float64: per restart a traces row of max_iters, a few
+# copies of its 2p angles (16p) and its generator (about 1 KiB, 128 entries).
+RUN_ENTRIES_CAP = 1 << 27
 
 # SPSA gain schedule a_k = a0 / (A + k + 1)^alpha, c_k = c0 / (k + 1)^gamma_decay
 # with A = 0.1 max_iters; the exponents are Spall's standard choices.
@@ -64,8 +67,8 @@ def squash_params(raw, domain: qaoa.DomainDescriptor) -> qaoa.QaoaParams:
 
 
 def _unsquash(angles: np.ndarray, domain: qaoa.DomainDescriptor) -> np.ndarray:
-    """Raw vector whose squash reproduces the given angle vector."""
-    h, m = _box(domain, angles.size // 2)
+    """Raw vector whose squash reproduces the given angle vector, or the rows of an array of them."""
+    h, m = _box(domain, angles.shape[-1] // 2)
     lim = 1.0 - 1e-12
     return np.arctanh(np.clip(angles / h - m, -lim, lim))
 
@@ -98,10 +101,14 @@ class OptimizerConfig:
             raise ValueError(f"method must be 'spsa' or 'gd', got {self.method!r}")
         if self.squash not in ("none", "tanh"):
             raise ValueError(f"squash must be 'none' or 'tanh', got {self.squash!r}")
-        if self.max_iters < 0 or self.restarts < 1 or self.shots < 0:
-            raise ValueError("max_iters >= 0, restarts >= 1, shots >= 0 required")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for field, lo in (("max_iters", 0), ("restarts", 1), ("seed", 0), ("shots", 0)):
+            # refuse bools and what int() would truncate (2.5, "3")
+            v = getattr(self, field)
+            if type(v) is bool or not isinstance(v, (int, float, np.integer, np.floating)) or v % 1 != 0:
+                raise ValueError(f"{field} must be a whole number, got {v!r}")
+            if v < lo:
+                raise ValueError(f"{field} must be >= {lo}, got {v!r}")
+            setattr(self, field, int(v))
         if self.a0 is not None and not (math.isfinite(self.a0) and self.a0 > 0):
             raise ValueError("a0 must be positive and finite")
         if self.method == "gd" and self.shots != 0:
@@ -143,21 +150,19 @@ class Histogram(Mapping):
         return f"{type(self).__name__}({dict(self.items())!r})"
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     """Everything a solve produced, JSON-ready via to_dict().
 
-    Per restart, the final iterate is the best energy seen during that
-    restart (including its initial point), so restart_finals[r] is restart
-    r's final energy and best_energy == min(restart_finals).  Every restart
-    runs max_iters iterations, so traces is one read-only (restarts,
-    max_iters) float64 array, row r holding restart r's energy after each
-    iteration; to_dict() writes it as nested lists.  With shots these
-    are shot estimates, and best_energy, the lowest, reads low; exact_energy is
-    the exact expectation of final_params, equal to best_energy without shots.
-    best_energy_unscaled and best_objective are best_energy in unscaled and
-    original units.  wall_time_s is informational and excluded from
-    reproducibility comparisons.
+    restart_finals[r] is the best energy restart r saw, its start included,
+    and best_energy == min(restart_finals).  traces is one read-only
+    (restarts, max_iters) float64 array, row r holding restart r's energy
+    after each iteration (nested lists in to_dict()).  With shots these are
+    shot estimates, and best_energy, the lowest, reads low; exact_energy is
+    the exact expectation of final_params.  best_energy_unscaled and
+    best_objective are best_energy in unscaled and original units.  Records
+    compare by identity; comparable_dict() is their value, without the
+    informational wall_time_s.
     """
 
     method: str
@@ -192,39 +197,19 @@ class RunRecord:
         return d
 
 
-def _start_vector(spec, domain, config: OptimizerConfig, rng, initial_params) -> np.ndarray:
-    """Restart starting point: a uniform box draw, or the given warm start.
-
-    The draw takes all betas first, then all gammas.  In tanh mode the
-    optimizer works on raw values, so the starting angles are pulled back
-    through the inverse squash.
-    """
+def _start_vector(spec, domain, rng, initial_params) -> np.ndarray:
+    """Restart starting angles: a uniform box draw (betas, then gammas) or the warm start."""
     p = spec.layers
     if initial_params is None:
-        beta = rng.uniform(domain.beta_range[0], domain.beta_range[1], p)
-        gamma = rng.uniform(domain.gamma_range[0], domain.gamma_range[1], p)
-        angles = np.concatenate([beta, gamma])
-    else:
-        angles = initial_params.as_vector()
-        if angles.size != 2 * p:
-            raise ValueError(f"initial_params has {angles.size // 2} layers, circuit has {p}")
-    if config.squash == "tanh":
-        return _unsquash(angles, domain)
+        return np.concatenate([rng.uniform(*domain.beta_range, p), rng.uniform(*domain.gamma_range, p)])
+    angles = initial_params.as_vector()
+    if angles.size != 2 * p:
+        raise ValueError(f"initial_params has {angles.size // 2} layers, circuit has {p}")
     return angles
 
 
-def _decode(vec: np.ndarray, config: OptimizerConfig, domain) -> qaoa.QaoaParams:
-    """The circuit angles an optimizer vector stands for."""
-    if config.squash == "tanh":
-        return squash_params(vec, domain)
-    return qaoa.QaoaParams.from_vector(vec)
-
-
 def _check_finite(values: np.ndarray, restarts, what: str) -> np.ndarray:
-    """values, when every entry is finite; else OptimizerDivergence naming the first bad row's restart.
-
-    restarts[i] is the restart that row i of values belongs to.
-    """
+    """values if every entry is finite, else OptimizerDivergence naming restarts[i] for the first bad row i."""
     finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
     if not finite.all():
         raise OptimizerDivergence(f"restart {restarts[int(np.argmin(finite))]}: {what}; aborting")
@@ -234,54 +219,41 @@ def _check_finite(values: np.ndarray, restarts, what: str) -> np.ndarray:
 def _restarts(spec, config: OptimizerConfig, domain, big_a: float, initial_params):
     """Every restart in lockstep: row r of each (R, 2p) array is restart r, on its [seed, r] stream.
 
-    Each entry gets the float operations a lone restart would give it; exact
-    SPSA evaluates each step as one qaoa.energies batch (see the module
-    docstring).  With shots, row r draws its deltas and samples from its own
-    generator in a lone restart's order: start, five probes, then per
-    iteration delta, E+, E-, E.  Gradient descent reads each row's energy and
-    gradient from one qaoa.energy_and_gradient call and the last iterate's
-    energy from qaoa.energy: max_iters + 1 evolutions per restart.  Returns
-    the (R, max_iters) traces, the initial energies, each restart's best
-    energy and its vector, and the SPSA gains a0 as a list (None for GD).
+    Each entry gets a lone restart's float operations and, with shots, its
+    draws in a lone restart's order (start, five probes, then delta, E+, E-,
+    E per iteration).  Returns the (R, max_iters) traces, the initial
+    energies, each restart's best energy and vector, and SPSA's gains a0.
     """
     rows = np.arange(config.restarts)
     both = np.tile(rows, 2)  # the restart of each row of an E+ over E- batch
     rngs = [np.random.default_rng([config.seed, r]) for r in rows]
-    spsa = config.method == "spsa"
+    spsa, tanh = config.method == "spsa", config.squash == "tanh"
 
-    def energies(vecs: np.ndarray, restarts: np.ndarray) -> np.ndarray:
-        """Checked SPSA energies of optimizer rows; row i belongs to restarts[i]."""
-        if config.shots > 0:
-            e = [qaoa.shot_energy(spec, _decode(v, config, domain), config.shots, rngs[r])
-                 for v, r in zip(vecs, restarts)]
+    def evaluate(vecs: np.ndarray, restarts: np.ndarray, gradient: bool):
+        """Checked energies of rows (row i of restart restarts[i]) and, if asked, their gradients (else None)."""
+        angles = _squash(vecs, domain) if tanh else vecs
+        g = None
+        if gradient:
+            e, g = qaoa.energy_and_gradient(spec, angles)
+        elif config.shots > 0:
+            e = qaoa.shot_energies(spec, angles, config.shots, [rngs[r] for r in restarts])
         else:
-            e = qaoa.energies(spec, _squash(vecs, domain) if config.squash == "tanh" else vecs)
-        return _check_finite(np.asarray(e, dtype=float), restarts, "non-finite energy encountered")
+            e = qaoa.energies(spec, angles)
+        return _check_finite(e, restarts, "non-finite energy encountered"), g
 
     def slopes(vecs: np.ndarray, c: float):
         """One SPSA probe per row: Bernoulli +/-1 deltas, then (E+ - E-)/2c and the deltas."""
         deltas = np.array([rng.integers(0, 2, size=vecs.shape[1]) * 2.0 - 1.0 for rng in rngs])
-        e = energies(np.concatenate((vecs + c * deltas, vecs - c * deltas)), both)
+        e, _ = evaluate(np.concatenate((vecs + c * deltas, vecs - c * deltas)), both, False)
         return (e[:rows.size] - e[rows.size:]) / (2.0 * c), deltas
 
-    def point(vecs: np.ndarray, k: int):
-        """Checked energies at iterate k, and the gradients there when GD steps from it (else None)."""
-        if spsa:
-            return energies(vecs, rows), None
-        params = [_decode(v, config, domain) for v in vecs]
-        if k == config.max_iters:
-            e, g = [qaoa.energy(spec, x) for x in params], None
-        else:
-            e, g = zip(*(qaoa.energy_and_gradient(spec, x) for x in params))
-            g = np.array(g)
-        return _check_finite(np.array(e, dtype=float), rows, "non-finite energy encountered"), g
-
-    vecs = np.array([_start_vector(spec, domain, config, rng, initial_params) for rng in rngs])
-    e0, g = point(vecs, 0)
-    a0 = None
-    if spsa and config.a0 is not None:
-        a0 = [config.a0] * rows.size
-    elif spsa:
+    vecs = np.array([_start_vector(spec, domain, rng, initial_params) for rng in rngs])
+    if tanh:  # the optimizer works on raw values
+        vecs = _unsquash(vecs, domain)
+    # GD reads a gradient at every iterate it steps from, so not at the last
+    e0, g = evaluate(vecs, rows, not spsa and config.max_iters > 0)
+    a0 = [config.a0] * rows.size if spsa and config.a0 is not None else None
+    if spsa and a0 is None:
         # pick a0 so the first step moves roughly 0.1 rad: five probes of the gradient
         # magnitude at the start with the k = 0 perturbation, a0 = 0.1 (A+1)^alpha / |g|
         mags = np.column_stack([np.abs(slopes(vecs, SPSA_C0)[0]) for _ in range(5)])
@@ -300,10 +272,10 @@ def _restarts(spec, config: OptimizerConfig, domain, big_a: float, initial_param
         else:
             step = GD_LEARNING_RATE
             _check_finite(g, rows, "non-finite gradient encountered")
-            if config.squash == "tanh":
+            if tanh:
                 g = g * _squash_jacobian(vecs, domain)
         vecs = _check_finite(vecs - step * g, rows, "parameter vector diverged")
-        e, g = point(vecs, k + 1)
+        e, g = evaluate(vecs, rows, not spsa and k + 1 < config.max_iters)
         traces[:, k] = e
         better = e < best_e
         best_e[better], best_vecs[better] = e[better], vecs[better]
@@ -346,14 +318,19 @@ def optimize(
 
     Returns the best restart's best-seen iterate.  initial_params, when
     given, warm-starts every restart from those angles instead of a random
-    draw (restarts still perturb independently).
+    draw (restarts still perturb independently).  Raises SizeCapError,
+    before allocating anything, past RUN_ENTRIES_CAP.
     """
+    entries = config.restarts * (config.max_iters + 16 * spec.layers + 128)
+    if entries > RUN_ENTRIES_CAP:
+        raise SizeCapError(f"restarts x (max_iters + 16 layers + 128) must be <= {RUN_ENTRIES_CAP}, got {entries}")
     t_start = time.perf_counter()
     domain = qaoa.restricted_domain(spec)
     big_a = 0.1 * config.max_iters
     traces, initials, finals, vectors, a0s = _restarts(spec, config, domain, big_a, initial_params)
     best_r = int(np.argmin(finals))
-    final_params = _decode(vectors[best_r], config, domain)
+    best = vectors[best_r]
+    final_params = squash_params(best, domain) if config.squash == "tanh" else qaoa.QaoaParams.from_vector(best)
     best_e = float(finals[best_r])
     psi = qaoa.run(spec, final_params)
     hist, best_z, mode = _final_histogram(psi, config)

@@ -3,20 +3,17 @@
 Layer k = 1..p applies U_f(gamma_k) = e^{-i(gamma_k/2)H_f}, one phase multiply
 on the diagonal of H_f (verify.gate_decomposed_run is its gate-level reference),
 then the mixer U_i(beta_k) = prod_q R_x(beta_k), starting from |+>^n.  One layer
-loop evolves one state (run, energy, energy_and_gradient) or a block with one
-angle row each (energies); landscape_scan forms U_f(gamma)|+> once per gamma
-column and mixes its beta rows from copies.  energy_and_gradient, the one
-gradient entry point, reads the energy from the adjoint's own forward run,
-so gradient descent evolves once per iterate.
+loop evolves one state (run, energy) or a block of rows of a (B, 2p) angle
+array, through the one forward route of energies, shot_energies and
+energy_and_gradient (the one gradient entry point, whose energies are its
+own forward run's); landscape_scan forms U_f(gamma)|+> once per gamma
+column and mixes its beta rows from copies.
 
-Every U_f goes through one phase route.  When all coefficients are integers
-(an unweighted max-cut after scaling) and n >= LEVEL_TABLE_MIN_QUBITS, the
-spec carries a level table: the diagonal takes at most 2 span + 1 values,
-span = sum |coef|, so U_f takes cos and sin of those levels and gathers them
-by a one- or two-byte index per entry (up to 2^16 levels, and at most half
-as many as entries).  Otherwise the direct phase of all 2^n entries runs.
-Both give the same bits.  Energies are exact expectations of the scaled
-Hamiltonian; in original units, multiply by k_scale and add the constant.
+Every U_f goes through one phase route: cos and sin of the levels of the
+spec's level table (integer coefficients, see _level_table), gathered by
+index, or else the direct phase of all 2^n entries, with the same bits.
+Energies are exact expectations of the scaled Hamiltonian; in original
+units, multiply by k_scale and add the constant.
 """
 from __future__ import annotations
 
@@ -32,7 +29,7 @@ from . import simulator as sim
 # Largest landscape_scan resolution: a 4096^2 grid holds 128 MiB of values.
 SCAN_RESOLUTION_CAP = 4096
 
-# Amplitude bytes per block in energies(); from n = 12 up a block is one state.
+# Amplitude bytes per block of rows; from n = 12 up a block is one row.
 BLOCK_BYTES = 64 << 10
 
 # Fewest qubits for which build_circuit attaches a level table: below 8 the
@@ -192,13 +189,13 @@ def energy(spec: QaoaCircuitSpec, params: QaoaParams) -> float:
     return sim.expectation_diagonal(run(spec, params), spec.energies)
 
 
-def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
-    """energy() of every row of a (B, 2p) array of [beta..., gamma...] rows.
+def _forward(spec: QaoaCircuitSpec, angles, read, k: int = 1) -> np.ndarray:
+    """The one forward route over (B, 2p) angle rows; returns the energies read returns.
 
-    Rows evolve together, in blocks of as many states as fit in BLOCK_BYTES
-    (one state from n = 12 up).  Every value equals energy() of its row bit
-    for bit.  Raises ValueError, before evolving anything, when a
-    row does not hold 2p angles or an angle is not finite.
+    Checks the rows, then evolves them from |+> in blocks of as many rows as
+    fit k states each in BLOCK_BYTES, one block alive at a time.  read gets a
+    block's slice of the rows, their angles and their evolved (b, 2^n)
+    states, which it may overwrite; every row is bit for bit run()'s state.
     """
     angles = np.asarray(angles, dtype=float)
     p = spec.layers
@@ -206,47 +203,70 @@ def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
         raise ValueError(f"angle rows must hold 2p = {2 * p} entries for {p} layers, got shape {angles.shape}")
     if not np.isfinite(angles).all():
         raise ValueError("parameters must be finite")
-    rows = max(1, BLOCK_BYTES // (16 << spec.n))
+    size = max(1, BLOCK_BYTES // (k * 16 << spec.n))
     out = np.empty(len(angles))
-    for start in range(0, len(angles), rows):
-        block = angles[start:start + rows]
+    for start in range(0, len(angles), size):
+        rows = slice(start, start + size)
+        block = angles[rows]
         psi = _evolve(spec, sim.init_plus(spec.n, rows=len(block)), block[:, :p].T, block[:, p:].T)
-        out[start:start + len(block)] = sim.expectation_diagonal(psi, spec.energies)
+        out[rows] = read(rows, block, psi)
         del psi  # freed before the next block's |+> and phase
     return out
 
 
-def shot_energy(spec: QaoaCircuitSpec, params: QaoaParams, shots: int, seed) -> float:
-    """Monte-Carlo estimate of energy() from a finite sample."""
-    return float(sim.sample(run(spec, params), shots, seed) @ spec.energies / shots)
+def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
+    """energy() of every row of a (B, 2p) array of [beta..., gamma...] rows, bit for bit.
 
-
-def energy_and_gradient(spec: QaoaCircuitSpec, params: QaoaParams) -> tuple[float, np.ndarray]:
-    """energy() and its exact gradient w.r.t. [beta..., gamma...], from one forward run.
-
-    The adjoint method (Jones & Gacon 2020, arXiv:2009.02823): one run gives
-    phi, whose expectation is energy() bit for bit, and lam = E * phi.  For
-    layer k = p..1 it reads d/d(beta_k) = Im <lam| sum_q X_q |phi>, undoes
-    R_x(beta_k) on both states, reads d/d(gamma_k) = Im <lam| E |phi> and
-    undoes U_f(gamma_k).  About three runs of work on two states.
-    verify.shift_rule_gradient and verify.fd_gradient are its oracles.
+    Like shot_energies and energy_and_gradient, raises ValueError before
+    anything evolves when a row does not hold 2p angles or one is not finite.
     """
-    phi = run(spec, params)
-    e = sim.expectation_diagonal(phi, spec.energies)
-    lam = sim.StateVector(spec.n, spec.energies * phi.amp)
-    p = params.p
-    grad = np.zeros(2 * p)
-    for k in reversed(range(p)):
-        for q in range(spec.n):
-            lv, fv = lam.amp.reshape(-1, 2, 1 << q), phi.amp.reshape(-1, 2, 1 << q)
-            grad[k] += (np.vdot(lv[:, 0], fv[:, 1]) + np.vdot(lv[:, 1], fv[:, 0])).imag
-        for psi in (phi, lam):
-            sim.apply_mixer(psi, -float(params.beta[k]))
-        grad[p + k] = (np.conj(lam.amp) * phi.amp).imag @ spec.energies
-        if k > 0:
+    return _forward(spec, angles, lambda rows, block, psi: sim.expectation_diagonal(psi, spec.energies))
+
+
+def shot_energies(spec: QaoaCircuitSpec, angles, shots: int, rngs) -> np.ndarray:
+    """Monte-Carlo estimates of energies(): row i's counts @ energies / shots.
+
+    Row i's counts are sim.sample of run() at its angles from rngs[i] (a
+    Generator or a seed), drawn in row order.
+    """
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim == 2 and len(rngs) != len(angles):
+        raise ValueError(f"{len(rngs)} generators for {len(angles)} angle rows")
+    return _forward(spec, angles, lambda rows, block, psi: [
+        sim.sample(sim.StateVector(spec.n, amp), shots, rng) @ spec.energies / shots
+        for amp, rng in zip(psi.amp, rngs[rows])])
+
+
+def energy_and_gradient(spec: QaoaCircuitSpec, angles) -> tuple[np.ndarray, np.ndarray]:
+    """energies() of (B, 2p) angle rows and their exact (B, 2p) gradients.
+
+    The adjoint method (Jones & Gacon 2020, arXiv:2009.02823), two states per
+    row: the forward run gives phi and lam = E * phi.  For layer k = p..1 each
+    row reads d/d(beta_k) = Im <lam| sum_q X_q |phi> by one vdot per qubit,
+    both undo R_x(beta_k), each row reads d/d(gamma_k) = Im <lam| E |phi> by
+    one dot, and both undo U_f(gamma_k): about three runs of work.  Every row
+    equals a one-row call bit for bit; verify's gradients are its oracles.
+    """
+    p = spec.layers
+    grad = np.zeros(np.shape(angles))
+
+    def read(rows, block, phi):
+        e = sim.expectation_diagonal(phi, spec.energies)
+        lam = sim.StateVector(spec.n, spec.energies * phi.amp)
+        g = grad[rows]
+        for k in reversed(range(p)):
+            for j, (lr, fr) in enumerate(zip(lam.amp, phi.amp)):
+                for q in range(spec.n):
+                    lv, fv = lr.reshape(-1, 2, 1 << q), fr.reshape(-1, 2, 1 << q)
+                    g[j, k] += (np.vdot(lv[:, 0], fv[:, 1]) + np.vdot(lv[:, 1], fv[:, 0])).imag
             for psi in (phi, lam):
-                _apply_uf(spec, psi, -float(params.gamma[k]))
-    return e, grad
+                sim.apply_mixer(psi, -block[:, k])
+            g[:, p + k] = [row @ spec.energies for row in (np.conj(lam.amp) * phi.amp).imag]
+            if k > 0:
+                for psi in (phi, lam):
+                    _apply_uf(spec, psi, -block[:, p + k])
+        return e
+    return _forward(spec, angles, read, k=2), grad
 
 
 @dataclass

@@ -189,8 +189,8 @@ def sample(psi: StateVector, shots: int, seed) -> np.ndarray:
     numpy's default PCG64 generator, so counts are reproducible for a
     given package version.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if type(shots) is bool or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be >= 1 and an integer, got {shots!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     probs = psi.probabilities()
     return rng.multinomial(shots, probs / probs.sum())

@@ -859,7 +859,7 @@ def check_adjoint_gradient(
     for _ in range(instances):
         spec = _random_spec(rng, nmax, pmax)
         params = _random_params(rng, spec.layers)
-        g, g_fd = qaoa.energy_and_gradient(spec, params)[1], fd_gradient(spec, params)
+        g, g_fd = qaoa.energy_and_gradient(spec, params.as_vector()[None])[1][0], fd_gradient(spec, params)
         worst_sh = max(worst_sh, float(np.abs(g - shift_rule_gradient(spec, params)).max()))
         worst_fd = max(worst_fd, float(np.abs(g - g_fd).max()) / max(float(np.abs(g_fd).max()), 1e-8))
     detail = f"max deviation {worst_sh:.3e} (tolerance {atol:.1e}); vs fd {worst_fd:.3e} relative (tolerance {rtol:.1e})"

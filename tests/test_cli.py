@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -272,6 +273,18 @@ def test_scan_resolution_cap_exits_3(c4_file, tmp_path, monkeypatch):
     monkeypatch.setattr(qaoa, "energy", no_points)
     out = tmp_path / "grid.csv"
     assert cli.main(["scan", str(c4_file), "--resolution", "4097", "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--iters", "2000000000"), ("--layers", str(10 ** 12)), ("--restarts", str(10 ** 11)),
+])
+def test_oversized_run_exits_3(c4_file, tmp_path, monkeypatch, capsys, flag, value):
+    # refused against RUN_ENTRIES_CAP before the traces, angle rows or generators exist
+    monkeypatch.setattr(importlib.import_module("qaoaforge.optimize"), "_restarts", None)
+    out = tmp_path / "run"
+    assert cli.main(["solve", str(c4_file), flag, value, "--out", str(out)]) == 3
+    assert "must be <=" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,10 +1,12 @@
-"""Source hygiene: unused imports, uncalled helpers, private reads across modules, BLAS calls in the mixer, and README drift from the CLI, verify suites and module names."""
+"""Source hygiene: unused imports, uncalled helpers, private reads across modules, BLAS calls in the mixer, one forward route, Python 3.10 syntax, and README drift from the CLI, verify suites and module names."""
 import argparse
 import ast
 import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import qaoaforge
 from qaoaforge import cli, simulator, verify
@@ -216,3 +218,20 @@ def test_qaoa_applies_u_f_through_one_route():
     source = (ROOT / "src" / "qaoaforge" / "qaoa.py").read_text()
     kernels = {"apply_diagonal_phase", "apply_level_phase"}
     assert attribute_sites(source, kernels) == dict.fromkeys(kernels, ["_apply_uf"])
+
+
+def test_angle_rows_evolve_through_one_forward_route():
+    # energies, shot_energies and energy_and_gradient start their states in _forward;
+    # run (one state) and the scan's gamma columns are the only other starts
+    source = (ROOT / "src" / "qaoaforge" / "qaoa.py").read_text()
+    assert attribute_sites(source, {"init_plus"}) == {"init_plus": ["run", "_forward", "landscape_scan"]}
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject declares requires-python >= 3.10; this interpreter may be newer
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    assert len(paths) >= 20
+    for p in paths:
+        ast.parse(p.read_text(), filename=str(p), feature_version=(3, 10))

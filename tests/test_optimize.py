@@ -11,11 +11,12 @@ import pytest
 
 from qaoaforge import qaoa
 from qaoaforge import simulator as sim
-from qaoaforge.errors import OptimizerDivergence
+from qaoaforge.errors import OptimizerDivergence, SizeCapError
 from qaoaforge.ising import SpinHamiltonian, qubo_to_spin, to_spin
 from qaoaforge.model import build_knapsack, build_maxcut
 from qaoaforge.optimize import (
     HISTOGRAM_MAX_ENTRIES,
+    RUN_ENTRIES_CAP,
     OptimizerConfig,
     optimize,
     squash_params,
@@ -84,6 +85,43 @@ def test_config_refuses_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         OptimizerConfig(seed=-1)
     OptimizerConfig(seed=0)
+
+
+@pytest.mark.parametrize("field, lo", [("max_iters", 0), ("restarts", 1), ("seed", 0), ("shots", 0)])
+def test_config_counts_are_whole_numbers(field, lo):
+    # numpy would truncate 2.5 shots to 2 draws while the estimate divides by 2.5,
+    # or fail later without naming the field
+    for bad in (2.5, True, np.bool_(True), "3", math.nan, math.inf, None):
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number, got "):
+            OptimizerConfig(**{field: bad})
+    with pytest.raises(ValueError, match=f"^{field} must be >= {lo}, got {lo - 1}$"):
+        OptimizerConfig(**{field: lo - 1})
+    for whole in (lo + 3, float(lo + 3), np.int64(lo + 3), np.float32(lo + 3)):
+        value = getattr(OptimizerConfig(**{field: whole}), field)
+        assert value == lo + 3 and type(value) is int
+
+
+def test_oversized_runs_are_refused_before_anything_is_allocated(monkeypatch):
+    # traces, angle rows and generators grow with restarts x (max_iters + 16 p + 128)
+    monkeypatch.setattr(optimize_module, "_restarts", None)
+    for layers, config in ((1, OptimizerConfig(max_iters=2_000_000_000)),
+                           (10 ** 12, OptimizerConfig()),
+                           (1, OptimizerConfig(restarts=10 ** 11, method="gd")),
+                           (1, OptimizerConfig(max_iters=RUN_ENTRIES_CAP - 16 - 127, restarts=1))):
+        spec = c4_spec(layers=layers)
+        with pytest.raises(SizeCapError, match=f"must be <= {RUN_ENTRIES_CAP}, got "):
+            optimize(spec, config)
+    monkeypatch.undo()
+    assert optimize(c4_spec(layers=1), OptimizerConfig(max_iters=3, restarts=2)).traces.shape == (2, 3)
+
+
+def test_records_compare_by_identity():
+    # traces is an array, so a field-by-field == would raise numpy's ambiguous-truth ValueError
+    spec = c4_spec(layers=1)
+    config = OptimizerConfig(max_iters=4, restarts=2, seed=0)
+    rec, twin = optimize(spec, config), optimize(spec, config)
+    assert rec == rec and rec != twin and rec in [rec] and twin not in [rec]
+    assert rec.comparable_dict() == twin.comparable_dict()
 
 
 def test_init_params_deterministic_and_in_box():
@@ -156,21 +194,21 @@ def test_gd_divergence_detected(monkeypatch):
 
 
 @pytest.mark.parametrize("name, broken, fragment", [
-    ("energy", lambda spec, params: math.nan, "non-finite energy"),
-    ("grad", lambda spec, params: np.full(2 * params.p, math.inf), "non-finite gradient"),
+    ("energy", lambda values: values * math.nan, "non-finite energy"),
+    ("grad", lambda values: values + math.inf, "non-finite gradient"),
 ])
 def test_non_finite_energy_or_gradient_aborts(monkeypatch, name, broken, fragment):
-    # GD reads each iterate's pair from energy_and_gradient and the last iterate's energy
-    # from qaoa.energy, so the named half breaks wherever GD reads it
-    real, half = qaoa.energy_and_gradient, ("energy", "grad").index(name)
+    # GD reads each iterate's rows from energy_and_gradient and the last iterate's energies
+    # from qaoa.energies, so the named half breaks wherever GD reads it
+    real, real_energies, half = qaoa.energy_and_gradient, qaoa.energies, ("energy", "grad").index(name)
 
-    def energy_and_gradient(spec, params):
-        both = list(real(spec, params))
-        both[half] = broken(spec, params)
+    def energy_and_gradient(spec, angles):
+        both = list(real(spec, angles))
+        both[half] = broken(both[half])
         return tuple(both)
 
     if name == "energy":
-        monkeypatch.setattr(qaoa, "energy", broken)
+        monkeypatch.setattr(qaoa, "energies", lambda spec, angles: broken(real_energies(spec, angles)))
     monkeypatch.setattr(qaoa, "energy_and_gradient", energy_and_gradient)
     with pytest.raises(OptimizerDivergence, match=fragment):
         optimize(c4_spec(layers=1), OptimizerConfig(method="gd", max_iters=5, restarts=1, seed=0))
@@ -192,7 +230,7 @@ def gd_reference(spec, config):
         e0 = qaoa.energy(spec, decode(vec))
         best, trace = (e0, vec), []
         for _ in range(config.max_iters):
-            g = qaoa.energy_and_gradient(spec, decode(vec))[1]
+            g = qaoa.energy_and_gradient(spec, decode(vec).as_vector()[None])[1][0]
             if tanh:
                 g = g * optimize_module._squash_jacobian(vec, domain)
             vec = vec - optimize_module.GD_LEARNING_RATE * g
@@ -204,7 +242,7 @@ def gd_reference(spec, config):
 
 
 def spsa_reference(spec, config, initial_params=None):
-    """SPSA restarts one at a time, each point through qaoa.energy or qaoa.shot_energy.
+    """SPSA restarts one at a time, each point through qaoa.energy or sim.sample of qaoa.run.
 
     Restart r draws from default_rng([seed, r]) in order: the start vector, five
     calibration probes when a0 is None (delta, E+, E- each), then per iteration delta,
@@ -221,7 +259,7 @@ def spsa_reference(spec, config, initial_params=None):
 
         def objective(vec):
             if config.shots:
-                return qaoa.shot_energy(spec, decode(vec), config.shots, rng)
+                return sim.sample(qaoa.run(spec, decode(vec)), config.shots, rng) @ spec.energies / config.shots
             return qaoa.energy(spec, decode(vec))
 
         def slope(vec, c):
@@ -292,20 +330,28 @@ def test_spsa_record_equals_sequential_reference(squash, a0, shots, warm):
 
 
 def test_spsa_evaluates_each_step_as_one_batch(monkeypatch):
-    # exact SPSA: the R starts, five calibration probes of 2R rows (E+ over E-),
-    # then per iteration 2R probe rows and the R new iterates
-    real, sizes = qaoa.energies, []
-    monkeypatch.setattr(qaoa, "energies", lambda spec, angles: sizes.append(len(angles)) or real(spec, angles))
+    # SPSA: the R starts, five calibration probes of 2R rows (E+ over E-), then per
+    # iteration 2R probe rows and the R new iterates, through qaoa.energies or, with
+    # shots, qaoa.shot_energies; GD: energy_and_gradient at every iterate it steps
+    # from and qaoa.energies at the last.  The final histogram's run is the one other call.
+    calls = []
+    for name in ("energies", "shot_energies", "energy_and_gradient", "energy", "run"):
+        real = getattr(qaoa, name)
+        monkeypatch.setattr(qaoa, name, lambda spec, x, *a, name=name, real=real:
+                            calls.append((name, len(x) if name not in ("energy", "run") else 1)) or real(spec, x, *a))
     for restarts, iters in ((1, 0), (3, 4), (4, 2)):
-        for a0 in (None, 0.5):
-            sizes.clear()
-            optimize(c4_spec(), OptimizerConfig(max_iters=iters, restarts=restarts, seed=1, a0=a0))
-            calibration = [2 * restarts] * 5 if a0 is None else []
-            assert sizes == [restarts] + calibration + [2 * restarts, restarts] * iters
-    sizes.clear()
-    optimize(c4_spec(), OptimizerConfig(method="gd", max_iters=3, restarts=2, seed=1))
-    optimize(c4_spec(), OptimizerConfig(max_iters=3, restarts=2, seed=1, shots=50))
-    assert sizes == []
+        for shots, spsa in ((0, "energies"), (50, "shot_energies")):
+            for a0 in (None, 0.5):
+                calls.clear()
+                optimize(c4_spec(), OptimizerConfig(max_iters=iters, restarts=restarts, seed=1, a0=a0, shots=shots))
+                calibration = [(spsa, 2 * restarts)] * 5 if a0 is None else []
+                steps = [(spsa, 2 * restarts), (spsa, restarts)] * iters
+                assert calls == [(spsa, restarts)] + calibration + steps + [("run", 1)]
+        for squash in ("none", "tanh"):
+            calls.clear()
+            optimize(c4_spec(), OptimizerConfig(method="gd", max_iters=iters, restarts=restarts, seed=1, squash=squash))
+            steps = [("energy_and_gradient", restarts)] * iters
+            assert calls == steps + [("energies", restarts), ("run", 1)]
 
 
 @pytest.mark.parametrize("call, row, restart", [
@@ -350,9 +396,9 @@ def test_gd_record_equals_two_evolution_reference(squash):
 
 
 def test_gd_evolves_once_per_iterate(monkeypatch):
-    # per restart max_iters energy_and_gradient calls and the last energy, then the final histogram
+    # per restart max_iters energy_and_gradient rows and the last energies row, then the final histogram
     init_plus, calls = sim.init_plus, []
-    monkeypatch.setattr(sim, "init_plus", lambda *a, **k: calls.append(1) or init_plus(*a, **k))
+    monkeypatch.setattr(sim, "init_plus", lambda n, rows=None: calls.extend([1] * (rows or 1)) or init_plus(n, rows))
     for restarts, iters in ((1, 0), (2, 5), (3, 4)):
         calls.clear()
         optimize(c4_spec(), OptimizerConfig(method="gd", max_iters=iters, restarts=restarts, seed=2))

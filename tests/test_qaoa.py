@@ -176,9 +176,9 @@ def test_level_table_changes_no_number():
         params = qaoa.QaoaParams.from_vector(angles[0])
         assert np.array_equal(qaoa.run(table, params).amp, qaoa.run(direct, params).amp)
         assert np.array_equal(qaoa.energies(table, angles), qaoa.energies(direct, angles))
-        e_table, g_table = qaoa.energy_and_gradient(table, params)
-        e_direct, g_direct = qaoa.energy_and_gradient(direct, params)
-        assert e_table == e_direct and np.array_equal(g_table, g_direct)
+        e_table, g_table = qaoa.energy_and_gradient(table, angles)
+        e_direct, g_direct = qaoa.energy_and_gradient(direct, angles)
+        assert np.array_equal(e_table, e_direct) and np.array_equal(g_table, g_direct)
         if p == 1:
             assert np.array_equal(qaoa.landscape_scan(table, 9).values, qaoa.landscape_scan(direct, 9).values)
 
@@ -188,7 +188,7 @@ def test_energy_and_gradient_equals_energy_and_shift_rule():
     for n, p in ((3, 2), (8, 3), (11, 1)):
         for spec in (random_instance(rng, n, p), qaoa.build_circuit(ring_with_chords(n + n % 2), layers=p)):
             params = qaoa.QaoaParams.from_vector(rng.uniform(-3.0, 3.0, 2 * p))
-            e, g = qaoa.energy_and_gradient(spec, params)
+            (e,), (g,) = qaoa.energy_and_gradient(spec, params.as_vector()[None])
             assert e == qaoa.energy(spec, params)
             assert np.abs(g - verify.shift_rule_gradient(spec, params)).max() <= 1e-12
 
@@ -218,6 +218,53 @@ def test_energies_reject_non_finite_entries(monkeypatch):
     assert evolved == []
 
 
+def with_level_table(spec):
+    """spec with a level table built by hand, so n < LEVEL_TABLE_MIN_QUBITS runs the table route too."""
+    span = int(sum(abs(c) for c in spec.hamiltonian.terms.values()))
+    table = (np.arange(-span, span + 1, dtype=float), (spec.energies + span).astype(np.uint8))
+    return dataclasses.replace(spec, level_table=table)
+
+
+def test_block_routes_equal_one_row_calls(monkeypatch):
+    # B rows of energy_and_gradient and shot_energies equal one-row calls bit for bit: at n = 5
+    # a block holds many rows (and, with a small BLOCK_BYTES, ends cut short), at n = 12 one
+    rng = np.random.default_rng(60)
+    for n, p, block_bytes in ((5, 3, qaoa.BLOCK_BYTES), (5, 2, 3 * (32 << 5) + 8), (12, 2, qaoa.BLOCK_BYTES)):
+        monkeypatch.setattr(qaoa, "BLOCK_BYTES", block_bytes)
+        table = with_level_table(qaoa.build_circuit(ring_with_chords(n, rng.integers(-3, 4, 2 * n)),
+                                                    layers=p, scaled=False))
+        for spec in (table, dataclasses.replace(table, level_table=None)):
+            angles = rng.uniform(-3.0, 3.0, (7, 2 * p))
+            e, g = qaoa.energy_and_gradient(spec, angles)
+            assert e.shape == (7,) and g.shape == (7, 2 * p)
+            for i, row in enumerate(angles):
+                (e1,), (g1,) = qaoa.energy_and_gradient(spec, row[None])
+                assert e1 == e[i] and np.array_equal(g1, g[i])
+            assert np.array_equal(e, qaoa.energies(spec, angles))
+            shots = qaoa.shot_energies(spec, angles, 300, [np.random.default_rng([3, i]) for i in range(7)])
+            for i, row in enumerate(angles):
+                assert qaoa.shot_energies(spec, row[None], 300, [np.random.default_rng([3, i])]) == shots[i]
+                counts = sim.sample(qaoa.run(spec, qaoa.QaoaParams.from_vector(row)), 300, np.random.default_rng([3, i]))
+                assert counts @ spec.energies / 300 == shots[i]
+    assert spec.n == 12 and table.level_table is not None
+
+
+def test_block_routes_check_rows_before_evolving(monkeypatch):
+    spec = qaoa.build_circuit(single_z(), layers=2)
+    monkeypatch.setattr(qaoa, "_evolve", None)
+    for call in (lambda a: qaoa.energy_and_gradient(spec, a), lambda a: qaoa.shot_energies(spec, a, 10, [0] * 3)):
+        for bad in (np.zeros((3, 2)), np.zeros(4)):
+            with pytest.raises(ValueError, match="layers"):
+                call(bad)
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            call(np.full((3, 4), math.nan))
+    with pytest.raises(ValueError, match="2 generators for 3 angle rows"):
+        qaoa.shot_energies(spec, np.zeros((3, 4)), 10, [0, 1])
+    assert qaoa.shot_energies(spec, np.empty((0, 4)), 10, []).shape == (0,)
+    e, g = qaoa.energy_and_gradient(spec, np.empty((0, 4)))
+    assert e.shape == (0,) and g.shape == (0, 4)
+
+
 def test_term_signs():
     h = SpinHamiltonian(4, {(0,): 1.0, (1, 2): 2.0, (0, 1, 3): -0.5})
     signs = {idx: parity_sign(4, idx) for idx in h.terms}
@@ -236,7 +283,7 @@ def test_shot_energy_converges():
     spec = qaoa.build_circuit(h)
     params = qaoa.QaoaParams([0.8], [0.5])
     exact = qaoa.energy(spec, params)
-    est = qaoa.shot_energy(spec, params, 200000, 7)
+    (est,) = qaoa.shot_energies(spec, params.as_vector()[None], 200000, [7])
     assert abs(est - exact) < 0.02
 
 
@@ -251,7 +298,7 @@ def test_shot_energy_equals_count_loop():
         total = 0.0
         for z in np.nonzero(counts)[0]:
             total += counts[z] * spec.energies[z]
-        est = qaoa.shot_energy(spec, params, shots, seed)
+        (est,) = qaoa.shot_energies(spec, params.as_vector()[None], shots, [seed])
         # a sum of 2^n terms in any order stays within 2^n ulps of the largest
         assert abs(est - total / shots) <= (1 << spec.n) * np.finfo(float).eps * np.abs(spec.energies).max()
 
@@ -334,17 +381,19 @@ def test_adjoint_gradient_matches_shift_rule():
         spec = random_instance(rng, n, p)
         assert max(len(idx) for idx in spec.hamiltonian.terms) <= 4
         params = qaoa.QaoaParams(rng.uniform(-2, 2, p), rng.uniform(-2, 2, p))
-        g = qaoa.energy_and_gradient(spec, params)[1]
-        assert g.shape == (2 * p,)
+        g = qaoa.energy_and_gradient(spec, params.as_vector()[None])[1]
+        assert g.shape == (1, 2 * p)
         assert np.abs(g - verify.shift_rule_gradient(spec, params)).max() <= 1e-12
 
 
 def test_depth_mismatch_raises():
     spec = qaoa.build_circuit(single_z(), layers=1)
     params = qaoa.QaoaParams([0.1, 0.2], [0.3, 0.4])
-    for call in (qaoa.run, qaoa.energy, qaoa.energy_and_gradient, verify.fd_gradient, verify.shift_rule_gradient):
+    for call in (qaoa.run, qaoa.energy, verify.fd_gradient, verify.shift_rule_gradient):
         with pytest.raises(ValueError, match="layers"):
             call(spec, params)
+    with pytest.raises(ValueError, match="layers"):
+        qaoa.energy_and_gradient(spec, params.as_vector()[None])
 
 
 def test_shift_gradient_memory_is_a_few_states():
@@ -385,14 +434,14 @@ def test_energy_memory_is_a_few_states():
 
 
 def test_adjoint_gradient_memory_is_two_states_and_temporaries():
-    # phi and lam stay two single states, not a (2, 2^n) block
+    # phi and lam are two one-row blocks, not one (2, 2^n) block
     rng = np.random.default_rng(51)
     n = 14
     spec = qaoa.build_circuit(random_hamiltonian(rng, n), layers=2)
     params = qaoa.QaoaParams([0.4, -1.1], [0.9, 0.3])
     tracemalloc.start()
     try:
-        qaoa.energy_and_gradient(spec, params)
+        qaoa.energy_and_gradient(spec, params.as_vector()[None])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -520,7 +569,7 @@ def test_memory_table_at_16_qubits(route):
         "energy": (2.75, lambda: qaoa.energy(spec, params)),
         "energies": (2.75, lambda: qaoa.energies(spec, np.random.default_rng(58).uniform(-3.0, 3.0, (3, 4)))),
         "landscape_scan": (3.25, lambda: qaoa.landscape_scan(spec1, 3)),
-        "energy_and_gradient": (3.75, lambda: qaoa.energy_and_gradient(spec, params)),
+        "energy_and_gradient": (3.75, lambda: qaoa.energy_and_gradient(spec, params.as_vector()[None])),
         "gd": (3.75, lambda: optimize(spec, OptimizerConfig(method="gd", max_iters=2, restarts=1, seed=0))),
         "spsa": (2.75, lambda: optimize(spec, OptimizerConfig(max_iters=2, restarts=1, seed=0, a0=0.5))),
     }

@@ -359,6 +359,15 @@ def test_sample_deterministic_and_consistent():
         sim.sample(psi, 0, 123)
 
 
+def test_sample_refuses_fractional_shots():
+    # numpy would draw 2 shots for 2.5 while an estimate divides by 2.5
+    psi = random_state(np.random.default_rng(37), 2)
+    for bad in (2.5, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="shots must be >= 1 and an integer, got "):
+            sim.sample(psi, bad, 0)
+    assert sim.sample(psi, np.int64(3), 0).sum() == 3
+
+
 def test_sample_never_draws_zero_amplitude():
     psi = basis(3, 6)
     counts = sim.sample(psi, 1000, 0)
