@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SizeCapError
-from .model import PuboProblem, QuboProblem, _canon
+from .model import PuboProblem, QuboProblem, _canon, _check_terms
 
 # Largest n for a 2^n table: this diagonal and the statevector engine's
 # amplitudes (simulator.STATEVECTOR_CAP is this value).
@@ -47,15 +47,7 @@ class SpinHamiltonian:
     constant: float = 0.0
 
     def __post_init__(self):
-        for idx, coef in self.terms.items():
-            if len(idx) == 0 or list(idx) != sorted(set(idx)):
-                raise ValueError(f"term key must be strictly increasing and non-empty: {idx}")
-            if not all(0 <= i < self.n for i in idx):
-                raise ValueError(f"term index out of range for n={self.n}: {idx}")
-            if not math.isfinite(coef):
-                raise ValueError("term coefficients must be finite")
-        if not math.isfinite(self.constant):
-            raise ValueError("constant must be finite")
+        _check_terms(self.n, self.terms, self.constant, "constant")
 
     def all_even_degrees(self) -> bool:
         return all(len(k) % 2 == 0 for k in self.terms)

@@ -95,9 +95,8 @@ class QuboProblem:
 class PuboProblem:
     """Multilinear binary minimization: sum of coef * prod(x_i for i in idx) + offset.
 
-    Term keys are non-empty, strictly increasing index tuples inside [0, n),
-    and every coefficient and the offset are finite, as construction checks;
-    build_pubo merges permuted or repeated-index inputs (x_i^2 = x_i).
+    Construction checks the term table (_check_terms, as SpinHamiltonian);
+    build_pubo merges permuted or repeated indices (x_i^2 = x_i).
     """
 
     n: int
@@ -105,13 +104,7 @@ class PuboProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        for idx, coef in self.terms.items():
-            if len(idx) == 0 or list(idx) != sorted(set(idx)) or not all(0 <= i < self.n for i in idx):
-                raise ValueError(f"term key must be non-empty, strictly increasing and inside [0, {self.n}): {idx}")
-            if not math.isfinite(coef):
-                raise ValueError("term coefficients must be finite")
-        if not math.isfinite(self.offset):
-            raise ValueError("offset must be finite")
+        _check_terms(self.n, self.terms, self.offset, "offset")
 
     @property
     def degree(self) -> int:
@@ -140,11 +133,25 @@ def build_qubo(Q, c=None, offset: float = 0.0) -> QuboProblem:
     return QuboProblem(n=n, Q=Qs, c=np.zeros(n) if c is None else c, offset=float(offset))
 
 
-def _whole(v, field: str, lo: int, hi=math.inf) -> int:
-    """v as an int in [lo, hi), refusing what int() would truncate or convert (3.7, "1", true)."""
-    if isinstance(v, (int, float, np.integer, np.floating)) and type(v) is not bool and lo <= v < hi and int(v) == v:
-        return int(v)
-    raise ValueError(f"{field} must be a whole number in [{lo}, {hi}), got {v!r}")
+def whole_number(v, field: str, lo: int, hi=math.inf) -> int:
+    """v as an int in [lo, hi), refusing what int() would truncate or convert (3.7, "1", true, nan)."""
+    if not (isinstance(v, (int, float, np.integer, np.floating)) and type(v) is not bool
+            and -math.inf < v < math.inf and int(v) == v):
+        raise ValueError(f"{field} must be a whole number, got {v!r}")
+    if not lo <= v < hi:
+        raise ValueError(f"{field} must be >= {lo}, got {v!r}" if v < lo else f"{field} must be < {hi}, got {v!r}")
+    return int(v)
+
+
+def _check_terms(n: int, terms: dict, constant: float, name: str) -> None:
+    """The term-table rule: keys non-empty, strictly increasing and inside [0, n); coefficients and constant finite."""
+    for idx, coef in terms.items():
+        if not (idx and 0 <= idx[0] and idx[-1] < n and list(idx) == sorted(set(idx))):
+            raise ValueError(f"term key must be non-empty, strictly increasing and inside [0, {n}): {idx}")
+        if not math.isfinite(coef):
+            raise ValueError("term coefficients must be finite")
+    if not math.isfinite(constant):
+        raise ValueError(f"{name} must be finite")
 
 
 def _canon(terms: dict) -> dict:
@@ -160,12 +167,12 @@ def build_pubo(n: int, terms, offset: float = 0.0) -> PuboProblem:
     input order, and exact-zero merged coefficients are dropped.  An empty
     index tuple folds into the offset.
     """
-    n = _whole(n, "n", 0)
+    n = whole_number(n, "n", 0)
     items = terms.items() if isinstance(terms, Mapping) else terms
     merged: dict[tuple[int, ...], float] = {}
     offset = float(offset)
     for idx, coef in items:
-        key = tuple(sorted(set(_whole(i, "term idx", 0, n) for i in idx)))
+        key = tuple(sorted(set(whole_number(i, "term idx", 0, n) for i in idx)))
         coef = float(coef)
         if not key:
             offset += coef
@@ -439,7 +446,7 @@ def build_maxcut(vertices: int, edges) -> QuboProblem:
 
     The cost of an assignment is minus its cut size.
     """
-    vertices = _whole(vertices, "vertices", 1)
+    vertices = whole_number(vertices, "vertices", 1)
     try:
         pairs = [(i, j) for i, j in edges]
     except (TypeError, ValueError) as e:
@@ -447,7 +454,7 @@ def build_maxcut(vertices: int, edges) -> QuboProblem:
     Q = np.zeros((vertices, vertices))
     c = np.zeros(vertices)
     for pair in pairs:
-        i, j = (_whole(v, "edges endpoint", 0, vertices) for v in pair)
+        i, j = (whole_number(v, "edges endpoint", 0, vertices) for v in pair)
         if i == j:
             raise ValueError(f"self-loop ({i},{j}) not allowed")
         Q[i, j] += 1.0

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import OptimizerDivergence, SizeCapError
 from .ising import assignment_of_basis_index
-from .model import bits_to_string
+from .model import bits_to_string, whole_number
 from . import qaoa
 from . import simulator as sim
 
@@ -102,15 +102,10 @@ class OptimizerConfig:
         if self.squash not in ("none", "tanh"):
             raise ValueError(f"squash must be 'none' or 'tanh', got {self.squash!r}")
         for field, lo in (("max_iters", 0), ("restarts", 1), ("seed", 0), ("shots", 0)):
-            # refuse bools and what int() would truncate (2.5, "3")
-            v = getattr(self, field)
-            if type(v) is bool or not isinstance(v, (int, float, np.integer, np.floating)) or v % 1 != 0:
-                raise ValueError(f"{field} must be a whole number, got {v!r}")
-            if v < lo:
-                raise ValueError(f"{field} must be >= {lo}, got {v!r}")
-            setattr(self, field, int(v))
-        if self.a0 is not None and not (math.isfinite(self.a0) and self.a0 > 0):
-            raise ValueError("a0 must be positive and finite")
+            setattr(self, field, whole_number(getattr(self, field), field, lo))
+        if self.a0 is not None and (type(self.a0) is bool or not isinstance(self.a0, (int, float, np.integer, np.floating))
+                                    or not 0 < self.a0 < math.inf):
+            raise ValueError(f"a0 must be a positive finite number, got {self.a0!r}")
         if self.method == "gd" and self.shots != 0:
             raise ValueError("gradient descent requires exact expectations (shots=0)")
 

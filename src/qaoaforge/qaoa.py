@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import SizeCapError
 from .ising import SpinHamiltonian, diagonalize, scale, scaling_factor
+from .model import whole_number
 from . import simulator as sim
 
 # Largest landscape_scan resolution: a 4096^2 grid holds 128 MiB of values.
@@ -114,8 +115,7 @@ def build_circuit(
     """
     if not h_raw.terms:
         raise ValueError("Hamiltonian has no terms")
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
+    layers = whole_number(layers, "layers", 1)
     k = scaling_factor(h_raw) if scaled else 1.0
     h = scale(h_raw, k) if scaled else h_raw
     energies = diagonalize(h)
@@ -299,8 +299,7 @@ def landscape_scan(
     blocks; each row gets energies()'s kernels and arithmetic, so values equal energy() bit for bit."""
     if spec.layers != 1:
         raise ValueError("landscape scans are defined for single-layer circuits only")
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    resolution = whole_number(resolution, "resolution", 2)
     if resolution > SCAN_RESOLUTION_CAP:
         raise SizeCapError(f"scan resolution must be <= {SCAN_RESOLUTION_CAP}, got {resolution}")
     beta_range = (-math.pi, math.pi) if beta_range is None else beta_range
@@ -324,13 +323,13 @@ def landscape_scan(
 
 @dataclass(frozen=True)
 class DomainDescriptor:
-    """Parameter box the landscape symmetries justify searching.
+    """Parameter box for start draws and tanh squashing, proved at p = 1 only.
 
-    beta always folds to [0, pi].  gamma folds to [0, pi] too when every
-    term has even degree (the pi-periodicity in beta holds there); with any
-    odd-degree term gamma stays [-pi, pi].  The box volume shrinks by
-    2^(2p) in the fully restricted case and 2^p otherwise, relative to the
-    full [-pi, pi]^2p box.
+    beta folds to [0, pi], and gamma to [0, pi] too when every term has even
+    degree, else [-pi, pi].  At p = 1 the box holds a minimum of [-pi, pi]^2
+    (verify.check_restricted_box_holds_minimum); at p >= 2 it can exclude the
+    optimum (ROADMAP item 2), so reduction_exponent_per_layer is the box's
+    volume exponent per layer, not a proved reduction.
     """
 
     beta_range: tuple[float, float]

@@ -32,16 +32,20 @@ TILE_QUBITS = 15
 class StateVector:
     """n qubits as 2^n complex amplitudes, basis index little-endian.
 
-    amp is (2^n,) for one state or (B, 2^n) for a block of B states;
-    norm_error and sample read one state.
+    amp is (2^n,) for one state or (B, 2^n) for a block of B states, as
+    construction checks; sample reads one state.
     """
 
     n: int
     amp: np.ndarray
 
+    def __post_init__(self):
+        if self.amp.ndim not in (1, 2) or self.amp.shape[-1] != 1 << self.n:
+            raise ValueError(f"amplitudes for {self.n} qubits must be (2^n,) or (B, 2^n), got {self.amp.shape}")
+
     def norm_error(self) -> float:
-        """|sum of probabilities - 1|, should stay within 1e-12."""
-        return abs(float(np.sum(self.probabilities())) - 1.0)
+        """|sum of probabilities - 1|, of the worst row for a block; should stay within 1e-12."""
+        return float(np.max(np.abs(np.sum(self.probabilities(), axis=-1) - 1.0)))
 
     def probabilities(self) -> np.ndarray:
         return self.amp.real ** 2 + self.amp.imag ** 2
@@ -191,6 +195,8 @@ def sample(psi: StateVector, shots: int, seed) -> np.ndarray:
     """
     if type(shots) is bool or not isinstance(shots, (int, np.integer)) or shots < 1:
         raise ValueError(f"shots must be >= 1 and an integer, got {shots!r}")
+    if psi.amp.ndim != 1:
+        raise ValueError(f"sample reads one state, got a block of shape {psi.amp.shape}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     probs = psi.probabilities()
     return rng.multinomial(shots, probs / probs.sum())

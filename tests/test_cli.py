@@ -305,16 +305,16 @@ def test_brute_empty_graph_all_optimal(tmp_path, capsys):
 
 
 def test_fractional_or_negative_counts_exit_2(tmp_path, capsys):
-    for doc, field in (
-        ({"type": "maxcut", "vertices": 3.7, "edges": [[0, 1]]}, "vertices"),
-        ({"type": "pubo", "n": -1, "terms": []}, "n"),
+    for doc, message in (
+        ({"type": "maxcut", "vertices": 3.7, "edges": [[0, 1]]}, "vertices must be a whole number"),
+        ({"type": "pubo", "n": -1, "terms": []}, "n must be >= 0, got -1"),
     ):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))
         for args in (["brute", str(f)], ["solve", str(f), "--out", str(tmp_path / "run")]):
             assert cli.main(args) == 2
             err = capsys.readouterr().err
-            assert f"{field} must be a whole number" in err and "shift count" not in err
+            assert message in err and "shift count" not in err
     assert not (tmp_path / "run").exists()
 
 

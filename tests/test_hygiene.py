@@ -1,4 +1,4 @@
-"""Source hygiene: unused imports, uncalled helpers, private reads across modules, BLAS calls in the mixer, one forward route, Python 3.10 syntax, and README drift from the CLI, verify suites and module names."""
+"""Source hygiene: unused imports, uncalled helpers, unread constants, private reads across modules, BLAS calls in the mixer, one forward route, Python 3.10 syntax, and README drift from the CLI, verify suites and module names."""
 import argparse
 import ast
 import importlib
@@ -81,6 +81,37 @@ def test_no_uncalled_public_helpers():
         if (names := [n for n in public_definitions(p.read_text()) if n not in named])
     }
     assert uncalled == {}
+
+
+def module_constants(source: str) -> list[str]:
+    """UPPER_CASE names a module assigns at its top level."""
+    names = []
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        names += [t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()]
+    return names
+
+
+def values_read(source: str) -> set[str]:
+    """Names a module loads or looks up as attributes; assignments and imports do not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)}
+
+
+def test_no_unread_constants():
+    # dead helpers go, and so do dead constants: each is read in src or perfbench
+    demo = "A = 1\nB: int = A\nc = 2\nfrom m import D\ndef f():\n    E = 3\n    return m.F\n"
+    assert module_constants(demo) == ["A", "B"]
+    assert [n for n in module_constants(demo) if n not in values_read(demo)] == ["B"]
+    assert values_read(demo) == {"A", "F", "int", "m"}
+    sources = sorted((ROOT / "src" / "qaoaforge").glob("*.py"))
+    read = set()
+    for p in sources + sorted((ROOT / "perfbench").glob("*.py")):
+        read |= values_read(p.read_text())
+    constants = {p.name: module_constants(p.read_text()) for p in sources}
+    assert sum(map(len, constants.values())) >= 20
+    unread = {name: [c for c in names if c not in read] for name, names in constants.items()}
+    assert {name: names for name, names in unread.items() if names} == {}
 
 
 def private_reads(source: str) -> list[str]:

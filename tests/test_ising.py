@@ -35,7 +35,7 @@ def test_spin_hamiltonian_validation():
         SpinHamiltonian(2, {(0, 0): 1.0})
     with pytest.raises(ValueError):
         SpinHamiltonian(2, {(): 1.0})
-    with pytest.raises(ValueError, match="out of range for n=2"):
+    with pytest.raises(ValueError, match=r"inside \[0, 2\)"):
         SpinHamiltonian(2, {(0, 2): 1.0})
     with pytest.raises(ValueError, match="coefficients must be finite"):
         SpinHamiltonian(2, {(0,): np.inf})

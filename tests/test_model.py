@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from qaoaforge import model
 from qaoaforge.errors import ProblemFormatError, SizeCapError
-from qaoaforge.ising import assignment_of_basis_index, diagonalize, to_spin
+from qaoaforge.ising import SpinHamiltonian, assignment_of_basis_index, diagonalize, to_spin
 from qaoaforge.model import (
     ConstraintKind,
     ConstraintSpec,
@@ -24,6 +25,8 @@ from qaoaforge.model import (
     load_problem,
     problem_from_dict,
 )
+from qaoaforge.optimize import OptimizerConfig
+from qaoaforge.qaoa import build_circuit, landscape_scan
 
 
 def zero_qubo(n):
@@ -350,7 +353,7 @@ def test_load_problem_errors(tmp_path):
 ])
 def test_load_problem_refuses_fractional_or_negative_counts(doc, field):
     # int() would truncate 3.7 to 3 and 0.9 to 0, and turn "1" into 1
-    with pytest.raises(ProblemFormatError, match=rf"\b{field}\b.* must be a whole number"):
+    with pytest.raises(ProblemFormatError, match=rf"\b{field}\b.* must be (a whole number|>= 0, got -1)"):
         load_problem(doc)
 
 
@@ -367,6 +370,43 @@ def test_load_problem_refuses_fractional_or_negative_counts(doc, field):
 def test_load_problem_names_the_malformed_field(doc, field):
     with pytest.raises(ProblemFormatError, match=rf"\b{field}\b"):
         load_problem(doc)
+
+
+def _count_entry_points():
+    """field -> (call with the count, read the count back) for every entry point taking a count."""
+    h = SpinHamiltonian(2, {(0, 1): 1.0, (0,): 0.5})
+    entries = {
+        "layers": (lambda v: build_circuit(h, layers=v), lambda spec: spec.layers),
+        "resolution": (lambda v: landscape_scan(build_circuit(h), v), lambda grid: grid.values.shape[0]),
+        "n": (lambda v: build_pubo(v, []), lambda p: p.n),
+        "vertices": (lambda v: build_maxcut(v, []), lambda m: m.n),
+    }
+    for field in ("max_iters", "restarts", "seed", "shots"):
+        entries[field] = (lambda v, f=field: OptimizerConfig(**{f: v}), lambda c, f=field: getattr(c, f))
+    return entries
+
+
+COUNT_ENTRY_POINTS = _count_entry_points()
+
+
+@pytest.mark.parametrize("field", sorted(COUNT_ENTRY_POINTS))
+def test_every_count_follows_one_rule(field):
+    # model.whole_number states the rule once; each entry point names its own field
+    make, read = COUNT_ENTRY_POINTS[field]
+    for bad in (2.5, True, "3", float("nan")):
+        with pytest.raises(ValueError, match=f"^{field} must be a whole number, got "):
+            make(bad)
+    for whole in (3, 3.0, np.int64(3)):
+        value = read(make(whole))
+        assert value == 3 and type(value) is int
+
+
+def test_whole_number_bounds():
+    assert model.whole_number(2 ** 2000, "k", 0) == 2 ** 2000
+    for bad, message in ((math.inf, "k must be a whole number, got inf"), (-1, "k must be >= 0, got -1"),
+                         (4.0, "k must be < 4, got 4.0"), (np.bool_(True), "k must be a whole number")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model.whole_number(bad, "k", 0, 4)
 
 
 def test_whole_float_counts_still_load():

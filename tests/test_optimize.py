@@ -80,6 +80,15 @@ def test_config_validation():
     OptimizerConfig(max_iters=0)  # zero iterations allowed
 
 
+def test_config_a0_is_a_positive_real():
+    # True would run with gain 1 and echo `a0: true`; "0.5" would fail inside math.isfinite
+    for bad in (True, np.bool_(True), "0.5", [0.5], 0, -0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^a0 must be a positive finite number, got "):
+            OptimizerConfig(a0=bad)
+    for good in (None, 0.5, 2, np.float32(0.25), np.int64(1)):
+        assert OptimizerConfig(a0=good).a0 is good
+
+
 def test_config_refuses_negative_seed():
     # numpy would refuse it later without naming the field
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

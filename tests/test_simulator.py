@@ -368,6 +368,29 @@ def test_sample_refuses_fractional_shots():
     assert sim.sample(psi, np.int64(3), 0).sum() == 3
 
 
+def test_state_vector_is_the_shape_it_claims():
+    # 8 amplitudes called 2 qubits would have the mixer rotate qubits 0 and 1 only
+    for n, shape in ((2, (8,)), (3, (4,)), (2, (2, 8)), (2, (2, 2, 4)), (2, ())):
+        with pytest.raises(ValueError, match=rf"amplitudes for {n} qubits must be"):
+            sim.StateVector(n, np.zeros(shape, dtype=np.complex128))
+    assert sim.StateVector(2, np.zeros((3, 4), dtype=np.complex128)).amp.shape == (3, 4)
+
+
+def test_sample_reads_one_state():
+    # a block normalized as one distribution gives each row's last index half the shots
+    with pytest.raises(ValueError, match=r"sample reads one state, got a block of shape \(2, 4\)"):
+        sim.sample(sim.init_plus(2, rows=2), 1000, 0)
+
+
+def test_norm_error_reads_the_worst_row():
+    block = sim.init_plus(2, rows=3)
+    assert block.norm_error() < 1e-15
+    block.amp[1] *= 2.0
+    assert block.norm_error() == 3.0
+    psi = random_state(np.random.default_rng(5), 4)
+    assert psi.norm_error() == abs(float(np.sum(psi.probabilities())) - 1.0)
+
+
 def test_sample_never_draws_zero_amplitude():
     psi = basis(3, 6)
     counts = sim.sample(psi, 1000, 0)
