@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SizeCapError
-from .model import PuboProblem, QuboProblem, _canon, _check_terms
+from .model import PuboProblem, QuboProblem, _canon, _check_terms, _real
 
 # Largest n for a 2^n table: this diagonal and the statevector engine's
 # amplitudes (simulator.STATEVECTOR_CAP is this value).
@@ -134,11 +134,12 @@ def scale(h: SpinHamiltonian, k: float | None = None) -> SpinHamiltonian:
 
 def evaluate_spin(h: SpinHamiltonian, s) -> float:
     """H(s) for one spin vector with entries in {-1,+1}; constant excluded."""
-    sv = tuple(int(v) for v in s)
+    sv = tuple(s)
     if len(sv) != h.n:
         raise ValueError(f"spin vector has {len(sv)} entries, expected {h.n}")
-    if any(v not in (-1, 1) for v in sv):
-        raise ValueError("spin entries must be -1 or +1")
+    if not all(_real(v) and v in (-1, 1) for v in sv):
+        raise ValueError(f"spin entries must be -1 or +1, got {sv!r}")
+    sv = tuple(int(v) for v in sv)
     total = 0.0
     for idx, coef in h.terms.items():
         total += coef * math.prod(sv[i] for i in idx)

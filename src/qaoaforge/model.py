@@ -39,17 +39,15 @@ def as_bits(x, n: int) -> tuple[int, ...]:
     0/1 values ordered by variable index.
     """
     if isinstance(x, str):
-        try:
-            bits = tuple(int(ch) for ch in x)
-        except ValueError:
+        if not set(x) <= {"0", "1"}:
             raise ValueError(f"assignment string must contain only 0/1: {x!r}")
-    else:
-        bits = tuple(int(v) for v in x)
+        x = map(int, x)
+    bits = tuple(x)
     if len(bits) != n:
         raise ValueError(f"assignment has {len(bits)} bits, expected {n}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("assignment entries must be 0 or 1")
-    return bits
+    if not all(_real(b) and b in (0, 1) for b in bits):
+        raise ValueError(f"assignment entries must be 0 or 1, got {bits!r}")
+    return tuple(int(b) for b in bits)
 
 
 def bits_to_string(bits) -> str:
@@ -133,14 +131,25 @@ def build_qubo(Q, c=None, offset: float = 0.0) -> QuboProblem:
     return QuboProblem(n=n, Q=Qs, c=np.zeros(n) if c is None else c, offset=float(offset))
 
 
+def _real(v) -> bool:
+    """Whether v is a real number that is not a bool (int() and float() also read "1" and true)."""
+    return type(v) is not bool and isinstance(v, (int, float, np.integer, np.floating))
+
+
 def whole_number(v, field: str, lo: int, hi=math.inf) -> int:
     """v as an int in [lo, hi), refusing what int() would truncate or convert (3.7, "1", true, nan)."""
-    if not (isinstance(v, (int, float, np.integer, np.floating)) and type(v) is not bool
-            and -math.inf < v < math.inf and int(v) == v):
+    if not (_real(v) and -math.inf < v < math.inf and int(v) == v):
         raise ValueError(f"{field} must be a whole number, got {v!r}")
     if not lo <= v < hi:
         raise ValueError(f"{field} must be >= {lo}, got {v!r}" if v < lo else f"{field} must be < {hi}, got {v!r}")
     return int(v)
+
+
+def positive_number(v, field: str) -> float:
+    """v as a float in (0, inf), refusing what float() would convert (true, "1") and 0, nan, inf."""
+    if not (_real(v) and 0 < v < math.inf):
+        raise ValueError(f"{field} must be a positive finite number, got {v!r}")
+    return float(v)
 
 
 def _check_terms(n: int, terms: dict, constant: float, name: str) -> None:
@@ -214,7 +223,9 @@ class ConstraintSpec:
     """One constraint to be folded into the objective as a penalty.
 
     weights and bound apply only to the weighted kinds; p1 is the penalty
-    weight (all kinds), p2 the quadratic weight of the unbalanced kind.
+    weight (all kinds; default 1, or 0.96 for the unbalanced kind), p2 the
+    quadratic weight of the unbalanced kind.  Fields are checked when the
+    penalty is applied (whole_number, positive_number), not here.
     """
 
     kind: ConstraintKind
@@ -247,21 +258,22 @@ def _penalty_parts(spec: ConstraintSpec, n: int):
     to a coefficient on x_i; const is added to the offset.  slack_weights
     lists the binary expansion weights of any appended slack variables.
     """
-    idx = tuple(int(i) for i in spec.indices)
+    kind = spec.kind
+    idx = tuple(whole_number(i, "constraint index", 0, n) for i in spec.indices)
     if len(set(idx)) != len(idx):
         raise ValueError("constraint indices must be distinct")
-    for i in idx:
-        if not 0 <= i < n:
-            raise ValueError(f"constraint index {i} out of range for n={n}")
-    p1 = 1.0 if spec.p1 is None else float(spec.p1)
-    if p1 <= 0:
-        raise ValueError("penalty weight p1 must be positive")
+    weighted = kind in (ConstraintKind.SLACK_INEQUALITY, ConstraintKind.UNBALANCED_INEQUALITY)
+    if weighted and (spec.bound is None or spec.weights is None):
+        raise ValueError(f"{kind.value} requires weights and a bound")
+    if weighted and len(spec.weights) != len(idx):
+        raise ValueError("weights must match indices")
+    default_p1 = DEFAULT_UNBALANCED_P1 if kind is ConstraintKind.UNBALANCED_INEQUALITY else 1.0
+    p1 = default_p1 if spec.p1 is None else positive_number(spec.p1, "p1")
 
     qadd: dict[tuple[int, int], float] = {}
     ladd: dict[int, float] = {}
     const = 0.0
     slack_weights: list[float] = []
-    kind = spec.kind
 
     if kind in (ConstraintKind.AT_MOST_ONE_PAIR, ConstraintKind.AT_LEAST_ONE_PAIR,
                 ConstraintKind.EQUAL_PAIR):
@@ -295,39 +307,25 @@ def _penalty_parts(spec: ConstraintSpec, n: int):
             raise ValueError("exact_sum requires a bound")
         if spec.weights is not None:
             raise ValueError("exact_sum is unweighted; use slack_inequality for weights")
-        const += _square_expansion(idx, [1.0] * len(idx), float(spec.bound), p1, qadd, ladd)
+        W = whole_number(spec.bound, "exact_sum bound", 0)
+        const += _square_expansion(idx, [1.0] * len(idx), W, p1, qadd, ladd)
     elif kind is ConstraintKind.SLACK_INEQUALITY:
-        if spec.bound is None or spec.weights is None:
-            raise ValueError("slack_inequality requires weights and a bound")
-        W = int(spec.bound)
-        if W != spec.bound or W < 0:
-            raise ValueError("slack_inequality bound must be a nonnegative integer")
-        weights = [float(w) for w in spec.weights]
-        if len(weights) != len(idx):
-            raise ValueError("weights must match indices")
-        if any(w != int(w) or w <= 0 for w in weights):
-            raise ValueError("slack_inequality weights must be positive integers")
+        W = whole_number(spec.bound, "slack_inequality bound", 0)
+        weights = [whole_number(w, "slack_inequality weight", 1) for w in spec.weights]
         # m = ceil(log2(W + 1)) slack bits represent any value in [0, W]
         m = W.bit_length()
         slack_weights = [float(1 << j) for j in range(m)]
         all_idx = idx + tuple(range(n, n + m))
-        const += _square_expansion(all_idx, weights + slack_weights, float(W), p1, qadd, ladd)
+        const += _square_expansion(all_idx, weights + slack_weights, W, p1, qadd, ladd)
     elif kind is ConstraintKind.UNBALANCED_INEQUALITY:
-        if spec.bound is None or spec.weights is None:
-            raise ValueError("unbalanced_inequality requires weights and a bound")
         weights = [float(w) for w in spec.weights]
-        if len(weights) != len(idx):
-            raise ValueError("weights must match indices")
         W = float(spec.bound)
-        p1u = DEFAULT_UNBALANCED_P1 if spec.p1 is None else float(spec.p1)
-        p2u = DEFAULT_UNBALANCED_P2 if spec.p2 is None else float(spec.p2)
-        if p1u <= 0 or p2u <= 0:
-            raise ValueError("unbalanced penalty weights must be positive")
+        p2 = DEFAULT_UNBALANCED_P2 if spec.p2 is None else positive_number(spec.p2, "p2")
         # linear slope rewards slack below the bound, quadratic punishes distance
         for i, w in zip(idx, weights):
-            ladd[i] = ladd.get(i, 0.0) + p1u * w
-        const += -p1u * W
-        const += _square_expansion(idx, weights, W, p2u, qadd, ladd)
+            ladd[i] = ladd.get(i, 0.0) + p1 * w
+        const += -p1 * W
+        const += _square_expansion(idx, weights, W, p2, qadd, ladd)
     else:  # pragma: no cover
         raise ValueError(f"unknown constraint kind: {kind}")
     return qadd, ladd, const, slack_weights
@@ -482,10 +480,8 @@ def build_knapsack(values, weights, capacity, p1: float | None = None, p2: float
     W = float(capacity)
     if not math.isfinite(W):
         raise ValueError("capacity must be finite")
-    p1 = DEFAULT_UNBALANCED_P1 if p1 is None else float(p1)
-    p2 = DEFAULT_UNBALANCED_P2 if p2 is None else float(p2)
-    if p1 <= 0 or p2 <= 0:
-        raise ValueError("penalty weights must be positive")
+    p1 = DEFAULT_UNBALANCED_P1 if p1 is None else positive_number(p1, "p1")
+    p2 = DEFAULT_UNBALANCED_P2 if p2 is None else positive_number(p2, "p2")
     Q = p2 * np.outer(w, w)
     c = -v + p1 * w - 2.0 * p2 * W * w
     return build_qubo(Q, c, offset=-p1 * W + p2 * W * W)
@@ -505,7 +501,7 @@ def _numbers(v, field: str, scalar: bool = False):
     for x in leaves:  # grows as it goes, so nested lists are walked without recursion
         if isinstance(x, (list, tuple)) and not scalar:
             leaves.extend(x)
-        elif isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        elif not _real(x):
             raise ProblemFormatError(f"{field} must hold only numbers, got {x!r}")
     return v
 

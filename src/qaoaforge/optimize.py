@@ -11,7 +11,6 @@ energy_and_gradient for every GD iterate but the last.
 """
 from __future__ import annotations
 
-import math
 import operator
 import time
 from collections.abc import Mapping
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import OptimizerDivergence, SizeCapError
 from .ising import assignment_of_basis_index
-from .model import bits_to_string, whole_number
+from .model import bits_to_string, positive_number, whole_number
 from . import qaoa
 from . import simulator as sim
 
@@ -103,9 +102,8 @@ class OptimizerConfig:
             raise ValueError(f"squash must be 'none' or 'tanh', got {self.squash!r}")
         for field, lo in (("max_iters", 0), ("restarts", 1), ("seed", 0), ("shots", 0)):
             setattr(self, field, whole_number(getattr(self, field), field, lo))
-        if self.a0 is not None and (type(self.a0) is bool or not isinstance(self.a0, (int, float, np.integer, np.floating))
-                                    or not 0 < self.a0 < math.inf):
-            raise ValueError(f"a0 must be a positive finite number, got {self.a0!r}")
+        if self.a0 is not None:
+            positive_number(self.a0, "a0")  # kept as given
         if self.method == "gd" and self.shots != 0:
             raise ValueError("gradient descent requires exact expectations (shots=0)")
 

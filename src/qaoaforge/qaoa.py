@@ -112,6 +112,7 @@ def build_circuit(
     so max |coef| == 1 and rotation angles stop being redundant across
     scale; minimizers are unchanged.  Integer coefficients from
     LEVEL_TABLE_MIN_QUBITS qubits up also give the spec a level table.
+    energies and the level table are read-only, so the two cannot drift apart.
     """
     if not h_raw.terms:
         raise ValueError("Hamiltonian has no terms")
@@ -119,13 +120,10 @@ def build_circuit(
     k = scaling_factor(h_raw) if scaled else 1.0
     h = scale(h_raw, k) if scaled else h_raw
     energies = diagonalize(h)
-    return QaoaCircuitSpec(
-        hamiltonian=h,
-        k_scale=k,
-        layers=layers,
-        energies=energies,
-        level_table=_level_table(h, energies),
-    )
+    level_table = _level_table(h, energies)
+    for table in (energies, *(level_table or ())):
+        table.setflags(write=False)
+    return QaoaCircuitSpec(hamiltonian=h, k_scale=k, layers=layers, energies=energies, level_table=level_table)
 
 
 def _level_table(h: SpinHamiltonian, energies: np.ndarray):
@@ -326,7 +324,12 @@ class DomainDescriptor:
     """Parameter box for start draws and tanh squashing, proved at p = 1 only.
 
     beta folds to [0, pi], and gamma to [0, pi] too when every term has even
-    degree, else [-pi, pi].  At p = 1 the box holds a minimum of [-pi, pi]^2
+    degree, else [-pi, pi].  U_f(gamma) = e^{-i(gamma/2)H}, so T is a period
+    in gamma when T * gap / 2 is a multiple of 2 pi for every gap between two
+    levels of H.  With integer coefficients (as _level_table tests) every gap
+    is even, so 2 pi is a period and [-pi, pi] covers one; with real
+    coefficients there is no period and the gamma range is only a search
+    range.  At p = 1 the box holds a minimum of [-pi, pi]^2
     (verify.check_restricted_box_holds_minimum); at p >= 2 it can exclude the
     optimum (ROADMAP item 2), so reduction_exponent_per_layer is the box's
     volume exponent per layer, not a proved reduction.

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -140,6 +141,10 @@ def test_evaluate_spin_validates_entries():
         evaluate_spin(h, (1, 0))
     with pytest.raises(ValueError, match="3 entries, expected 2"):
         evaluate_spin(h, (1, -1, 1))
+    for bad in ((1.5, -1.2), ("1", -1), (True, -1), (np.True_, -1), (math.nan, 1)):  # int() reads 1.5 as +1
+        with pytest.raises(ValueError, match="spin entries must be -1 or"):
+            evaluate_spin(h, bad)
+    assert evaluate_spin(h, (1.0, np.int64(-1))) == -1.0
 
 
 def test_diagonalize_frozen():

@@ -190,21 +190,21 @@ K = ConstraintKind
 
 @pytest.mark.parametrize("spec, fragment", [
     (ConstraintSpec(K.AT_MOST_ONE_PAIR, (1, 1)), "distinct"),
-    (ConstraintSpec(K.AT_MOST_ONE_PAIR, (0, 3)), "index 3 out of range for n=3"),
-    (ConstraintSpec(K.EQUAL_PAIR, (0, 1), p1=0.0), "p1 must be positive"),
+    (ConstraintSpec(K.AT_MOST_ONE_PAIR, (0, 3)), "constraint index must be < 3"),
+    (ConstraintSpec(K.EQUAL_PAIR, (0, 1), p1=0.0), "p1 must be a positive finite number"),
     (ConstraintSpec(K.AT_LEAST_ONE_PAIR, (0, 1, 2)), "exactly two indices"),
     (ConstraintSpec(K.AT_MOST_ONE_SET, (0,)), "at least two indices"),
     (ConstraintSpec(K.EXACT_SUM, (0, 1)), "exact_sum requires a bound"),
     (ConstraintSpec(K.EXACT_SUM, (0, 1), weights=(1.0, 2.0), bound=1), "exact_sum is unweighted"),
     (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), bound=2), "requires weights and a bound"),
-    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 1), bound=1.5), "nonnegative integer"),
-    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 1), bound=-1), "nonnegative integer"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 1), bound=1.5), "slack_inequality bound must be a whole number"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 1), bound=-1), "must be >= 0"),
     (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1,), bound=2), "weights must match indices"),
-    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 0.5), bound=2), "positive integers"),
-    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, -1), bound=2), "positive integers"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 0.5), bound=2), "slack_inequality weight must be a whole number"),
+    (ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, -1), bound=2), "must be >= 1"),
     (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1)), "requires weights and a bound"),
     (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1, 1), bound=1), "weights must match indices"),
-    (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1), bound=1, p2=0.0), "unbalanced penalty weights"),
+    (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1), bound=1, p2=0.0), "p2 must be a positive finite number"),
 ])
 def test_penalty_refusals(spec, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -218,8 +218,8 @@ def test_penalty_refusals(spec, fragment):
     (dict(values=(1, 1), weights=(1, -2), capacity=1), "positive"),
     (dict(values=(1, 1), weights=(1, 1), capacity=None), "explicit capacity"),
     (dict(values=(1, 1), weights=(1, 1), capacity=float("inf")), "capacity must be finite"),
-    (dict(values=(1, 1), weights=(1, 1), capacity=1, p1=0.0), "penalty weights must be positive"),
-    (dict(values=(1, 1), weights=(1, 1), capacity=1, p2=-1.0), "penalty weights must be positive"),
+    (dict(values=(1, 1), weights=(1, 1), capacity=1, p1=0.0), "p1 must be a positive finite number"),
+    (dict(values=(1, 1), weights=(1, 1), capacity=1, p2=-1.0), "p2 must be a positive finite number"),
 ])
 def test_knapsack_refusals(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -230,10 +230,52 @@ def test_knapsack_refusals(kwargs, fragment):
     ("01x", "only 0/1"),
     ("011", "has 3 bits, expected 2"),
     ((0, 2), "must be 0 or 1"),
+    ((0.5, 1.7), "must be 0 or 1"),  # int() would read them as (0, 1)
+    (("1", True), "must be 0 or 1"),
+    ((np.True_, 0), "must be 0 or 1"),
+    ((1, math.nan), "must be 0 or 1"),
 ])
 def test_as_bits_refusals(x, fragment):
     with pytest.raises(ValueError, match=fragment):
         model.as_bits(x, 2)
+
+
+def _penalized(spec):
+    p = apply_penalty(zero_qubo(3), spec)
+    return p.n, p.Q.tolist(), p.c.tolist(), p.offset
+
+
+def _knapsack(**kwargs):
+    p = build_knapsack((3, 2), (2, 1), 2, **kwargs)
+    return p.Q.tolist(), p.c.tolist(), p.offset
+
+
+@pytest.mark.parametrize("field, make, whole", [
+    pytest.param("constraint index", lambda v: _penalized(ConstraintSpec(K.AT_MOST_ONE_PAIR, (0, v))), True,
+                 id="index"),
+    pytest.param("slack_inequality bound",
+                 lambda v: _penalized(ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 1), bound=v)), True,
+                 id="slack-bound"),
+    pytest.param("slack_inequality weight",
+                 lambda v: _penalized(ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(2, v), bound=2)), True,
+                 id="slack-weight"),
+    pytest.param("exact_sum bound", lambda v: _penalized(ConstraintSpec(K.EXACT_SUM, (0, 1, 2), bound=v)), True,
+                 id="exact-sum-bound"),
+    pytest.param("p1", lambda v: _penalized(ConstraintSpec(K.EQUAL_PAIR, (0, 1), p1=v)), False, id="penalty-p1"),
+    pytest.param("p2", lambda v: _penalized(ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 2), bound=2,
+                                                           p2=v)), False, id="penalty-p2"),
+    pytest.param("p1", lambda v: _knapsack(p1=v), False, id="knapsack-p1"),
+    pytest.param("p2", lambda v: _knapsack(p2=v), False, id="knapsack-p2"),
+    pytest.param("a0", lambda v: OptimizerConfig(a0=v), False, id="a0"),
+])
+def test_value_rules(field, make, whole):
+    # int() and float() would read True and "1" as 1; nan would slip past a bare comparison
+    kind = "a whole number" if whole else "a positive finite number"
+    for bad in (True, "1", math.nan) + ((2.5,) if whole else ()):
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {kind}, got "):
+            make(bad)
+    for good in (1.0, np.int64(1), np.float32(1.0)):
+        assert make(good) == make(1)
 
 
 def test_build_maxcut_square():

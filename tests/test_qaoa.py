@@ -165,6 +165,28 @@ def test_level_table_condition():
     assert qaoa.build_circuit(SpinHamiltonian(n, {(0,): 64.0, (1, 2): 1.0}), scaled=False).level_table is None
 
 
+def test_spec_tables_are_read_only():
+    # U_f reads the level table and the expectation reads energies, so a write to one would split them
+    for n in (qaoa.LEVEL_TABLE_MIN_QUBITS - 1, qaoa.LEVEL_TABLE_MIN_QUBITS):
+        spec = qaoa.build_circuit(ring_with_chords(n))
+        assert (spec.level_table is None) == (n < qaoa.LEVEL_TABLE_MIN_QUBITS)
+        for table in (spec.energies, *(spec.level_table or ())):
+            with pytest.raises(ValueError, match="read-only"):
+                table[:] = table * 2
+
+
+def test_gamma_period_needs_integer_coefficients():
+    # U_f(gamma) = e^{-i(gamma/2)H}: integer coefficients make every level gap even, so 2 pi is a period
+    rng = np.random.default_rng(59)
+    ring = qaoa.build_circuit(qubo_to_spin(build_maxcut(5, [(i, (i + 1) % 5) for i in range(5)])))
+    real = qaoa.build_circuit(SpinHamiltonian(3, {(0,): 1.0, (0, 1): 0.3, (1, 2): -0.7}))
+    for spec, periodic in ((ring, True), (real, False)):
+        angles = rng.uniform(-math.pi, math.pi, (8, 2))
+        shifted = angles + [0.0, 2.0 * math.pi]
+        gap = np.abs(qaoa.energies(spec, shifted) - qaoa.energies(spec, angles)).max()
+        assert (gap < 1e-12) == periodic, gap
+
+
 def test_level_table_changes_no_number():
     # every caller of the phase route, with the table and without it, bit for bit
     rng = np.random.default_rng(58)
