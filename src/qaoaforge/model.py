@@ -145,11 +145,28 @@ def whole_number(v, field: str, lo: int, hi=math.inf) -> int:
     return int(v)
 
 
+def _float(v) -> float:
+    """float(v) for a real number that is not a bool, else nan; an int past the float range is inf."""
+    try:
+        return float(v) if _real(v) else math.nan
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def positive_number(v, field: str) -> float:
-    """v as a float in (0, inf), refusing what float() would convert (true, "1") and 0, nan, inf."""
-    if not (_real(v) and 0 < v < math.inf):
+    """v as a float in (0, inf), refusing what float() would convert (true, "1"), 0, nan, inf and 10**400."""
+    x = _float(v)
+    if not 0 < x < math.inf:
         raise ValueError(f"{field} must be a positive finite number, got {v!r}")
-    return float(v)
+    return x
+
+
+def _finite_number(v, field: str) -> float:
+    """v as a finite float, refusing what float() would convert (true, "1"), nan, inf and 10**400."""
+    x = _float(v)
+    if not math.isfinite(x):
+        raise ValueError(f"{field} must be finite and a number, got {v!r}")
+    return x
 
 
 def _check_terms(n: int, terms: dict, constant: float, name: str) -> None:
@@ -318,8 +335,8 @@ def _penalty_parts(spec: ConstraintSpec, n: int):
         all_idx = idx + tuple(range(n, n + m))
         const += _square_expansion(all_idx, weights + slack_weights, W, p1, qadd, ladd)
     elif kind is ConstraintKind.UNBALANCED_INEQUALITY:
-        weights = [float(w) for w in spec.weights]
-        W = float(spec.bound)
+        weights = [_finite_number(w, "unbalanced_inequality weight") for w in spec.weights]
+        W = _finite_number(spec.bound, "unbalanced_inequality bound")
         p2 = DEFAULT_UNBALANCED_P2 if spec.p2 is None else positive_number(spec.p2, "p2")
         # linear slope rewards slack below the bound, quadratic punishes distance
         for i, w in zip(idx, weights):
@@ -469,17 +486,13 @@ def build_knapsack(values, weights, capacity, p1: float | None = None, p2: float
     the assignment-independent part -p1 W + p2 W^2 is kept in offset so the
     cost of a feasible tight assignment reports the plain negated value.
     """
-    v = np.array(values, dtype=float)
-    w = np.array(weights, dtype=float)
-    if v.ndim != 1 or v.shape != w.shape:
+    if np.ndim(values) != 1 or np.shape(values) != np.shape(weights):
         raise ValueError("values and weights must be equal-length vectors")
-    if not ((v > 0).all() and (w > 0).all()):
-        raise ValueError("values and weights must be positive")
+    v = np.array([positive_number(x, "knapsack value") for x in values])
+    w = np.array([positive_number(x, "knapsack weight") for x in weights])
     if capacity is None:
         raise ValueError("knapsack requires an explicit capacity")
-    W = float(capacity)
-    if not math.isfinite(W):
-        raise ValueError("capacity must be finite")
+    W = _finite_number(capacity, "capacity")
     p1 = DEFAULT_UNBALANCED_P1 if p1 is None else positive_number(p1, "p1")
     p2 = DEFAULT_UNBALANCED_P2 if p2 is None else positive_number(p2, "p2")
     Q = p2 * np.outer(w, w)

@@ -6,7 +6,8 @@ the exact adjoint gradient.  Both run one restart loop and differ only in
 the step: all restarts step together as the rows of one (restarts, 2p)
 array, each row on its own PRNG stream from (seed, restart index), with
 optional tanh squashing into the restricted search box.  Each step is one
-qaoa call on all its rows: energies (shot_energies with shots) for SPSA, and
+qaoa call on all its rows: for SPSA one energies (shot_energies with shots)
+batch per iteration, the iterates with their probe's E+ and E- rows, and
 energy_and_gradient for every GD iterate but the last.
 """
 from __future__ import annotations
@@ -26,8 +27,9 @@ from . import simulator as sim
 
 HISTOGRAM_MAX_ENTRIES = 4096
 
-# Largest run, 1 GiB of float64: per restart a traces row of max_iters, a few
-# copies of its 2p angles (16p) and its generator (about 1 KiB, 128 entries).
+# Largest run, 1 GiB of float64: per restart a traces row of max_iters, its angle
+# rows (48p: SPSA's first batch holds 13 rows of 2p, beside the iterate, its best
+# and a probe) and its generator (about 1 KiB, 128 entries).
 RUN_ENTRIES_CAP = 1 << 27
 
 # SPSA gain schedule a_k = a0 / (A + k + 1)^alpha, c_k = c0 / (k + 1)^gamma_decay
@@ -46,15 +48,18 @@ def _box(domain: qaoa.DomainDescriptor, p: int):
     Squashing maps x into a range (lo, hi) as h (tanh x + m), with
     h = (hi - lo)/2 and m = (hi + lo)/(hi - lo); betas first, then gammas.
     """
-    lo = np.repeat([domain.beta_range[0], domain.gamma_range[0]], p)
-    hi = np.repeat([domain.beta_range[1], domain.gamma_range[1]], p)
-    return (hi - lo) / 2.0, (hi + lo) / (hi - lo)
+    lo = np.array([domain.beta_range[0], domain.gamma_range[0]])
+    hi = np.array([domain.beta_range[1], domain.gamma_range[1]])
+    return np.repeat((hi - lo) / 2.0, p), np.repeat((hi + lo) / (hi - lo), p)
 
 
 def _squash(raw: np.ndarray, domain: qaoa.DomainDescriptor) -> np.ndarray:
     """h (tanh x + m) on a raw vector, or on every row of an array of them."""
     h, m = _box(domain, raw.shape[-1] // 2)
-    return h * (np.tanh(raw) + m)
+    out = np.tanh(raw)
+    out += m
+    out *= h  # (tanh x + m) h == h (tanh x + m), with one temporary
+    return out
 
 
 def squash_params(raw, domain: qaoa.DomainDescriptor) -> qaoa.QaoaParams:
@@ -212,66 +217,87 @@ def _check_finite(values: np.ndarray, restarts, what: str) -> np.ndarray:
 def _restarts(spec, config: OptimizerConfig, domain, big_a: float, initial_params):
     """Every restart in lockstep: row r of each (R, 2p) array is restart r, on its [seed, r] stream.
 
-    Each entry gets a lone restart's float operations and, with shots, its
-    draws in a lone restart's order (start, five probes, then delta, E+, E-,
-    E per iteration).  Returns the (R, max_iters) traces, the initial
-    energies, each restart's best energy and vector, and SPSA's gains a0.
+    SPSA evaluates one batch of (R, 2p) blocks per iteration k, [x_k; x_k + c_k delta_k;
+    x_k - c_k delta_k], so E(x_k) is read with iteration k's probe; the first batch also
+    holds the five calibration probes (when a0 is None) before iteration 0's, and the
+    last is x_K alone.  GD reads energy and gradient at every iterate it steps from and
+    the energy alone at the last.  Every exact entry gets a lone restart's float
+    operations.  With shots, restart r draws its start, the deltas of the first batch
+    and that batch's samples in row order, then per iteration delta_k, E(x_k), E+, E-,
+    and last E(x_K).  Returns the (R, max_iters) traces, the initial energies, each
+    restart's best energy and vector, and SPSA's gains a0.
     """
     rows = np.arange(config.restarts)
-    both = np.tile(rows, 2)  # the restart of each row of an E+ over E- batch
     rngs = [np.random.default_rng([config.seed, r]) for r in rows]
-    spsa, tanh = config.method == "spsa", config.squash == "tanh"
+    tanh, iters = config.squash == "tanh", config.max_iters
 
-    def evaluate(vecs: np.ndarray, restarts: np.ndarray, gradient: bool):
-        """Checked energies of rows (row i of restart restarts[i]) and, if asked, their gradients (else None)."""
-        angles = _squash(vecs, domain) if tanh else vecs
+    def angles(vecs: np.ndarray) -> np.ndarray:
+        """The circuit angles of raw optimizer rows."""
+        return _squash(vecs, domain) if tanh else vecs
+
+    def evaluate(batch: np.ndarray, gradient: bool = False):
+        """Checked energies of (R, 2p) blocks of angle rows, shaped as the blocks, and, if asked, gradients."""
+        flat = batch.reshape(-1, batch.shape[-1])
+        restarts = np.resize(rows, len(flat))  # row i is restart i mod R
         g = None
         if gradient:
-            e, g = qaoa.energy_and_gradient(spec, angles)
+            e, g = qaoa.energy_and_gradient(spec, flat)
         elif config.shots > 0:
-            e = qaoa.shot_energies(spec, angles, config.shots, [rngs[r] for r in restarts])
+            e = qaoa.shot_energies(spec, flat, config.shots, [rngs[r] for r in restarts])
         else:
-            e = qaoa.energies(spec, angles)
-        return _check_finite(e, restarts, "non-finite energy encountered"), g
+            e = qaoa.energies(spec, flat)
+        return _check_finite(e, restarts, "non-finite energy encountered").reshape(batch.shape[:-1]), g
 
-    def slopes(vecs: np.ndarray, c: float):
-        """One SPSA probe per row: Bernoulli +/-1 deltas, then (E+ - E-)/2c and the deltas."""
-        deltas = np.array([rng.integers(0, 2, size=vecs.shape[1]) * 2.0 - 1.0 for rng in rngs])
-        e, _ = evaluate(np.concatenate((vecs + c * deltas, vecs - c * deltas)), both, False)
-        return (e[:rows.size] - e[rows.size:]) / (2.0 * c), deltas
+    def seen(k: int, e: np.ndarray):
+        """E(x_k) of the iterates in vecs into trace column k - 1, keeping each restart's best."""
+        traces[:, k - 1] = e
+        better = e < best_e
+        best_e[better], best_vecs[better] = e[better], vecs[better]
 
     vecs = np.array([_start_vector(spec, domain, rng, initial_params) for rng in rngs])
     if tanh:  # the optimizer works on raw values
         vecs = _unsquash(vecs, domain)
-    # GD reads a gradient at every iterate it steps from, so not at the last
-    e0, g = evaluate(vecs, rows, not spsa and config.max_iters > 0)
-    a0 = [config.a0] * rows.size if spsa and config.a0 is not None else None
-    if spsa and a0 is None:
-        # pick a0 so the first step moves roughly 0.1 rad: five probes of the gradient
-        # magnitude at the start with the k = 0 perturbation, a0 = 0.1 (A+1)^alpha / |g|
-        mags = np.column_stack([np.abs(slopes(vecs, SPSA_C0)[0]) for _ in range(5)])
-        gmag = np.maximum(mags.mean(axis=1), 1e-3)
-        a0 = np.minimum(0.1 * (big_a + 1.0) ** SPSA_ALPHA / gmag, 50.0).tolist()
-    gains = np.asarray(a0, dtype=float) if spsa else None
-    best_e, best_vecs = e0.copy(), vecs.copy()
-    traces = np.empty((rows.size, config.max_iters))
-    for k in range(config.max_iters):
-        if spsa:
-            step = (gains / (big_a + k + 1) ** SPSA_ALPHA)[:, None]
-            ck = SPSA_C0 / (k + 1) ** SPSA_GAMMA_DECAY
-            slope, delta = slopes(vecs, ck)
-            # 1/delta_i == delta_i for Bernoulli +/-1 perturbations
-            g = slope[:, None] * delta
-        else:
-            step = GD_LEARNING_RATE
+    traces = np.empty((rows.size, iters))
+    a0 = None if config.a0 is None or config.method == "gd" else [config.a0] * rows.size
+    if config.method == "gd":
+        # GD reads a gradient at every iterate it steps from, so not at the last
+        e0, g = evaluate(angles(vecs), iters > 0)
+        best_e, best_vecs = e0.copy(), vecs.copy()
+        for k in range(iters):
             _check_finite(g, rows, "non-finite gradient encountered")
             if tanh:
                 g = g * _squash_jacobian(vecs, domain)
-        vecs = _check_finite(vecs - step * g, rows, "parameter vector diverged")
-        e, g = evaluate(vecs, rows, not spsa and k + 1 < config.max_iters)
-        traces[:, k] = e
-        better = e < best_e
-        best_e[better], best_vecs[better] = e[better], vecs[better]
+            vecs = _check_finite(vecs - GD_LEARNING_RATE * g, rows, "parameter vector diverged")
+            e, g = evaluate(angles(vecs), k + 1 < iters)
+            seen(k + 1, e)
+    else:
+        probes = 5 * (a0 is None) + (iters > 0)  # the first batch's: calibration, then iteration 0's
+        for k in range(iters + 1):
+            c = SPSA_C0 / (k + 1) ** SPSA_GAMMA_DECAY
+            batch = np.empty((1 + 2 * probes,) + vecs.shape)
+            batch[0] = angles(vecs)
+            for j in range(probes):
+                # Bernoulli +/-1 perturbations, one row per restart
+                delta = np.array([rng.integers(0, 2, size=vecs.shape[1]) for rng in rngs]) * 2.0 - 1.0
+                batch[2 * j + 1] = angles(vecs + c * delta)
+                batch[2 * j + 2] = angles(vecs - c * delta)
+            e, _ = evaluate(batch)
+            del batch
+            slopes = (e[1::2] - e[2::2]) / (2.0 * c)  # (E+ - E-)/2c, one row per probe
+            if k > 0:
+                seen(k, e[0])
+            else:
+                e0, best_e, best_vecs = e[0], e[0].copy(), vecs.copy()
+                if a0 is None:
+                    # pick a0 so the first step moves roughly 0.1 rad: a0 = 0.1 (A+1)^alpha / |g|
+                    gmag = np.maximum(np.abs(slopes[:5]).mean(axis=0), 1e-3)
+                    a0 = np.minimum(0.1 * (big_a + 1.0) ** SPSA_ALPHA / gmag, 50.0).tolist()
+                gains = np.asarray(a0, dtype=float)
+            if k < iters:
+                step = (gains / (big_a + k + 1) ** SPSA_ALPHA)[:, None]
+                # 1/delta_i == delta_i for Bernoulli +/-1 perturbations
+                vecs = _check_finite(vecs - step * (slopes[-1][:, None] * delta), rows, "parameter vector diverged")
+            probes = int(k + 1 < iters)  # iteration k + 1's probe, none with x_K
     traces.setflags(write=False)
     return traces, e0, best_e, best_vecs, a0
 
@@ -314,9 +340,9 @@ def optimize(
     draw (restarts still perturb independently).  Raises SizeCapError,
     before allocating anything, past RUN_ENTRIES_CAP.
     """
-    entries = config.restarts * (config.max_iters + 16 * spec.layers + 128)
+    entries = config.restarts * (config.max_iters + 48 * spec.layers + 128)
     if entries > RUN_ENTRIES_CAP:
-        raise SizeCapError(f"restarts x (max_iters + 16 layers + 128) must be <= {RUN_ENTRIES_CAP}, got {entries}")
+        raise SizeCapError(f"restarts x (max_iters + 48 layers + 128) must be <= {RUN_ENTRIES_CAP}, got {entries}")
     t_start = time.perf_counter()
     domain = qaoa.restricted_domain(spec)
     big_a = 0.1 * config.max_iters

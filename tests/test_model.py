@@ -205,6 +205,8 @@ K = ConstraintKind
     (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1)), "requires weights and a bound"),
     (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1, 1), bound=1), "weights must match indices"),
     (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 1), bound=1, p2=0.0), "p2 must be a positive finite number"),
+    (ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=("1", True), bound="2"),
+     "unbalanced_inequality weight must be finite and a number"),
 ])
 def test_penalty_refusals(spec, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -220,6 +222,7 @@ def test_penalty_refusals(spec, fragment):
     (dict(values=(1, 1), weights=(1, 1), capacity=float("inf")), "capacity must be finite"),
     (dict(values=(1, 1), weights=(1, 1), capacity=1, p1=0.0), "p1 must be a positive finite number"),
     (dict(values=(1, 1), weights=(1, 1), capacity=1, p2=-1.0), "p2 must be a positive finite number"),
+    (dict(values=["4", True], weights=["1", 2], capacity="3"), "knapsack value must be a positive finite number"),
 ])
 def test_knapsack_refusals(kwargs, fragment):
     with pytest.raises(ValueError, match=fragment):
@@ -246,33 +249,51 @@ def _penalized(spec):
 
 
 def _knapsack(**kwargs):
-    p = build_knapsack((3, 2), (2, 1), 2, **kwargs)
+    p = build_knapsack(**dict(values=(3, 2), weights=(2, 1), capacity=2) | kwargs)
     return p.Q.tolist(), p.c.tolist(), p.offset
 
 
-@pytest.mark.parametrize("field, make, whole", [
-    pytest.param("constraint index", lambda v: _penalized(ConstraintSpec(K.AT_MOST_ONE_PAIR, (0, v))), True,
+# each rule's message, and what it refuses beyond True, "1" and nan
+RULES = {
+    "whole": ("a whole number", (2.5,)),
+    "positive": ("a positive finite number", (math.inf, 10 ** 400)),
+    "finite": ("finite and a number", (-math.inf, 10 ** 400)),
+}
+
+
+@pytest.mark.parametrize("field, make, rule", [
+    pytest.param("constraint index", lambda v: _penalized(ConstraintSpec(K.AT_MOST_ONE_PAIR, (0, v))), "whole",
                  id="index"),
     pytest.param("slack_inequality bound",
-                 lambda v: _penalized(ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 1), bound=v)), True,
+                 lambda v: _penalized(ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(1, 1), bound=v)), "whole",
                  id="slack-bound"),
     pytest.param("slack_inequality weight",
-                 lambda v: _penalized(ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(2, v), bound=2)), True,
+                 lambda v: _penalized(ConstraintSpec(K.SLACK_INEQUALITY, (0, 1), weights=(2, v), bound=2)), "whole",
                  id="slack-weight"),
-    pytest.param("exact_sum bound", lambda v: _penalized(ConstraintSpec(K.EXACT_SUM, (0, 1, 2), bound=v)), True,
+    pytest.param("exact_sum bound", lambda v: _penalized(ConstraintSpec(K.EXACT_SUM, (0, 1, 2), bound=v)), "whole",
                  id="exact-sum-bound"),
-    pytest.param("p1", lambda v: _penalized(ConstraintSpec(K.EQUAL_PAIR, (0, 1), p1=v)), False, id="penalty-p1"),
+    pytest.param("p1", lambda v: _penalized(ConstraintSpec(K.EQUAL_PAIR, (0, 1), p1=v)), "positive", id="penalty-p1"),
     pytest.param("p2", lambda v: _penalized(ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 2), bound=2,
-                                                           p2=v)), False, id="penalty-p2"),
-    pytest.param("p1", lambda v: _knapsack(p1=v), False, id="knapsack-p1"),
-    pytest.param("p2", lambda v: _knapsack(p2=v), False, id="knapsack-p2"),
-    pytest.param("a0", lambda v: OptimizerConfig(a0=v), False, id="a0"),
+                                                           p2=v)), "positive", id="penalty-p2"),
+    pytest.param("unbalanced_inequality weight",
+                 lambda v: _penalized(ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(2, v), bound=2)),
+                 "finite", id="unbalanced-weight"),
+    pytest.param("unbalanced_inequality bound",
+                 lambda v: _penalized(ConstraintSpec(K.UNBALANCED_INEQUALITY, (0, 1), weights=(1, 2), bound=v)),
+                 "finite", id="unbalanced-bound"),
+    pytest.param("p1", lambda v: _knapsack(p1=v), "positive", id="knapsack-p1"),
+    pytest.param("p2", lambda v: _knapsack(p2=v), "positive", id="knapsack-p2"),
+    pytest.param("knapsack value", lambda v: _knapsack(values=(3, v)), "positive", id="knapsack-value"),
+    pytest.param("knapsack weight", lambda v: _knapsack(weights=(v, 2)), "positive", id="knapsack-weight"),
+    pytest.param("capacity", lambda v: _knapsack(capacity=v), "finite", id="knapsack-capacity"),
+    pytest.param("a0", lambda v: OptimizerConfig(a0=v), "positive", id="a0"),
 ])
-def test_value_rules(field, make, whole):
-    # int() and float() would read True and "1" as 1; nan would slip past a bare comparison
-    kind = "a whole number" if whole else "a positive finite number"
-    for bad in (True, "1", math.nan) + ((2.5,) if whole else ()):
-        with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {kind}, got "):
+def test_value_rules(field, make, rule):
+    # int() and float() would read True and "1" as 1, nan would slip past a bare comparison,
+    # and float() overflows on an int past the float range without naming the field
+    message, refused = RULES[rule]
+    for bad in (True, "1", math.nan) + refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {message}, got "):
             make(bad)
     for good in (1.0, np.int64(1), np.float32(1.0)):
         assert make(good) == make(1)

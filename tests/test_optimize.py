@@ -111,17 +111,39 @@ def test_config_counts_are_whole_numbers(field, lo):
 
 
 def test_oversized_runs_are_refused_before_anything_is_allocated(monkeypatch):
-    # traces, angle rows and generators grow with restarts x (max_iters + 16 p + 128)
+    # traces, angle rows and generators grow with restarts x (max_iters + 48 p + 128)
     monkeypatch.setattr(optimize_module, "_restarts", None)
     for layers, config in ((1, OptimizerConfig(max_iters=2_000_000_000)),
                            (10 ** 12, OptimizerConfig()),
                            (1, OptimizerConfig(restarts=10 ** 11, method="gd")),
-                           (1, OptimizerConfig(max_iters=RUN_ENTRIES_CAP - 16 - 127, restarts=1))):
+                           (1, OptimizerConfig(max_iters=RUN_ENTRIES_CAP - 48 - 127, restarts=1))):
         spec = c4_spec(layers=layers)
         with pytest.raises(SizeCapError, match=f"must be <= {RUN_ENTRIES_CAP}, got "):
             optimize(spec, config)
     monkeypatch.undo()
     assert optimize(c4_spec(layers=1), OptimizerConfig(max_iters=3, restarts=2)).traces.shape == (2, 3)
+
+
+@pytest.mark.parametrize("squash", ["none", "tanh"])
+def test_run_memory_is_within_its_cap_accounting(squash):
+    # at many layers the angle rows are the run: SPSA's first batch (x_0, five calibration
+    # probes and iteration 0's, 13 rows of 2p), the later 3-row batches and GD's rows stay
+    # inside the max_iters + 48 p + 128 entries a restart is charged against RUN_ENTRIES_CAP
+    optimize(c4_spec(layers=1), OptimizerConfig(max_iters=1, restarts=1, squash=squash))  # one-time allocations
+    layers = 500
+    spec = c4_spec(layers=layers)
+    for config in (OptimizerConfig(max_iters=0, restarts=1, squash=squash),
+                   OptimizerConfig(max_iters=2, restarts=1, squash=squash),
+                   OptimizerConfig(max_iters=2, restarts=2, squash=squash),
+                   OptimizerConfig(max_iters=1, restarts=1, squash=squash, method="gd")):
+        tracemalloc.start()
+        try:
+            optimize(spec, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        charged = 8 * config.restarts * (config.max_iters + 48 * layers + 128)
+        assert peak <= charged, (config, peak / charged)
 
 
 def test_records_compare_by_identity():
@@ -253,15 +275,16 @@ def gd_reference(spec, config):
 def spsa_reference(spec, config, initial_params=None):
     """SPSA restarts one at a time, each point through qaoa.energy or sim.sample of qaoa.run.
 
-    Restart r draws from default_rng([seed, r]) in order: the start vector, five
-    calibration probes when a0 is None (delta, E+, E- each), then per iteration delta,
-    E+, E-, E.  Returns each restart's trace, initial energy, best energy, its vector
-    and a0.
+    Restart r draws from default_rng([seed, r]) in order: the start vector; the first
+    batch's deltas (five calibration probes when a0 is None, then iteration 0's probe)
+    and its samples, E(x_0) and then E+, E- of each probe; per later iteration k its
+    delta, E(x_k), E+, E-; and last E(x_K).  Returns each restart's trace, initial
+    energy, best energy, its vector and a0.
     """
     domain = qaoa.restricted_domain(spec)
     tanh = config.squash == "tanh"
     decode = (lambda v: squash_params(v, domain)) if tanh else qaoa.QaoaParams.from_vector
-    big_a, p = 0.1 * config.max_iters, spec.layers
+    big_a, p, iters = 0.1 * config.max_iters, spec.layers, config.max_iters
     restarts = []
     for r in range(config.restarts):
         rng = np.random.default_rng([config.seed, r])
@@ -271,11 +294,14 @@ def spsa_reference(spec, config, initial_params=None):
                 return sim.sample(qaoa.run(spec, decode(vec)), config.shots, rng) @ spec.energies / config.shots
             return qaoa.energy(spec, decode(vec))
 
-        def slope(vec, c):
-            delta = rng.integers(0, 2, size=vec.size) * 2.0 - 1.0
+        def draw():
+            return rng.integers(0, 2, size=2 * p) * 2.0 - 1.0
+
+        def slope(vec, k, delta):
+            c = optimize_module.SPSA_C0 / (k + 1) ** optimize_module.SPSA_GAMMA_DECAY
             e_plus = objective(vec + c * delta)
             e_minus = objective(vec - c * delta)
-            return (e_plus - e_minus) / (2.0 * c), delta
+            return (e_plus - e_minus) / (2.0 * c)
 
         if initial_params is None:
             beta = rng.uniform(domain.beta_range[0], domain.beta_range[1], p)
@@ -285,18 +311,20 @@ def spsa_reference(spec, config, initial_params=None):
             vec = initial_params.as_vector()
         if tanh:
             vec = optimize_module._unsquash(vec, domain)
+        deltas = [draw() for _ in range(5 * (config.a0 is None) + (iters > 0))]
         e0 = objective(vec)
+        slopes = [slope(vec, 0, delta) for delta in deltas]
         a0 = config.a0
         if a0 is None:
-            mags = [abs(slope(vec, optimize_module.SPSA_C0)[0]) for _ in range(5)]
-            gmag = max(float(np.mean(mags)), 1e-3)
+            gmag = max(float(np.mean([abs(s) for s in slopes[:5]])), 1e-3)
             a0 = min(0.1 * (big_a + 1.0) ** optimize_module.SPSA_ALPHA / gmag, 50.0)
         best, trace = (e0, vec), []
-        for k in range(config.max_iters):
+        for k in range(iters):
             step = a0 / (big_a + k + 1) ** optimize_module.SPSA_ALPHA
-            s, delta = slope(vec, optimize_module.SPSA_C0 / (k + 1) ** optimize_module.SPSA_GAMMA_DECAY)
-            vec = vec - step * (s * delta)
+            vec = vec - step * (slopes[-1] * deltas[-1])
+            deltas = [draw()] if k + 1 < iters else []
             trace.append(objective(vec))
+            slopes = [slope(vec, k + 1, delta) for delta in deltas]
             if trace[-1] < best[0]:
                 best = (trace[-1], vec)
         restarts.append((trace, e0, *best, a0))
@@ -339,23 +367,27 @@ def test_spsa_record_equals_sequential_reference(squash, a0, shots, warm):
 
 
 def test_spsa_evaluates_each_step_as_one_batch(monkeypatch):
-    # SPSA: the R starts, five calibration probes of 2R rows (E+ over E-), then per
-    # iteration 2R probe rows and the R new iterates, through qaoa.energies or, with
-    # shots, qaoa.shot_energies; GD: energy_and_gradient at every iterate it steps
-    # from and qaoa.energies at the last.  The final histogram's run is the one other call.
+    # SPSA: one call per iteration k on x_k and its probe's E+ over E- (3R rows); the
+    # first also holds five calibration probes of 2R rows, the last is x_K alone (R rows),
+    # through qaoa.energies or, with shots, qaoa.shot_energies; GD: energy_and_gradient at
+    # every iterate it steps from and qaoa.energies at the last.  The final histogram's
+    # run is the one other call.
     calls = []
     for name in ("energies", "shot_energies", "energy_and_gradient", "energy", "run"):
         real = getattr(qaoa, name)
         monkeypatch.setattr(qaoa, name, lambda spec, x, *a, name=name, real=real:
                             calls.append((name, len(x) if name not in ("energy", "run") else 1)) or real(spec, x, *a))
-    for restarts, iters in ((1, 0), (3, 4), (4, 2)):
+    for restarts, iters in ((1, 0), (1, 1), (3, 4), (4, 2)):
         for shots, spsa in ((0, "energies"), (50, "shot_energies")):
             for a0 in (None, 0.5):
                 calls.clear()
                 optimize(c4_spec(), OptimizerConfig(max_iters=iters, restarts=restarts, seed=1, a0=a0, shots=shots))
-                calibration = [(spsa, 2 * restarts)] * 5 if a0 is None else []
-                steps = [(spsa, 2 * restarts), (spsa, restarts)] * iters
-                assert calls == [(spsa, restarts)] + calibration + steps + [("run", 1)]
+                first = restarts + 10 * restarts * (a0 is None)
+                if iters == 0:
+                    rows = [first]
+                else:
+                    rows = [first + 2 * restarts] + [3 * restarts] * (iters - 1) + [restarts]
+                assert calls == [(spsa, b) for b in rows] + [("run", 1)]
         for squash in ("none", "tanh"):
             calls.clear()
             optimize(c4_spec(), OptimizerConfig(method="gd", max_iters=iters, restarts=restarts, seed=1, squash=squash))
@@ -364,10 +396,10 @@ def test_spsa_evaluates_each_step_as_one_batch(monkeypatch):
 
 
 @pytest.mark.parametrize("call, row, restart", [
-    (0, 1, 1),   # a start point
-    (1, 5, 2),   # E- of the first calibration probe, rows R..2R-1
-    (6, 0, 0),   # E+ of the first iteration's probe
-    (7, 2, 2),   # the first new iterates
+    (0, 1, 1),    # a start point
+    (0, 8, 2),    # E- of the first calibration probe, rows 2R..3R-1
+    (0, 33, 0),   # E+ of iteration 0's probe, after the start and ten calibration blocks
+    (1, 2, 2),    # the first new iterates, ahead of iteration 1's probe
 ])
 def test_divergence_names_its_restart(monkeypatch, call, row, restart):
     real, calls = qaoa.energies, []
@@ -425,7 +457,7 @@ def test_record_energy_units_agree(shots):
     assert rec.best_objective == rec.best_energy_unscaled + spec.constant
     assert rec.exact_energy == qaoa.energy(spec, qaoa.QaoaParams(**rec.final_params))
     if shots:
-        # the lowest of many noisy estimates reads low: -2.036 against -1.977
+        # the lowest of many noisy estimates reads low: -2.018 against -1.958
         assert rec.best_energy < rec.exact_energy - 0.05
     else:
         assert rec.exact_energy == rec.best_energy
