@@ -10,6 +10,7 @@ import numpy as np
 
 from .errors import SizeCapError
 from .ising import SpinHamiltonian, diagonalize
+from .model import brief
 from .simulator import StateVector
 
 DENSE_CAP = 8
@@ -32,7 +33,7 @@ def rz_matrix(theta: float) -> np.ndarray:
 
 def _check_n(n: int):
     if not 1 <= n <= DENSE_CAP:
-        raise SizeCapError(f"dense oracle needs 1 <= n <= {DENSE_CAP}, got {n}")
+        raise SizeCapError(f"dense oracle needs 1 <= n <= {DENSE_CAP}, got {brief(n)}")
 
 
 def kron_factors(factors) -> np.ndarray:

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SizeCapError
-from .model import PuboProblem, QuboProblem, _canon, _check_terms, _real
+from .model import PuboProblem, QuboProblem, _canon, _check_terms, _real, brief
 
 # Largest n for a 2^n table: this diagonal and the statevector engine's
 # amplitudes (simulator.STATEVECTOR_CAP is this value).
@@ -154,7 +154,7 @@ def diagonalize(h: SpinHamiltonian) -> np.ndarray:
     a full parity_sign per term, bit for bit.  Constant excluded.
     """
     if h.n > DIAGONAL_CAP:
-        raise SizeCapError(f"diagonal table needs n <= {DIAGONAL_CAP}, got n = {h.n}")
+        raise SizeCapError(f"diagonal table needs n <= {DIAGONAL_CAP}, got n = {brief(h.n)}")
     vals = np.zeros(1 << h.n)
     for idx, coef in h.terms.items():
         shape, pattern = sign_view(h.n, idx)

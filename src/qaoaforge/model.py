@@ -136,12 +136,21 @@ def _real(v) -> bool:
     return type(v) is not bool and isinstance(v, (int, float, np.integer, np.floating))
 
 
+def brief(v) -> str:
+    """repr(v) for a refusal, at most 80 characters; an int past 256 bits, which str()
+    may refuse to print (over 4300 digits), reads as its bit length."""
+    if isinstance(v, int) and abs(v).bit_length() > 256:
+        return f"an int of {abs(v).bit_length()} bits"
+    text = repr(v)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def whole_number(v, field: str, lo: int, hi=math.inf) -> int:
     """v as an int in [lo, hi), refusing what int() would truncate or convert (3.7, "1", true, nan)."""
     if not (_real(v) and -math.inf < v < math.inf and int(v) == v):
-        raise ValueError(f"{field} must be a whole number, got {v!r}")
+        raise ValueError(f"{field} must be a whole number, got {brief(v)}")
     if not lo <= v < hi:
-        raise ValueError(f"{field} must be >= {lo}, got {v!r}" if v < lo else f"{field} must be < {hi}, got {v!r}")
+        raise ValueError(f"{field} must be >= {lo}, got {brief(v)}" if v < lo else f"{field} must be < {hi}, got {brief(v)}")
     return int(v)
 
 
@@ -157,7 +166,7 @@ def positive_number(v, field: str) -> float:
     """v as a float in (0, inf), refusing what float() would convert (true, "1"), 0, nan, inf and 10**400."""
     x = _float(v)
     if not 0 < x < math.inf:
-        raise ValueError(f"{field} must be a positive finite number, got {v!r}")
+        raise ValueError(f"{field} must be a positive finite number, got {brief(v)}")
     return x
 
 
@@ -165,7 +174,7 @@ def _finite_number(v, field: str) -> float:
     """v as a finite float, refusing what float() would convert (true, "1"), nan, inf and 10**400."""
     x = _float(v)
     if not math.isfinite(x):
-        raise ValueError(f"{field} must be finite and a number, got {v!r}")
+        raise ValueError(f"{field} must be finite and a number, got {brief(v)}")
     return x
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import OptimizerDivergence, SizeCapError
 from .ising import assignment_of_basis_index
-from .model import bits_to_string, positive_number, whole_number
+from .model import bits_to_string, brief, positive_number, whole_number
 from . import qaoa
 from . import simulator as sim
 
@@ -342,7 +342,7 @@ def optimize(
     """
     entries = config.restarts * (config.max_iters + 48 * spec.layers + 128)
     if entries > RUN_ENTRIES_CAP:
-        raise SizeCapError(f"restarts x (max_iters + 48 layers + 128) must be <= {RUN_ENTRIES_CAP}, got {entries}")
+        raise SizeCapError(f"restarts x (max_iters + 48 layers + 128) must be <= {RUN_ENTRIES_CAP}, got {brief(entries)}")
     t_start = time.perf_counter()
     domain = qaoa.restricted_domain(spec)
     big_a = 0.1 * config.max_iters

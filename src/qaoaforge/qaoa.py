@@ -12,6 +12,10 @@ column and mixes its beta rows from copies.
 Every U_f goes through one phase route: cos and sin of the levels of the
 spec's level table (integer coefficients, see _level_table), gathered by
 index, or else the direct phase of all 2^n entries, with the same bits.
+A forward layer is one simulator call, U_f and then the mixer: past
+sim.TILE_QUBITS each row tile takes its slice of the phase inside the
+mixer's sweep, with one tile-sized temporary per thread, and no 2^n phase
+array is formed.
 Energies are exact expectations of the scaled Hamiltonian; in original
 units, multiply by k_scale and add the constant.
 """
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import SizeCapError
 from .ising import SpinHamiltonian, diagonalize, scale, scaling_factor
-from .model import whole_number
+from .model import brief, whole_number
 from . import simulator as sim
 
 # Largest landscape_scan resolution: a 4096^2 grid holds 128 MiB of values.
@@ -147,16 +151,17 @@ def _level_table(h: SpinHamiltonian, energies: np.ndarray):
     return np.arange(-span, span + 1, dtype=float), index
 
 
-def _apply_uf(spec: QaoaCircuitSpec, psi: sim.StateVector, gamma) -> None:
-    """U_f(gamma) on a state or a block: the one phase route of every evolution.
+def _apply_uf(spec: QaoaCircuitSpec, psi: sim.StateVector, gamma, beta=None) -> None:
+    """U_f(gamma) on a state or a block, then the mixer U_i(beta) when beta is given.
 
-    Through the level table when the spec has one, else the direct phase;
-    both give the same amplitudes bit for bit.
+    The one phase route of every evolution: through the level table when the
+    spec has one, else the direct phase; both give the same amplitudes bit
+    for bit.  With beta the simulator folds the mixer into the phase's sweep.
     """
     if spec.level_table is None:
-        sim.apply_diagonal_phase(psi, spec.energies, gamma)
+        sim.apply_diagonal_phase(psi, spec.energies, gamma, beta)
     else:
-        sim.apply_level_phase(psi, *spec.level_table, gamma)
+        sim.apply_level_phase(psi, *spec.level_table, gamma, beta)
 
 
 def _evolve(spec: QaoaCircuitSpec, psi: sim.StateVector, betas, gammas) -> sim.StateVector:
@@ -166,8 +171,7 @@ def _evolve(spec: QaoaCircuitSpec, psi: sim.StateVector, betas, gammas) -> sim.S
     per row of a block.
     """
     for beta, gamma in zip(betas, gammas):
-        _apply_uf(spec, psi, gamma)
-        sim.apply_mixer(psi, beta)
+        _apply_uf(spec, psi, gamma, beta)
     return psi
 
 
@@ -299,7 +303,7 @@ def landscape_scan(
         raise ValueError("landscape scans are defined for single-layer circuits only")
     resolution = whole_number(resolution, "resolution", 2)
     if resolution > SCAN_RESOLUTION_CAP:
-        raise SizeCapError(f"scan resolution must be <= {SCAN_RESOLUTION_CAP}, got {resolution}")
+        raise SizeCapError(f"scan resolution must be <= {SCAN_RESOLUTION_CAP}, got {brief(resolution)}")
     beta_range = (-math.pi, math.pi) if beta_range is None else beta_range
     gamma_range = (-math.pi, math.pi) if gamma_range is None else gamma_range
     if not np.isfinite([beta_range, gamma_range]).all():

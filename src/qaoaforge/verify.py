@@ -678,13 +678,22 @@ def check_fast_gate_agreement(instances: int = 50, n: int = 5, p: int = 3, tol: 
 
 
 def check_tiled_mixer(n: int = 16, trials: int = 3, seed: int = 0) -> CheckResult:
-    """apply_mixer, tiled past sim.TILE_QUBITS, vs an apply_rx loop over qubits: bit for bit."""
+    """apply_mixer, tiled past sim.TILE_QUBITS, vs an apply_rx loop over qubits: bit for bit.
+
+    Every other trial runs the layer apply_diagonal_phase folds the mixer
+    into, against apply_diagonal_phase alone and then the apply_rx loop.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for beta in rng.uniform(-math.pi, math.pi, trials).tolist():
+    for k, (beta, gamma) in enumerate(rng.uniform(-math.pi, math.pi, (trials, 2)).tolist()):
         a = sim.StateVector(n, rng.normal(size=2 << n).view(np.complex128))
         b = sim.StateVector(n, a.amp.copy())
-        sim.apply_mixer(a, beta)
+        if k % 2:
+            energies = rng.normal(size=1 << n)
+            sim.apply_diagonal_phase(a, energies, gamma, beta)
+            sim.apply_diagonal_phase(b, energies, gamma)
+        else:
+            sim.apply_mixer(a, beta)
         for q in range(n):
             apply_rx(b, q, beta)
         worst = max(worst, float(np.abs(a.amp - b.amp).max()))

@@ -3,7 +3,10 @@ import argparse
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -205,12 +208,46 @@ def blas_calls(source: str, functions) -> list[str]:
 
 def test_mixer_makes_no_blas_call():
     # a blocked-matmul mixer ran faster on one BLAS thread, but 2.7x slower
-    # with threaded BLAS on a busy 2-core host, and it sums in another order
-    demo = "def f(a, b):\n    a @= b\n    return np.dot(a, b) @ b\ndef g(a):\n    return np.einsum('i', a)\n"
+    # with threaded BLAS on a busy 2-core host, and it sums in another order;
+    # the tile jobs and the per-tile phase step run on every core already
+    demo = "def f(a, b):\n    a @= b\n    return np.dot(a, b) @ b\ndef g(a):\n    def h():\n        return a @ a\n"
     assert blas_calls(demo, {"f"}) == ["f: @", "f: @", "f: dot"]
-    kernels = {"apply_mixer", "_rx", "_rx_coefficients", "_bit_view"}
+    assert blas_calls(demo, {"g"}) == ["g: @"]
+    kernels = {"apply_mixer", "_rx", "_rx_coefficients", "_bit_view", "_sweep", "_row_angle", "_tiled", "_tiles",
+               "apply_diagonal_phase", "apply_level_phase", "_phase"}
     assert all(callable(getattr(simulator, name, None)) for name in kernels)
     assert blas_calls(inspect.getsource(simulator), kernels) == []
+
+
+def test_small_states_start_no_thread():
+    # up to TILE_QUBITS every evolution runs on the calling thread: importing the
+    # package and evolving starts no thread and imports no pool module (importing
+    # concurrent.futures pulls in logging, 0.6 MiB); past it, the first sweep
+    # starts the pool's _WORKERS - 1 threads
+    script = """
+import sys, threading
+import numpy as np
+import qaoaforge
+from qaoaforge import qaoa, optimize, simulator, verify
+before = threading.active_count()
+for n in (3, 12, simulator.TILE_QUBITS):
+    for h in (qaoaforge.SpinHamiltonian(n, {(q, (q + 1) % n): 1.0 for q in range(n - 1)}),
+              verify.random_spin_mixed(np.random.default_rng(n), n)):
+        spec, spec1 = qaoa.build_circuit(h, layers=2), qaoa.build_circuit(h)
+        rows = np.full((2, 4), 0.3)
+        qaoa.energy(spec, qaoa.QaoaParams.from_vector(rows[0]))
+        qaoa.energies(spec, rows), qaoa.shot_energies(spec, rows, 10, [1, 2]), qaoa.energy_and_gradient(spec, rows)
+        qaoa.landscape_scan(spec1, 3)
+        optimize(spec, qaoaforge.OptimizerConfig(method="gd", max_iters=1, restarts=1))
+small = threading.active_count() - before, sorted({"queue", "concurrent.futures", "logging"} & set(sys.modules))
+qaoa.energy(qaoa.build_circuit(verify.random_spin_mixed(np.random.default_rng(0), 16)), qaoa.QaoaParams([0.1], [0.2]))
+print(repr((small, threading.active_count() - before, simulator._WORKERS)))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+    small, large, workers = ast.literal_eval(out)
+    assert small == (0, [])
+    assert large == workers - 1
 
 
 def test_readme_module_names_resolve():

@@ -15,6 +15,7 @@ from qaoaforge.model import (
     PuboProblem,
     QuboProblem,
     apply_penalty,
+    brief,
     brute_force_solve,
     build_knapsack,
     build_maxcut,
@@ -23,6 +24,7 @@ from qaoaforge.model import (
     evaluate_pubo,
     evaluate_qubo,
     load_problem,
+    positive_number,
     problem_from_dict,
 )
 from qaoaforge.optimize import OptimizerConfig
@@ -256,8 +258,8 @@ def _knapsack(**kwargs):
 # each rule's message, and what it refuses beyond True, "1" and nan
 RULES = {
     "whole": ("a whole number", (2.5,)),
-    "positive": ("a positive finite number", (math.inf, 10 ** 400)),
-    "finite": ("finite and a number", (-math.inf, 10 ** 400)),
+    "positive": ("a positive finite number", (math.inf, 10 ** 400, 10 ** 5000)),
+    "finite": ("finite and a number", (-math.inf, 10 ** 400, -10 ** 5000)),
 }
 
 
@@ -297,6 +299,19 @@ def test_value_rules(field, make, rule):
             make(bad)
     for good in (1.0, np.int64(1), np.float32(1.0)):
         assert make(good) == make(1)
+
+
+def test_refusals_print_huge_ints_by_size():
+    # str() refuses an int over 4300 digits, so a refusal that printed it would fail
+    # itself without naming the field; long reprs are cut to 80 characters
+    with pytest.raises(ValueError, match=r"^p1 must be a positive finite number, got an int of 16610 bits$"):
+        positive_number(10 ** 5000, "p1")
+    with pytest.raises(ValueError, match=r"^edges endpoint must be < 3, got an int of 16610 bits$"):
+        build_maxcut(3, [(0, 10 ** 5000)])
+    with pytest.raises(ValueError, match=r"^term idx must be >= 0, got an int of 16610 bits$"):
+        build_pubo(2, [((-10 ** 5000,), 1.0)])
+    assert brief(2 ** 255) == repr(2 ** 255) and brief(-2 ** 256) == "an int of 257 bits"
+    assert brief("x" * 80) == repr("x" * 80)[:77] + "..." and brief(2.5) == "2.5"
 
 
 def test_build_maxcut_square():

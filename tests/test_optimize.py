@@ -9,10 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qaoaforge import qaoa
+from qaoaforge import dense, qaoa
 from qaoaforge import simulator as sim
 from qaoaforge.errors import OptimizerDivergence, SizeCapError
-from qaoaforge.ising import SpinHamiltonian, qubo_to_spin, to_spin
+from qaoaforge.ising import SpinHamiltonian, diagonalize, qubo_to_spin, to_spin
 from qaoaforge.model import build_knapsack, build_maxcut
 from qaoaforge.optimize import (
     HISTOGRAM_MAX_ENTRIES,
@@ -122,6 +122,24 @@ def test_oversized_runs_are_refused_before_anything_is_allocated(monkeypatch):
             optimize(spec, config)
     monkeypatch.undo()
     assert optimize(c4_spec(layers=1), OptimizerConfig(max_iters=3, restarts=2)).traces.shape == (2, 3)
+
+
+def test_size_caps_refuse_huge_ints_by_name():
+    # an int over 4300 digits passes whole_number; each cap still refuses it as
+    # SizeCapError, printing its size, where str() of it raised ValueError
+    big = 10 ** 5000
+    spec = c4_spec(layers=1)
+    calls = {
+        r"restarts x \(max_iters \+ 48 layers \+ 128\) must be <= \d+, got": lambda: optimize(
+            spec, OptimizerConfig(max_iters=big)),
+        r"scan resolution must be <= \d+, got": lambda: qaoa.landscape_scan(spec, big),
+        r"qubit count must be in \[1, \d+\], got": lambda: sim.init_plus(big),
+        r"diagonal table needs n <= \d+, got n =": lambda: diagonalize(SpinHamiltonian(big, {(0,): 1.0})),
+        r"dense oracle needs 1 <= n <= \d+, got": lambda: dense.operator_of(sim.init_plus, big),
+    }
+    for message, call in calls.items():
+        with pytest.raises(SizeCapError, match=rf"^{message} an int of 166\d\d bits$"):
+            call()
 
 
 @pytest.mark.parametrize("squash", ["none", "tanh"])

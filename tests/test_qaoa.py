@@ -561,53 +561,111 @@ def test_landscape_scan_forms_each_gamma_column_once(monkeypatch):
         assert calls == {"init_plus": 7, "apply_diagonal_phase": 0, "apply_level_phase": 0, phase: 7}
 
 
-def test_scan_memory_at_tiled_size_is_a_few_states():
-    # the column state, one block copy and the expectation's temporaries; each
-    # column's states go before the next column's |+> and direct-phase temporaries
+def extra_threads_states(n):
+    """States (16 * 2^n bytes) that each tile thread past the first may hold at once:
+    one tile's mixer temporary plus numpy's ufunc buffer, as in test_simulator."""
+    threads = min(sim._WORKERS, 1 << max(n - sim.TILE_QUBITS, 0))
+    return (threads - 1) * ((1 << sim.TILE_QUBITS) + np.getbufsize()) / (1 << n)
+
+
+def test_scan_memory_at_tiled_size_is_a_few_states(monkeypatch):
+    # the column state, one block copy and the expectation's temporaries, plus a
+    # tile temporary per extra thread; each column's states go before the next
+    # column's |+> and direct-phase temporaries
     n = 16
     spec = random_instance(np.random.default_rng(54), n, 1)
     assert spec.level_table is None
-    tracemalloc.start()
-    try:
-        qaoa.landscape_scan(spec, 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.25 * (16 << n), peak
+    for workers in sorted({1, sim._WORKERS}):
+        monkeypatch.setattr(sim, "_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            qaoa.landscape_scan(spec, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3.25 + extra_threads_states(n)) * (16 << n), (workers, peak)
 
 
 @pytest.mark.parametrize("route", ["direct", "table"])
-def test_memory_table_at_16_qubits(route):
+def test_memory_table_at_16_qubits(route, monkeypatch):
     # README's memory table: traced peaks in states (16 * 2^n bytes) at n = 16, through
-    # the direct phase and the level table; the direct phase's energies and scan rows
-    # are the two tests above
+    # the direct phase and the level table, on one tile thread and on all of them; the
+    # direct phase's energies and scan rows are the two tests above
     n = 16
     h = verify.random_spin_mixed(np.random.default_rng(57), n) if route == "direct" else ring_with_chords(n)
     spec, spec1 = (qaoa.build_circuit(h, layers=p) for p in (2, 1))
     assert (spec.level_table is not None) == (route == "table")
     params = qaoa.QaoaParams([0.4, -1.1], [0.9, 0.3])
-    rows = {
-        "run": (2.75, lambda: qaoa.run(spec, params)),
-        "energy": (2.75, lambda: qaoa.energy(spec, params)),
-        "energies": (2.75, lambda: qaoa.energies(spec, np.random.default_rng(58).uniform(-3.0, 3.0, (3, 4)))),
-        "landscape_scan": (3.25, lambda: qaoa.landscape_scan(spec1, 3)),
-        "energy_and_gradient": (3.75, lambda: qaoa.energy_and_gradient(spec, params.as_vector()[None])),
-        "gd": (3.75, lambda: optimize(spec, OptimizerConfig(method="gd", max_iters=2, restarts=1, seed=0))),
-        "spsa": (2.75, lambda: optimize(spec, OptimizerConfig(max_iters=2, restarts=1, seed=0, a0=0.5))),
-    }
-    if route == "direct":
-        del rows["energies"], rows["landscape_scan"]
     over = {}
-    for name, (bound, call) in rows.items():
+    for workers in sorted({1, sim._WORKERS}):
+        monkeypatch.setattr(sim, "_WORKERS", workers)
+        rows = {
+            "run": (2.75, lambda: qaoa.run(spec, params)),
+            "energy": (2.75, lambda: qaoa.energy(spec, params)),
+            "energies": (2.75, lambda: qaoa.energies(spec, np.random.default_rng(58).uniform(-3.0, 3.0, (3, 4)))),
+            "landscape_scan": (3.25 + extra_threads_states(n), lambda: qaoa.landscape_scan(spec1, 3)),
+            "energy_and_gradient": (3.75, lambda: qaoa.energy_and_gradient(spec, params.as_vector()[None])),
+            "gd": (3.75, lambda: optimize(spec, OptimizerConfig(method="gd", max_iters=2, restarts=1, seed=0))),
+            "spsa": (2.75, lambda: optimize(spec, OptimizerConfig(max_iters=2, restarts=1, seed=0, a0=0.5))),
+        }
+        if route == "direct":
+            del rows["energies"], rows["landscape_scan"]
+        for name, (bound, call) in rows.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1] / (16 << n)
+            finally:
+                tracemalloc.stop()
+            if peak > bound:
+                over[workers, name] = peak
+    assert over == {}
+
+
+@pytest.mark.parametrize("route", ["direct", "table"])
+def test_layer_memory_at_18_qubits(route):
+    # past TILE_QUBITS a layer forms no 2^n phase: run holds its state plus, per tile
+    # thread, a tile's phase or mixer temporaries (1.5 tiles at most), where the phase
+    # pass before the mixer held 1.5 states; energy adds the expectation's one state
+    n = 18
+    h = verify.random_spin_mixed(np.random.default_rng(59), n) if route == "direct" else ring_with_chords(n)
+    spec = qaoa.build_circuit(h, layers=2)
+    assert (spec.level_table is not None) == (route == "table")
+    params = qaoa.QaoaParams([0.4, -1.1], [0.9, 0.3])
+    threads = min(sim._WORKERS, 1 << (n - sim.TILE_QUBITS))
+    run_bound = 1.0 + threads * 1.5 * (1 << sim.TILE_QUBITS) / (1 << n) + 0.01
+    peaks = {}
+    for name, call in (("run", lambda: qaoa.run(spec, params)), ("energy", lambda: qaoa.energy(spec, params))):
         tracemalloc.start()
         try:
             call()
-            peak = tracemalloc.get_traced_memory()[1] / (16 << n)
+            peaks[name] = tracemalloc.get_traced_memory()[1] / (16 << n)
         finally:
             tracemalloc.stop()
-        if peak > bound:
-            over[name] = peak
-    assert over == {}
+    assert peaks["run"] <= run_bound, (peaks, run_bound)
+    assert peaks["energy"] <= max(2.01, run_bound), (peaks, run_bound)
+
+
+def test_parallel_tiles_equal_one_thread(monkeypatch):
+    # every tiled route on the pool against _WORKERS = 1, bit for bit, past TILE_QUBITS
+    # on both U_f routes: forward rows, shots, the adjoint gradient and a scan
+    rng = np.random.default_rng(60)
+    for n in (16, 17):
+        for h in (ring_with_chords(n), verify.random_spin_mixed(rng, n)):
+            spec, spec1 = (qaoa.build_circuit(h, layers=p) for p in (2, 1))
+            angles = rng.uniform(-3.0, 3.0, (2, 4))
+            calls = {
+                "run": lambda: qaoa.run(spec, qaoa.QaoaParams.from_vector(angles[0])).amp,
+                "energies": lambda: qaoa.energies(spec, angles),
+                "shot_energies": lambda: qaoa.shot_energies(spec, angles, 50, np.array([3, 4])),
+                "energy_and_gradient": lambda: np.column_stack(qaoa.energy_and_gradient(spec, angles)),
+                "landscape_scan": lambda: qaoa.landscape_scan(spec1, 3).values,
+            }
+            for name, call in calls.items():
+                monkeypatch.setattr(sim, "_WORKERS", max(2, sim._WORKERS))
+                pooled = call()
+                monkeypatch.setattr(sim, "_WORKERS", 1)
+                assert np.array_equal(pooled, call()), (n, spec.level_table is None, name)
 
 
 def test_landscape_csv_format():

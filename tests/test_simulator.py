@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -70,19 +73,70 @@ def two_temporary_mixer(amp, beta):
 
 def test_mixer_matches_two_temporary_loop(monkeypatch):
     # with 3-qubit tiles every n from 4 on runs the row and column sweeps,
-    # n = 12 on one-amplitude-wide column tiles
+    # n = 12 on one-amplitude-wide column tiles, up to 512 tile jobs per sweep
+    # on one thread and on the pool
     rng = np.random.default_rng(39)
-    for tile in (sim.TILE_QUBITS, 3):
+    for tile, workers in ((sim.TILE_QUBITS, sim._WORKERS), (3, 1), (3, max(2, sim._WORKERS))):
         monkeypatch.setattr(sim, "TILE_QUBITS", tile)
+        monkeypatch.setattr(sim, "_WORKERS", workers)
         for n in range(1, 13):
-            for rows, per_row in ((None, False), (3, False), (3, True)):
+            for rows, per_row in ((None, False), (1, True), (3, False), (3, True)):
                 shape = 1 << n if rows is None else (rows, 1 << n)
                 amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 beta = rng.uniform(-7.0, 7.0, rows) if per_row else float(rng.uniform(-7.0, 7.0))
                 psi = sim.StateVector(n, amp.copy())
                 sim.apply_mixer(psi, beta)
                 two_temporary_mixer(amp, beta)
-                assert np.array_equal(psi.amp, amp), (tile, n, rows, per_row)
+                assert np.array_equal(psi.amp, amp), (tile, workers, n, rows, per_row)
+
+
+def test_layer_kernels_equal_phase_then_mixer(monkeypatch):
+    # a phase kernel given beta folds the mixer into its sweep: the amplitudes of the
+    # phase call and then apply_mixer, bit for bit, and of the untiled phase and then the
+    # two-temporary mixer, untiled, past 3-qubit tiles and past TILE_QUBITS, for a state,
+    # a one-row block and a block with one angle pair per row
+    rng = np.random.default_rng(41)
+    levels = np.arange(41, dtype=float) - 20
+    for tile, n in ((sim.TILE_QUBITS, 5), (3, 5), (3, 9), (sim.TILE_QUBITS, 16), (sim.TILE_QUBITS, 17)):
+        monkeypatch.setattr(sim, "TILE_QUBITS", tile)
+        index = rng.integers(0, len(levels), 1 << n).astype(np.uint8)
+        for rows in (None, 1, 2):
+            shape = 1 << n if rows is None else (rows, 1 << n)
+            amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            gamma, beta = rng.uniform(-7.0, 7.0, (2, rows or 1))
+            if rows is None:
+                gamma, beta = float(gamma[0]), float(beta[0])
+            for phase, diagonal in ((sim.apply_diagonal_phase, (levels[index],)),
+                                    (sim.apply_level_phase, (levels, index))):
+                fused, apart = sim.StateVector(n, amp.copy()), sim.StateVector(n, amp.copy())
+                phase(fused, *diagonal, gamma, beta)
+                phase(apart, *diagonal, gamma)
+                sim.apply_mixer(apart, beta)
+                assert np.array_equal(fused.amp, apart.amp), (tile, n, rows, phase.__name__)
+            want = amp.copy()
+            want *= sim._phase(levels[index], gamma)  # in place, as the kernels multiply
+            two_temporary_mixer(want, beta)
+            assert np.array_equal(fused.amp, want), (tile, n, rows)
+
+
+def test_tiles_run_every_job_once_and_raise_a_jobs_error(monkeypatch):
+    # each index is taken by exactly one thread; an error in a job, on the calling
+    # thread or on a pool thread, reaches the caller once every other job is done
+    monkeypatch.setattr(sim, "_WORKERS", max(2, sim._WORKERS))
+    ran = []
+    sim._tiles(ran.append, 64)
+    assert sorted(ran) == list(range(64))
+    for failing in (lambda: threading.current_thread() is threading.main_thread(),
+                    lambda: threading.current_thread() is not threading.main_thread()):
+        def job(i):
+            time.sleep(0.001)  # so that a pool thread takes some of the jobs
+            if failing():
+                raise MemoryError(f"tile {i}")
+            ran.append(i)
+        ran.clear()
+        with pytest.raises(MemoryError, match="tile"):
+            sim._tiles(job, 64)
+        assert len(ran) == len(set(ran)) >= 64 - (sim._WORKERS - 1) - 1
 
 
 def test_mixer_matches_dense_kronecker_product(monkeypatch):
@@ -96,23 +150,54 @@ def test_mixer_matches_dense_kronecker_product(monkeypatch):
             assert np.abs(got - want).max() < 1e-13, (tile, n)
 
 
-def test_tiled_mixer_at_17_qubits_keeps_one_tile_temporary():
+def test_tiles_under_contention(monkeypatch):
+    # more pool threads than cores and a 1 us switch interval: every job runs exactly
+    # once and the many-tile mixer keeps its bits, within a time bound
+    monkeypatch.setattr(sim, "_pool", None)
+    monkeypatch.setattr(sim, "_WORKERS", 2 * sim._WORKERS + 2)
+    monkeypatch.setattr(sim, "TILE_QUBITS", 3)
+    rng = np.random.default_rng(43)
+    amp = rng.normal(size=(2, 1 << 10)) + 1j * rng.normal(size=(2, 1 << 10))
+    psi, beta = sim.StateVector(10, amp.copy()), rng.uniform(-7.0, 7.0, 2)
+    ran = []
+
+    def work():
+        sim._tiles(ran.append, 5000)
+        sim.apply_mixer(psi, beta)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert sorted(ran) == list(range(5000))
+    two_temporary_mixer(amp, beta)
+    assert np.array_equal(psi.amp, amp)
+
+
+def test_tiled_mixer_at_17_qubits_keeps_one_tile_temporary(monkeypatch):
     n = 17
     assert n > sim.TILE_QUBITS
     rng = np.random.default_rng(42)
-    amp = rng.normal(size=2 << n).view(np.complex128)
-    psi = sim.StateVector(n, amp.copy())
-    tracemalloc.start()
-    sim.apply_mixer(psi, 0.83)
-    extra = tracemalloc.get_traced_memory()[1] / amp.nbytes
-    tracemalloc.stop()
-    two_temporary_mixer(amp, 0.83)
-    assert np.array_equal(psi.amp, amp)
-    # one 2^TILE_QUBITS tile's temporary (a quarter state), plus the buffer
-    # numpy's ufunc loop takes for the reversed view in _rx (8192 amplitudes);
-    # the untiled update held a whole state and the same buffer
-    tile = ((1 << sim.TILE_QUBITS) + np.getbufsize()) / (1 << n)
-    assert extra <= tile + 0.01, (extra, tile)
+    for workers in sorted({1, sim._WORKERS}):
+        monkeypatch.setattr(sim, "_WORKERS", workers)
+        amp = rng.normal(size=2 << n).view(np.complex128)
+        psi = sim.StateVector(n, amp.copy())
+        tracemalloc.start()
+        sim.apply_mixer(psi, 0.83)
+        extra = tracemalloc.get_traced_memory()[1] / amp.nbytes
+        tracemalloc.stop()
+        two_temporary_mixer(amp, 0.83)
+        assert np.array_equal(psi.amp, amp)
+        # per thread, one 2^TILE_QUBITS tile's temporary (a quarter state), plus the
+        # buffer numpy's ufunc loop takes for the reversed view in _rx (8192
+        # amplitudes); the untiled update held a whole state and the same buffer
+        tile = ((1 << sim.TILE_QUBITS) + np.getbufsize()) / (1 << n)
+        threads = min(workers, 1 << (n - sim.TILE_QUBITS))
+        assert extra <= threads * tile + 0.01, (workers, extra, tile)
 
 
 def test_rz_phases():
