@@ -200,6 +200,8 @@ def _start_vector(spec, domain, rng, initial_params) -> np.ndarray:
     p = spec.layers
     if initial_params is None:
         return np.concatenate([rng.uniform(*domain.beta_range, p), rng.uniform(*domain.gamma_range, p)])
+    if not isinstance(initial_params, qaoa.QaoaParams):
+        raise TypeError(f"initial_params must be a QaoaParams or None, got {type(initial_params).__name__}")
     angles = initial_params.as_vector()
     if angles.size != 2 * p:
         raise ValueError(f"initial_params has {angles.size // 2} layers, circuit has {p}")
@@ -335,10 +337,11 @@ def optimize(
 ) -> RunRecord:
     """Multi-restart SPSA or gradient descent (config.method).
 
-    Returns the best restart's best-seen iterate.  initial_params, when
-    given, warm-starts every restart from those angles instead of a random
-    draw (restarts still perturb independently).  Raises SizeCapError,
-    before allocating anything, past RUN_ENTRIES_CAP.
+    Returns the best restart's best-seen iterate.  initial_params, a
+    QaoaParams when given (anything else raises TypeError), warm-starts
+    every restart from those angles instead of a random draw (restarts
+    still perturb independently).  Raises SizeCapError, before allocating
+    anything, past RUN_ENTRIES_CAP.
     """
     entries = config.restarts * (config.max_iters + 48 * spec.layers + 128)
     if entries > RUN_ENTRIES_CAP:

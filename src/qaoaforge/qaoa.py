@@ -37,10 +37,6 @@ SCAN_RESOLUTION_CAP = 4096
 # Amplitude bytes per block of rows; from n = 12 up a block is one row.
 BLOCK_BYTES = 64 << 10
 
-# Fewest qubits for which build_circuit attaches a level table: below 8 the
-# gather of one state costs more than the cos and sin of its 2^n entries.
-LEVEL_TABLE_MIN_QUBITS = 8
-
 
 @dataclass(frozen=True)
 class QaoaParams:
@@ -114,8 +110,8 @@ def build_circuit(
 
     With scaled=True every coefficient is divided by the largest magnitude,
     so max |coef| == 1 and rotation angles stop being redundant across
-    scale; minimizers are unchanged.  Integer coefficients from
-    LEVEL_TABLE_MIN_QUBITS qubits up also give the spec a level table.
+    scale; minimizers are unchanged.  Integer coefficients also give the
+    spec a level table when it is small enough (see _level_table).
     energies and the level table are read-only, so the two cannot drift apart.
     """
     if not h_raw.terms:
@@ -136,12 +132,11 @@ def _level_table(h: SpinHamiltonian, energies: np.ndarray):
     When every coefficient is an integer, as for an unweighted max-cut after
     scaling (+/-1), every entry of diagonalize is an exact integer sum in
     [-span, span], span = sum |coef|: levels = -span..span and index =
-    energies + span, one byte or two per entry.  None below
-    LEVEL_TABLE_MIN_QUBITS, past 2^16 levels, or with more levels than half
-    the entries, where the direct phase is as fast.
+    energies + span, one byte or two per entry.  None past 2^16 levels or
+    with more levels than half the entries, where the direct phase is as fast.
     """
     coefs = list(h.terms.values())
-    if h.n < LEVEL_TABLE_MIN_QUBITS or not all(float(c).is_integer() for c in coefs):
+    if not all(float(c).is_integer() for c in coefs):
         return None
     span = int(sum(abs(c) for c in coefs))
     count = 2 * span + 1
@@ -245,9 +240,9 @@ def energy_and_gradient(spec: QaoaCircuitSpec, angles) -> tuple[np.ndarray, np.n
     The adjoint method (Jones & Gacon 2020, arXiv:2009.02823), two states per
     row: the forward run gives phi and lam = E * phi.  For layer k = p..1 each
     row reads d/d(beta_k) = Im <lam| sum_q X_q |phi> by one vdot per qubit,
-    both undo R_x(beta_k), each row reads d/d(gamma_k) = Im <lam| E |phi> by
-    one dot, and both undo U_f(gamma_k): about three runs of work.  Every row
-    equals a one-row call bit for bit; verify's gradients are its oracles.
+    both undo R_x(beta_k), one np.vecdot reads d/d(gamma_k) = Im <lam| E |phi>
+    for every row, and both undo U_f(gamma_k).  Every row equals a one-row
+    call bit for bit; verify's gradients are its oracles.
     """
     p = spec.layers
     grad = np.zeros(np.shape(angles))
@@ -263,7 +258,7 @@ def energy_and_gradient(spec: QaoaCircuitSpec, angles) -> tuple[np.ndarray, np.n
                     g[j, k] += (np.vdot(lv[:, 0], fv[:, 1]) + np.vdot(lv[:, 1], fv[:, 0])).imag
             for psi in (phi, lam):
                 sim.apply_mixer(psi, -block[:, k])
-            g[:, p + k] = [row @ spec.energies for row in (np.conj(lam.amp) * phi.amp).imag]
+            g[:, p + k] = np.vecdot((np.conj(lam.amp) * phi.amp).imag, spec.energies)
             if k > 0:
                 for psi in (phi, lam):
                     _apply_uf(spec, psi, -block[:, p + k])

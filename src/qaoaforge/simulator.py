@@ -91,17 +91,17 @@ def _rx_coefficients(theta):
     """cos(t/2) and -i sin(t/2): scalars for a float angle, columns for an array.
 
     An array holds one angle per row of a (B, 2^n) block and gives
-    (B, 1, 1, 1) columns, formed with math.cos and math.sin row by row, so
-    a block row sees the very coefficients a single state at the same angle
-    would.  The cos column is complex, as a float scalar becomes in the
+    (B, 1, 1, 1) columns from one np.cos and one np.sin call.  A block row
+    sees the very coefficients a single state at the same angle would,
+    because numpy's float64 cos and sin equal math's (libm's) bit for bit,
+    which tests/test_simulator.py::test_rx_coefficient_columns_are_math_scalars
+    pins.  The cos column is complex, as a float scalar becomes in the
     product, so multiplying a block needs no buffered cast.
     """
     if not isinstance(theta, np.ndarray):
         return math.cos(theta / 2.0), -1j * math.sin(theta / 2.0)
-    half = (theta / 2.0).tolist()
-    c = np.array([math.cos(h) for h in half], dtype=np.complex128)
-    s = np.array([-1j * math.sin(h) for h in half])
-    return c[:, None, None, None], s[:, None, None, None]
+    half = (theta / 2.0)[:, None, None, None]
+    return np.cos(half).astype(np.complex128), -1j * np.sin(half)
 
 
 def _rx(amp: np.ndarray, q: int, c, s) -> None:
@@ -306,14 +306,13 @@ def apply_level_phase(psi: StateVector, levels: np.ndarray, index: np.ndarray, g
 def expectation_diagonal(psi: StateVector, energies: np.ndarray):
     """<psi| diag(energies) |psi>, exact: a float, or one per row of a block.
 
-    A block takes one dot product per row, since a single matrix-vector
-    product may sum in another order than the single-state dot.
+    One np.vecdot call takes the single-state dot product of every row, so
+    a block row sums in a single state's order, where one matrix-vector
+    product may sum in another.
     """
     _check_diagonal(psi, energies)
-    probs = psi.probabilities()
-    if probs.ndim == 1:
-        return float(probs @ energies)
-    return np.array([row @ energies for row in probs])
+    e = np.vecdot(psi.probabilities(), energies)
+    return float(e) if e.ndim == 0 else e
 
 
 def sample(psi: StateVector, shots: int, seed) -> np.ndarray:

@@ -681,7 +681,8 @@ def check_tiled_mixer(n: int = 16, trials: int = 3, seed: int = 0) -> CheckResul
     """apply_mixer, tiled past sim.TILE_QUBITS, vs an apply_rx loop over qubits: bit for bit.
 
     Every other trial runs the layer apply_diagonal_phase folds the mixer
-    into, against apply_diagonal_phase alone and then the apply_rx loop.
+    into, against np.exp's phase (which the cos/sin phase equals bit for
+    bit) and then the apply_rx loop.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -691,7 +692,7 @@ def check_tiled_mixer(n: int = 16, trials: int = 3, seed: int = 0) -> CheckResul
         if k % 2:
             energies = rng.normal(size=1 << n)
             sim.apply_diagonal_phase(a, energies, gamma, beta)
-            sim.apply_diagonal_phase(b, energies, gamma)
+            b.amp *= np.exp(-0.5j * gamma * energies)
         else:
             sim.apply_mixer(a, beta)
         for q in range(n):
@@ -718,14 +719,14 @@ def _integer_instances(rng, n: int) -> list[qaoa.QaoaCircuitSpec]:
 def check_level_table(nmax: int = 12, rows: int = 3, seed: int = 0) -> CheckResult:
     """U_f through build_circuit's level table vs apply_diagonal_phase: bit for bit.
 
-    On integer-coefficient instances from LEVEL_TABLE_MIN_QUBITS to nmax
-    qubits, levels[index] equals the diagonal, and apply_level_phase equals
-    the direct phase on a random state and on a block with one gamma per
-    row; a non-integer instance builds no table.
+    On integer-coefficient instances at 8 qubits (the fewest whose draws
+    always build a table) and at nmax, levels[index] equals the diagonal,
+    and apply_level_phase equals the direct phase on a random state and on
+    a block with one gamma per row; a non-integer instance builds no table.
     """
     rng = np.random.default_rng(seed)
     worst, bad = 0.0, []
-    for n in (qaoa.LEVEL_TABLE_MIN_QUBITS, nmax):
+    for n in (8, nmax):
         for spec in _integer_instances(rng, n):
             if spec.level_table is None:
                 bad.append(f"no table at n={n}")

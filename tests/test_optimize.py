@@ -491,6 +491,9 @@ def test_warm_start_used_by_every_restart():
     assert rec.best_energy <= e_start
     with pytest.raises(ValueError):
         optimize(spec, config, initial_params=qaoa.QaoaParams([0.1], [0.2]))
+    for bare in ([0.3, 0.4, 0.5, 0.6], start.as_vector()):  # refused by name, not by an AttributeError
+        with pytest.raises(TypeError, match="initial_params must be a QaoaParams"):
+            optimize(spec, config, initial_params=bare)
 
 
 def test_histogram_argmax_prefers_lowest_index_on_ties():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -146,30 +147,45 @@ def ring_with_chords(n, weights=None):
     return SpinHamiltonian(n, {e: float(w) for e, w in zip(edges, weights)})
 
 
+def test_block_rows_form_no_math_scalars(monkeypatch):
+    # a multi-row block takes its coefficients from numpy's row-wise calls: no per-row Python loop
+    calls = []
+
+    def counted(name):
+        return lambda x: calls.append(name) or getattr(math, name)(x)
+    monkeypatch.setattr(sim, "math", types.SimpleNamespace(cos=counted("cos"), sin=counted("sin")))
+    spec = random_instance(np.random.default_rng(61), 5, 5)
+    e = qaoa.energies(spec, np.random.default_rng(62).uniform(-3.0, 3.0, (30, 10)))
+    assert e.shape == (30,) and calls == []
+    qaoa.energy(spec, qaoa.QaoaParams.from_vector(np.full(10, 0.3)))  # a float angle still goes through math
+    assert calls.count("cos") == 5
+
+
 def test_level_table_condition():
-    # integer coefficients from LEVEL_TABLE_MIN_QUBITS up give levels -span..span and a 1- or 2-byte index
-    n = qaoa.LEVEL_TABLE_MIN_QUBITS
-    spec = qaoa.build_circuit(ring_with_chords(n))
-    levels, index = spec.level_table
-    span = len(spec.hamiltonian.terms)  # every scaled coupling is +/-1
-    assert np.array_equal(levels, np.arange(-span, span + 1))
-    assert index.dtype == np.uint8 and np.array_equal(levels[index], spec.energies)
+    # integer coefficients give levels -span..span and a 1- or 2-byte index at any qubit count,
+    # as long as the levels number at most half the entries
+    for n in (5, 6, 8):
+        spec = qaoa.build_circuit(ring_with_chords(n))
+        levels, index = spec.level_table
+        span = len(spec.hamiltonian.terms)  # every scaled coupling is +/-1
+        assert np.array_equal(levels, np.arange(-span, span + 1))
+        assert index.dtype == np.uint8 and np.array_equal(levels[index], spec.energies)
     big = SpinHamiltonian(12, {(q,): 40.0 + q for q in range(10)} | {(0, 5): 3.0})
     levels, index = qaoa.build_circuit(big, scaled=False).level_table
     assert index.dtype == np.uint16 and len(levels) == 2 * 448 + 1
     assert np.array_equal(levels[index], qaoa.build_circuit(big, scaled=False).energies)
-    assert qaoa.build_circuit(ring_with_chords(n - 2)).level_table is None  # too few qubits
     assert qaoa.build_circuit(big).level_table is None                      # 3/43 after scaling
-    assert qaoa.build_circuit(random_hamiltonian(np.random.default_rng(57), n)).level_table is None
+    assert qaoa.build_circuit(random_hamiltonian(np.random.default_rng(57), 8)).level_table is None
     # more levels than half the entries: the cos and sin of every level would cost more
-    assert qaoa.build_circuit(SpinHamiltonian(n, {(0,): 64.0, (1, 2): 1.0}), scaled=False).level_table is None
+    assert qaoa.build_circuit(SpinHamiltonian(8, {(0,): 64.0, (1, 2): 1.0}), scaled=False).level_table is None
+    assert qaoa.build_circuit(ring_with_chords(4)).level_table is None     # 11 levels, 16 entries
 
 
 def test_spec_tables_are_read_only():
     # U_f reads the level table and the expectation reads energies, so a write to one would split them
-    for n in (qaoa.LEVEL_TABLE_MIN_QUBITS - 1, qaoa.LEVEL_TABLE_MIN_QUBITS):
+    for n, has_table in ((4, False), (5, True)):
         spec = qaoa.build_circuit(ring_with_chords(n))
-        assert (spec.level_table is None) == (n < qaoa.LEVEL_TABLE_MIN_QUBITS)
+        assert (spec.level_table is not None) == has_table
         for table in (spec.energies, *(spec.level_table or ())):
             with pytest.raises(ValueError, match="read-only"):
                 table[:] = table * 2
@@ -241,7 +257,7 @@ def test_energies_reject_non_finite_entries(monkeypatch):
 
 
 def with_level_table(spec):
-    """spec with a level table built by hand, so n < LEVEL_TABLE_MIN_QUBITS runs the table route too."""
+    """spec with a level table built by hand, so one with more levels than half its entries runs the table route too."""
     span = int(sum(abs(c) for c in spec.hamiltonian.terms.values()))
     table = (np.arange(-span, span + 1, dtype=float), (spec.energies + span).astype(np.uint8))
     return dataclasses.replace(spec, level_table=table)

@@ -51,6 +51,20 @@ def test_rx_acts_on_named_qubit():
     assert abs(psi.amp[0]) < 1e-12
 
 
+def test_rx_coefficient_columns_are_math_scalars():
+    # a block row's R_x coefficients are the float angle's, bit for bit and sign of zero
+    # included, only because numpy's float64 cos and sin equal math's
+    rng = np.random.default_rng(36)
+    magnitudes = np.concatenate([[5e-324, 1e12], 10.0 ** rng.uniform(-323.3, 12.0, 100_000)])
+    angles = np.concatenate([[0.0, -0.0, math.pi, -math.pi], magnitudes * rng.choice([-1.0, 1.0], magnitudes.size)])
+    c, s = sim._rx_coefficients(angles)
+    columns = np.stack([c.ravel(), s.ravel()], axis=1)
+    scalars = np.array([sim._rx_coefficients(t) for t in angles.tolist()], dtype=np.complex128)
+    differ = (columns.view(np.uint64) != scalars.view(np.uint64)).any(axis=1)
+    assert not differ.any(), (f"np.cos/np.sin differ from math.cos/math.sin at {differ.sum()} angles, "
+                              f"first {angles[differ][:5].tolist()}")
+
+
 def two_temporary_mixer(amp, beta):
     """R_x(beta) on every qubit as two half-state temporaries per qubit.
 
