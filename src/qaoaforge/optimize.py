@@ -114,35 +114,38 @@ class OptimizerConfig:
 
 
 class Histogram(Mapping):
-    """Read-only basis index -> probability or count, held as two arrays.
+    """Read-only basis index -> probability or count, held as arrays.
 
-    keys are the basis indices ascending and values their probabilities
-    (float) or counts (int).  It reads as the dict it stands for: Python
-    int keys in index order and Python float or int values, so it compares
-    equal to that dict and prints the same numbers.
+    keys are the basis indices ascending, or None when they are every index
+    0..len(values) - 1, as in a full exact histogram, and values their
+    probabilities (float) or counts (int).  It reads as the dict it stands
+    for: Python int keys in index order and Python float or int values, so
+    it compares equal to that dict and prints the same numbers.
     """
 
     __slots__ = ("_keys", "_values")
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray):
+    def __init__(self, keys: np.ndarray | None, values: np.ndarray):
         self._keys, self._values = keys, values
-        keys.setflags(write=False)
-        values.setflags(write=False)
+        for array in (keys, values):
+            if array is not None:
+                array.setflags(write=False)
 
     def __getitem__(self, key):
         try:
-            i = int(np.searchsorted(self._keys, operator.index(key)))
+            z = operator.index(key)
+            i = z if self._keys is None else int(np.searchsorted(self._keys, z))
         except (TypeError, OverflowError):
             raise KeyError(key) from None
-        if i == self._keys.size or self._keys[i] != key:
+        if not 0 <= i < self._values.size or self._keys is not None and self._keys[i] != z:
             raise KeyError(key)
         return self._values[i].item()
 
     def __iter__(self):
-        return iter(self._keys.tolist())
+        return iter(range(self._values.size) if self._keys is None else self._keys.tolist())
 
     def __len__(self) -> int:
-        return self._keys.size
+        return self._values.size
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
@@ -324,12 +327,11 @@ def _final_histogram(psi: sim.StateVector, config: OptimizerConfig):
         keep = np.flatnonzero(values)
     else:
         values, mode = psi.probabilities(), "exact"
-        # every outcome up to the cap; past it, _largest picks without an index array of 2^n
-        keep = np.arange(values.size) if values.size <= HISTOGRAM_MAX_ENTRIES else None
-    if keep is None or keep.size > HISTOGRAM_MAX_ENTRIES:
+        keep = None  # every outcome, keyed 0..2^n - 1 without an index array
+    if (values.size if keep is None else keep.size) > HISTOGRAM_MAX_ENTRIES:
         keep = _largest(values)
     best_z = int(np.argmax(values))
-    return Histogram(keep, values[keep]), best_z, mode
+    return Histogram(keep, values if keep is None else values[keep]), best_z, mode
 
 
 def optimize(

@@ -4,10 +4,9 @@ Layer k = 1..p applies U_f(gamma_k) = e^{-i(gamma_k/2)H_f}, one phase multiply
 on the diagonal of H_f (verify.gate_decomposed_run is its gate-level reference),
 then the mixer U_i(beta_k) = prod_q R_x(beta_k), starting from |+>^n.  One layer
 loop evolves one state (run, energy) or a block of rows of a (B, 2p) angle
-array, through the one forward route of energies, shot_energies and
-energy_and_gradient (the one gradient entry point, whose energies are its
-own forward run's); landscape_scan forms U_f(gamma)|+> once per gamma
-column and mixes its beta rows from copies.
+array, through the one forward route of energies (landscape_scan's too),
+shot_energies and energy_and_gradient (the one gradient entry point, whose
+energies are its own forward run's).
 
 Every U_f goes through one phase route: cos and sin of the levels of the
 spec's level table (integer coefficients, see _level_table), gathered by
@@ -290,32 +289,35 @@ def landscape_scan(
     beta_range: tuple[float, float] | None = None,
     gamma_range: tuple[float, float] | None = None,
 ) -> LandscapeGrid:
-    """Dense grid of energy() over one layer's (beta, gamma) box, gamma column by column.
+    """Dense grid of energy() over one layer's (beta, gamma) box, from one energies() call.
 
-    A column forms U_f(gamma)|+> once and mixes copies of it, one beta per row in energies()'s
-    blocks; each row gets energies()'s kernels and arithmetic, so values equal energy() bit for bit."""
+    At fixed gamma, E(beta) is a trigonometric polynomial of degree <= D, the largest term
+    degree, so E(beta) = sum_s E(beta_s) K(beta - beta_s) with beta_s = 2 pi s / (2D + 1),
+    s = 0..2D, and K(x) = (1 + 2 sum_{k<=D} cos kx) / (2D + 1) (Wierichs, Izaac, Wang & Lin,
+    Quantum 6, 677 (2022), arXiv:2107.12390), summed elementwise (no BLAS), to rounding.
+    With 2D + 1 >= resolution the call holds every grid point: energy() bit for bit."""
     if spec.layers != 1:
         raise ValueError("landscape scans are defined for single-layer circuits only")
     resolution = whole_number(resolution, "resolution", 2)
     if resolution > SCAN_RESOLUTION_CAP:
         raise SizeCapError(f"scan resolution must be <= {SCAN_RESOLUTION_CAP}, got {brief(resolution)}")
-    beta_range = (-math.pi, math.pi) if beta_range is None else beta_range
-    gamma_range = (-math.pi, math.pi) if gamma_range is None else gamma_range
-    if not np.isfinite([beta_range, gamma_range]).all():
+    box = [(-math.pi, math.pi) if bounds is None else bounds for bounds in (beta_range, gamma_range)]
+    if not np.isfinite(box).all():
         raise ValueError("scan range bounds must be finite")
-    beta_axis = np.linspace(beta_range[0], beta_range[1], resolution)
-    gamma_axis = np.linspace(gamma_range[0], gamma_range[1], resolution)
+    beta_axis, gamma_axis = (np.linspace(lo, hi, resolution) for lo, hi in box)
+    degree = max(map(len, spec.hamiltonian.terms))
+    count = 2 * degree + 1
+    nodes = beta_axis if count >= resolution else 2.0 * math.pi * np.arange(count) / count
+    rows = np.column_stack([np.tile(nodes, resolution), np.repeat(gamma_axis, nodes.size)])
+    samples = energies(spec, rows).reshape(resolution, nodes.size)  # row j: gamma_j's column at the nodes
+    if count >= resolution:
+        return LandscapeGrid(beta_axis, gamma_axis, samples.T.copy())
+    x = beta_axis[:, None] - nodes
+    kernel = (1.0 + 2.0 * sum(np.cos(k * x) for k in range(1, degree + 1))) / count
     values = np.empty((resolution, resolution))
-    rows = max(1, BLOCK_BYTES // (16 << spec.n))
-    for j, g in enumerate(gamma_axis.tolist()):
-        psi = sim.init_plus(spec.n)
-        _apply_uf(spec, psi, g)
-        for start in range(0, resolution, rows):
-            block = sim.StateVector(spec.n, np.tile(psi.amp, (min(rows, resolution - start), 1)))
-            sim.apply_mixer(block, beta_axis[start:start + rows])
-            values[start:start + rows, j] = sim.expectation_diagonal(block, spec.energies)
-        del block, psi  # freed before the next column's |+> and phase
-    return LandscapeGrid(beta_axis=beta_axis, gamma_axis=gamma_axis, values=values)
+    for j, column in enumerate(samples):  # a column at a time: no resolution^2 x count temporary
+        values[:, j] = (kernel * column).sum(axis=1)
+    return LandscapeGrid(beta_axis, gamma_axis, values)
 
 
 @dataclass(frozen=True)

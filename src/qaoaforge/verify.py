@@ -434,6 +434,30 @@ def check_restricted_box_holds_minimum(
     return _result("restricted_box_holds_minimum", worst, tol)
 
 
+def check_beta_spectrum(instances: int = 20, points: int = 32, tol: float = 1e-12, seed: int = 0) -> CheckResult:
+    """At p = 1 and fixed gamma, E(beta) has no harmonic above the largest term degree D.
+
+    An FFT of E at points equispaced beta over [0, 2 pi), two random gammas
+    per instance on 3..7 qubits, also finds no odd harmonic when every degree
+    is even: the premise of landscape_scan's reconstruction and a second
+    route to the beta pi-periodicity of even instances.
+    """
+    rng = np.random.default_rng(seed)
+    worst, even = 0.0, 0
+    betas = 2 * math.pi * np.arange(points) / points
+    for i in range(instances):
+        n = int(rng.integers(3, 8))
+        degrees = [d for d in ((2, 4) if i % 2 == 0 else (1, 2, 3, 4)) if d <= n and rng.random() < 0.7] or [2]
+        spec = qaoa.build_circuit(random_spin_hamiltonian(rng, n, degrees))
+        harmonics = np.abs(np.fft.rfft(direct_grid(spec, betas, rng.uniform(-math.pi, math.pi, 2)), axis=0)) / points
+        silent = np.arange(len(harmonics)) > max(map(len, spec.hamiltonian.terms))
+        if spec.hamiltonian.all_even_degrees():
+            even += 1
+            silent |= np.arange(len(harmonics)) % 2 == 1
+        worst = max(worst, float(harmonics[silent].max()))
+    return _result("beta_spectrum", worst, tol, f"{even}/{instances} instances all-even")
+
+
 # ----------------------------------------------------------------- trotter
 
 def check_trotter_convergence(
@@ -747,6 +771,33 @@ def check_level_table(nmax: int = 12, rows: int = 3, seed: int = 0) -> CheckResu
     return result
 
 
+def direct_grid(spec: qaoa.QaoaCircuitSpec, beta_axis, gamma_axis) -> np.ndarray:
+    """energies() at every point of a one-layer grid, gamma-major, as (beta, gamma) values: landscape_scan's oracle."""
+    betas, gammas = np.meshgrid(beta_axis, gamma_axis)
+    return qaoa.energies(spec, np.column_stack([betas.ravel(), gammas.ravel()])).reshape(gammas.shape).T
+
+
+def check_scan_vs_direct_grid(n: int = 8, tol: float = 1e-10, seed: int = 0) -> CheckResult:
+    """landscape_scan's beta reconstruction vs direct_grid at resolution 2D + 3, random boxes.
+
+    On n qubits: degrees 1 and 3 together, a PUBO with a degree-4 term, and
+    an unweighted max-cut, whose U_f runs through the level table.
+    """
+    rng = np.random.default_rng(seed)
+    edges = list(combinations(range(n), 2))
+    hams = [random_spin_hamiltonian(rng, n, [1, 3]),
+            pubo_to_spin(build_pubo(n, [*random_pubo(rng, n).terms.items(), ((0, 1, 2, 3), 1.0)])),
+            qubo_to_spin(build_maxcut(n, [edges[i] for i in rng.choice(len(edges), size=2 * n, replace=False)]))]
+    worst = 0.0
+    for h in hams:
+        spec = qaoa.build_circuit(h)
+        resolution = 2 * max(map(len, h.terms)) + 3
+        box = np.sort(rng.uniform(-4.0, 4.0, (2, 2)))
+        grid = qaoa.landscape_scan(spec, resolution, beta_range=tuple(box[0]), gamma_range=tuple(box[1]))
+        worst = max(worst, float(np.abs(grid.values - direct_grid(spec, grid.beta_axis, grid.gamma_axis)).max()))
+    return _result("scan_vs_direct_grid", worst, tol)
+
+
 def check_expectation_vs_dense(trials: int = 20, nmax: int = 5, tol: float = 1e-10, seed: int = 0) -> CheckResult:
     """expectation_diagonal vs dense <psi|H|psi> on random states."""
     rng = np.random.default_rng(seed)
@@ -898,6 +949,7 @@ def suite_symmetry(seed: int = 0) -> list[CheckResult]:
         check_beta_shift_detects_odd(seed=seed),
         check_beta_2pi_periodicity(seed=seed),
         check_restricted_box_holds_minimum(seed=seed),
+        check_beta_spectrum(seed=seed),
     ]
 
 
@@ -919,6 +971,7 @@ def suite_oracle(seed: int = 0) -> list[CheckResult]:
         check_fast_gate_agreement(seed=seed),
         check_tiled_mixer(seed=seed),
         check_level_table(seed=seed),
+        check_scan_vs_direct_grid(seed=seed),
         check_expectation_vs_dense(seed=seed),
         check_gradient_methods_agree(seed=seed),
         check_adjoint_gradient(seed=seed),

@@ -2,16 +2,18 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qaoaforge
-from qaoaforge import cli, ising, qaoa
+from qaoaforge import cli, ising, qaoa, verify
 from qaoaforge.errors import OptimizerDivergence
 
 
@@ -237,6 +239,19 @@ def test_scan_scaled_vs_raw_differ(knapsack_file, tmp_path):
     va, vb = values(a), values(b)
     diff = max(abs(x - y) for ra, rb in zip(va, vb) for x, y in zip(ra, rb))
     assert diff > 0.0
+
+
+def test_scan_csv_matches_direct_grid(knapsack_file, tmp_path):
+    # 9 beta rows past the 2D + 1 = 5 nodes of a QUBO: the CSV's reconstructed grid
+    # against energies() at every point, scaled and unscaled
+    h = qaoaforge.to_spin(qaoaforge.load_problem(str(knapsack_file)))
+    for flags in ([], ["--no-scale"]):
+        out = tmp_path / "grid.csv"
+        assert cli.main(["scan", str(knapsack_file), "--resolution", "9", *flags, "--out", str(out)]) == 0
+        table = np.array([[float(v) for v in row.split(",")[1:]] for row in out.read_text().strip().split("\n")[1:]])
+        spec = qaoa.build_circuit(h, scaled=not flags)
+        axis = np.linspace(-math.pi, math.pi, 9)
+        assert np.abs(table - verify.direct_grid(spec, axis, axis)).max() <= 1e-12
 
 
 def test_scan_range_flag(c4_file, tmp_path, capsys):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qaoaforge
-from qaoaforge import cli, simulator, verify
+from qaoaforge import cli, qaoa, simulator, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -217,6 +217,8 @@ def test_mixer_makes_no_blas_call():
                "apply_diagonal_phase", "apply_level_phase", "_phase"}
     assert all(callable(getattr(simulator, name, None)) for name in kernels)
     assert blas_calls(inspect.getsource(simulator), kernels) == []
+    # the scan's beta map too, so a grid does not depend on the BLAS build
+    assert blas_calls(inspect.getsource(qaoa), {"landscape_scan"}) == []
 
 
 def test_small_states_start_no_thread():
@@ -289,10 +291,10 @@ def test_qaoa_applies_u_f_through_one_route():
 
 
 def test_angle_rows_evolve_through_one_forward_route():
-    # energies, shot_energies and energy_and_gradient start their states in _forward;
-    # run (one state) and the scan's gamma columns are the only other starts
+    # energies (and so landscape_scan), shot_energies and energy_and_gradient start their
+    # states in _forward; run (one state) is the only other start
     source = (ROOT / "src" / "qaoaforge" / "qaoa.py").read_text()
-    assert attribute_sites(source, {"init_plus"}) == {"init_plus": ["run", "_forward", "landscape_scan"]}
+    assert attribute_sites(source, {"init_plus"}) == {"init_plus": ["run", "_forward"]}
 
 
 def test_sources_parse_as_python_3_10():

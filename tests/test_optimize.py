@@ -17,6 +17,7 @@ from qaoaforge.model import build_knapsack, build_maxcut
 from qaoaforge.optimize import (
     HISTOGRAM_MAX_ENTRIES,
     RUN_ENTRIES_CAP,
+    Histogram,
     OptimizerConfig,
     optimize,
     squash_params,
@@ -601,9 +602,47 @@ def test_histogram_mapping_contract():
         assert json.loads(json.dumps(rec.to_dict()))["histogram"] == {str(z): v for z, v in as_dict.items()}
 
 
+def test_histogram_with_implicit_keys():
+    # a full exact histogram holds its probabilities alone, keyed 0..2^n - 1, and reads as
+    # the same dict as one holding its keys
+    n = 2
+    values = np.array([0.5, 0.25, 0.125, 0.125])
+    hist, keyed = Histogram(None, values), Histogram(np.arange(1 << n), values.copy())
+    as_dict = dict(enumerate(values.tolist()))
+    assert hist == as_dict and as_dict == hist and hist == keyed
+    assert hist[2] == 0.125 and type(hist[np.int64(1)]) is float
+    for missing in (-1, 1 << n, 1.5, "a", 10**40):
+        with pytest.raises(KeyError):
+            hist[missing]
+        assert missing not in hist and missing not in keyed
+    assert len(hist) == 1 << n and list(hist) == [0, 1, 2, 3] and all(type(z) is int for z in hist)
+    assert repr(hist) == repr(keyed) == f"Histogram({as_dict!r})"
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 1.0
+
+
+def test_exact_histogram_memory_is_its_probabilities():
+    # an exact n = 12 record keeps all 4096 outcomes as one float64 array, keyed implicitly
+    n = 12
+    ring = build_maxcut(n, [(i, (i + 1) % n) for i in range(n)])
+    spec = qaoa.build_circuit(qubo_to_spin(ring))
+    tracemalloc.start()
+    try:
+        rec = optimize(spec, OptimizerConfig(method="spsa", max_iters=2, restarts=1, seed=0))
+        gc.collect()
+        with_histogram, _ = tracemalloc.get_traced_memory()
+        hist, rec.histogram = rec.histogram, None
+        del hist
+        gc.collect()
+        without, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert with_histogram - without <= 8 * (1 << n) + 1024, with_histogram - without
+
+
 def test_record_memory_is_its_arrays():
-    # an exact n = 12 record keeps all 4096 outcomes as two arrays (64 KiB),
-    # not as a dict of boxed ints and floats
+    # an exact n = 12 record keeps all 4096 outcomes as one array of probabilities
+    # (32 KiB), not as a dict of boxed ints and floats
     ring = build_maxcut(12, [(i, (i + 1) % 12) for i in range(12)])
     spec = qaoa.build_circuit(qubo_to_spin(ring), layers=2)
     config = OptimizerConfig(method="spsa", max_iters=20, restarts=2, seed=0)
@@ -616,7 +655,7 @@ def test_record_memory_is_its_arrays():
     finally:
         tracemalloc.stop()
     assert len(rec.histogram) == 4096
-    assert retained <= 128 << 10, retained
+    assert retained <= 64 << 10, retained
 
 
 def test_best_cost_consistent_with_histogram_argmax():

@@ -8,8 +8,8 @@ import pytest
 
 from qaoaforge import qaoa, verify
 from qaoaforge import simulator as sim
-from qaoaforge.ising import SpinHamiltonian, parity_sign, qubo_to_spin
-from qaoaforge.model import build_maxcut, build_qubo
+from qaoaforge.ising import SpinHamiltonian, parity_sign, pubo_to_spin, qubo_to_spin
+from qaoaforge.model import build_maxcut, build_pubo, build_qubo
 from qaoaforge.optimize import OptimizerConfig, optimize
 
 
@@ -503,7 +503,7 @@ def test_energies_releases_each_block_before_the_next():
 
 
 def test_scan_memory_is_its_values():
-    # a scan must not hold resolution^2-sized angle or state arrays
+    # a scan must not hold resolution^2-sized angle, state or kernel-product arrays
     spec = qaoa.build_circuit(SpinHamiltonian(2, {(0,): 0.5, (0, 1): 1.0}))
     resolution = 1024
     values_bytes = 8 * resolution ** 2
@@ -513,7 +513,7 @@ def test_scan_memory_is_its_values():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * values_bytes, peak
+    assert peak < 1.1 * values_bytes, peak
 
 
 def test_gradient_matches_energy_slope():
@@ -546,24 +546,42 @@ def test_landscape_grid_shape_and_values():
             qaoa.landscape_scan(spec, 3, gamma_range=box)
 
 
+def per_point_grid(spec, grid):
+    return np.array([[qaoa.energy(spec, qaoa.QaoaParams([b], [g])) for g in grid.gamma_axis] for b in grid.beta_axis])
+
+
+def quartic_pubo(rng, n):
+    """A random PUBO on n qubits with a degree-4 term, as a one-layer circuit."""
+    return qaoa.build_circuit(pubo_to_spin(build_pubo(n, [*verify.random_pubo(rng, n).terms.items(), ((0, 1, 2, 3), 1.0)])))
+
+
 def test_landscape_scan_equals_per_point_loop(monkeypatch):
-    # 4-row blocks over 7 beta rows end in a partial block; n = 16 mixes
-    # one-row copies with the tiled mixer
+    # up to 2D + 1 beta rows every point is an energies() row, bit for bit; past it the
+    # beta reconstruction from 2D + 1 nodes per column is within 1e-12.  4-row blocks end
+    # in a partial block, and n = 16 runs the tiled mixer
     rng = np.random.default_rng(52)
-    cases = ((2, qaoa.BLOCK_BYTES, 7), (5, qaoa.BLOCK_BYTES, 7), (5, 4 * (16 << 5), 7),
-             (12, qaoa.BLOCK_BYTES, 7), (16, qaoa.BLOCK_BYTES, 5))
-    for n, block_bytes, resolution in cases:
+    cases = [(random_instance(rng, n, 1), block_bytes) for n, block_bytes in
+             ((2, qaoa.BLOCK_BYTES), (5, qaoa.BLOCK_BYTES), (5, 4 * (16 << 5)), (12, qaoa.BLOCK_BYTES), (16, qaoa.BLOCK_BYTES))]
+    cases.append((quartic_pubo(rng, 10), qaoa.BLOCK_BYTES))
+    assert max(map(len, cases[-1][0].hamiltonian.terms)) == 4
+    worst = 0.0
+    for spec, block_bytes in cases:
         monkeypatch.setattr(qaoa, "BLOCK_BYTES", block_bytes)
-        spec = random_instance(rng, n, 1)
-        grid = qaoa.landscape_scan(spec, resolution, beta_range=(-0.5, 2.0), gamma_range=(-3.0, 1.0))
-        want = np.array([[qaoa.energy(spec, qaoa.QaoaParams([b], [g])) for g in grid.gamma_axis]
-                         for b in grid.beta_axis])
-        assert np.array_equal(grid.values, want)
+        nodes = 2 * max(map(len, spec.hamiltonian.terms)) + 1
+        for resolution in (3, nodes + 1) if spec.n == 16 else (3, nodes, nodes + 2):
+            grid = qaoa.landscape_scan(spec, resolution, beta_range=(-0.5, 2.0), gamma_range=(-3.0, 1.0))
+            want = per_point_grid(spec, grid)
+            if resolution <= nodes:
+                assert np.array_equal(grid.values, want), (spec.n, resolution)
+            else:
+                worst = max(worst, float(np.abs(grid.values - want).max()))
+    assert worst <= 1e-12, worst
 
 
-def test_landscape_scan_forms_each_gamma_column_once(monkeypatch):
-    # gamma-major: one |+> and one U_f(gamma) per column, not per grid point,
-    # through the direct phase or the level table
+def test_landscape_scan_is_one_energies_call(monkeypatch):
+    # gamma-major: the 2D + 1 beta nodes of every gamma column are rows of one energies()
+    # call, so each row starts in _forward and takes one U_f, through the direct phase or
+    # the level table; up to 2D + 1 beta rows the call holds the grid's points instead
     mixed = random_instance(np.random.default_rng(53), 12, 1)
     ring = qaoa.build_circuit(qubo_to_spin(build_maxcut(12, [(i, (i + 1) % 12) for i in range(12)])))
     calls = {"init_plus": 0, "apply_diagonal_phase": 0, "apply_level_phase": 0}
@@ -571,23 +589,42 @@ def test_landscape_scan_forms_each_gamma_column_once(monkeypatch):
         kernel = getattr(sim, name)
         monkeypatch.setattr(sim, name, lambda *a, name=name, kernel=kernel, **k: calls.update({name: calls[name] + 1})
                             or kernel(*a, **k))
+    rows, energies = [], qaoa.energies
+    monkeypatch.setattr(qaoa, "energies", lambda spec, angles: rows.append(angles) or energies(spec, angles))
     for spec, phase in ((mixed, "apply_diagonal_phase"), (ring, "apply_level_phase")):
-        calls.update(dict.fromkeys(calls, 0))
-        qaoa.landscape_scan(spec, 7)
-        assert calls == {"init_plus": 7, "apply_diagonal_phase": 0, "apply_level_phase": 0, phase: 7}
+        nodes = 2 * max(map(len, spec.hamiltonian.terms)) + 1
+        for resolution, betas in ((nodes + 2, 2 * math.pi * np.arange(nodes) / nodes), (nodes, None)):
+            calls.update(dict.fromkeys(calls, 0))
+            rows.clear()
+            grid = qaoa.landscape_scan(spec, resolution)
+            betas = grid.beta_axis if betas is None else betas
+            (angles,) = rows
+            assert np.array_equal(angles, np.column_stack([np.tile(betas, resolution), np.repeat(grid.gamma_axis, nodes)]))
+            # at n = 12 a block is one row
+            assert calls == {**dict.fromkeys(calls, 0), "init_plus": resolution * nodes, phase: resolution * nodes}
 
 
-def extra_threads_states(n):
-    """States (16 * 2^n bytes) that each tile thread past the first may hold at once:
-    one tile's mixer temporary plus numpy's ufunc buffer, as in test_simulator."""
-    threads = min(sim._WORKERS, 1 << max(n - sim.TILE_QUBITS, 0))
-    return (threads - 1) * ((1 << sim.TILE_QUBITS) + np.getbufsize()) / (1 << n)
+def test_scan_checks_fail_on_a_broken_premise(monkeypatch):
+    # a scan that reconstructs from too few beta nodes fails scan_vs_direct_grid, and an
+    # energy with a harmonic past the largest degree, or an odd one on an all-even
+    # instance, fails beta_spectrum
+    scan, energies = qaoa.landscape_scan, qaoa.energies
+    assert verify.check_scan_vs_direct_grid().passed and verify.check_beta_spectrum().passed
+
+    def degree_one(spec, resolution, **ranges):
+        fake = types.SimpleNamespace(n=spec.n, terms={(0,): 1.0})
+        return scan(dataclasses.replace(spec, hamiltonian=fake), resolution, **ranges)
+    monkeypatch.setattr(qaoa, "landscape_scan", degree_one)
+    assert not verify.check_scan_vs_direct_grid().passed
+    for harmonic in (9, 1):
+        monkeypatch.setattr(qaoa, "energies", lambda spec, angles, k=harmonic:
+                            energies(spec, angles) + 1e-9 * np.cos(k * np.asarray(angles)[:, 0]))
+        assert not verify.check_beta_spectrum().passed, harmonic
 
 
 def test_scan_memory_at_tiled_size_is_a_few_states(monkeypatch):
-    # the column state, one block copy and the expectation's temporaries, plus a
-    # tile temporary per extra thread; each column's states go before the next
-    # column's |+> and direct-phase temporaries
+    # the scan is one energies() call, held to energies()'s bound: a one-row block
+    # and the expectation's temporaries, on one tile thread and on all of them
     n = 16
     spec = random_instance(np.random.default_rng(54), n, 1)
     assert spec.level_table is None
@@ -599,7 +636,7 @@ def test_scan_memory_at_tiled_size_is_a_few_states(monkeypatch):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (3.25 + extra_threads_states(n)) * (16 << n), (workers, peak)
+        assert peak <= 2.75 * (16 << n), (workers, peak)
 
 
 @pytest.mark.parametrize("route", ["direct", "table"])
@@ -619,7 +656,7 @@ def test_memory_table_at_16_qubits(route, monkeypatch):
             "run": (2.75, lambda: qaoa.run(spec, params)),
             "energy": (2.75, lambda: qaoa.energy(spec, params)),
             "energies": (2.75, lambda: qaoa.energies(spec, np.random.default_rng(58).uniform(-3.0, 3.0, (3, 4)))),
-            "landscape_scan": (3.25 + extra_threads_states(n), lambda: qaoa.landscape_scan(spec1, 3)),
+            "landscape_scan": (2.75, lambda: qaoa.landscape_scan(spec1, 3)),
             "energy_and_gradient": (3.75, lambda: qaoa.energy_and_gradient(spec, params.as_vector()[None])),
             "gd": (3.75, lambda: optimize(spec, OptimizerConfig(method="gd", max_iters=2, restarts=1, seed=0))),
             "spsa": (2.75, lambda: optimize(spec, OptimizerConfig(max_iters=2, restarts=1, seed=0, a0=0.5))),
