@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="write a p=1 energy landscape grid as CSV")
     scan.add_argument("problem_file")
     _option(scan, "--resolution", type=_at_least(2), default=33)
-    _option(scan, "--range", dest="range_spec", default="", help="LO:HI in radians for both axes (default -pi:pi)")
+    _option(scan, "--range", dest="range_spec", default="",
+            help="LO:HI in radians for both axes, as --range=LO:HI when LO is negative (default -pi:pi)")
     _option(scan, "--no-scale", action="store_true")
     _option(scan, "--out", default="landscape.csv")
     scan.set_defaults(func=cmd_scan)

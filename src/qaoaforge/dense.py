@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import SizeCapError
 from .ising import SpinHamiltonian, diagonalize
-from .model import brief
+from .model import brief, whole_number
 from .simulator import StateVector
 
 DENSE_CAP = 8
@@ -31,9 +31,12 @@ def rz_matrix(theta: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
 
 
-def _check_n(n: int):
-    if not 1 <= n <= DENSE_CAP:
+def _check_n(n: int) -> int:
+    """n as an int in [1, DENSE_CAP]; SizeCapError past the cap."""
+    n = whole_number(n, "qubit count", 1)
+    if n > DENSE_CAP:
         raise SizeCapError(f"dense oracle needs 1 <= n <= {DENSE_CAP}, got {brief(n)}")
+    return n
 
 
 def kron_factors(factors) -> np.ndarray:
@@ -50,20 +53,20 @@ def kron_factors(factors) -> np.ndarray:
 
 def embed_single(u: np.ndarray, q: int, n: int) -> np.ndarray:
     """Lift a one-qubit matrix to n qubits acting on qubit q."""
-    _check_n(n)
+    n = _check_n(n)
     return kron_factors([u if k == q else I2 for k in range(n - 1, -1, -1)])
 
 
 def z_product_matrix(qubits, n: int) -> np.ndarray:
     """Tensor product of sigma_z on the listed qubits, identity elsewhere."""
-    _check_n(n)
+    n = _check_n(n)
     qs = set(qubits)
     return kron_factors([SIGMA_Z if k in qs else I2 for k in range(n - 1, -1, -1)])
 
 
 def mixer_matrix(n: int) -> np.ndarray:
     """The mixer Hamiltonian -sum_i sigma_x^(i) as a dense matrix."""
-    _check_n(n)
+    n = _check_n(n)
     h = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for q in range(n):
         h -= embed_single(SIGMA_X, q, n)
@@ -93,7 +96,7 @@ def operator_of(apply_fn, n: int) -> np.ndarray:
 
     Row z of the block starts as |z> and ends as U|z>, column z of U.
     """
-    _check_n(n)
+    n = _check_n(n)
     psi = StateVector(n, np.eye(1 << n, dtype=np.complex128))
     apply_fn(psi)
     return psi.amp.T

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SizeCapError
-from .model import PuboProblem, QuboProblem, _canon, _check_terms, _real, brief
+from .model import PuboProblem, QuboProblem, _canon, _check_terms, _real, brief, positive_number
 
 # Largest n for a 2^n table: this diagonal and the statevector engine's
 # amplitudes (simulator.STATEVECTOR_CAP is this value).
@@ -125,10 +125,7 @@ def scale(h: SpinHamiltonian, k: float | None = None) -> SpinHamiltonian:
     Minimizers are unchanged.  The constant is left in original units; an
     original-units energy is scaled_energy * k + constant.
     """
-    if k is None:
-        k = scaling_factor(h)
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"scale factor must be positive and finite, got {k}")
+    k = positive_number(scaling_factor(h) if k is None else k, "scale factor")
     return SpinHamiltonian(n=h.n, terms={key: v / k for key, v in h.terms.items()}, constant=h.constant)
 
 

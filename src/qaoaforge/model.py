@@ -31,6 +31,9 @@ BRUTE_FORCE_CAP = 22
 DEFAULT_UNBALANCED_P1 = 0.96
 DEFAULT_UNBALANCED_P2 = 0.0371
 
+# What _real accepts, bool aside; built once, since every number rule reads it per value.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
 
 def as_bits(x, n: int) -> tuple[int, ...]:
     """Normalize an assignment to a tuple of n values in {0,1}.
@@ -70,20 +73,18 @@ class QuboProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        Q = np.array(self.Q, dtype=float)
-        c = np.array(self.c, dtype=float)
+        Q, c = finite_array(self.Q, "Q").copy(), finite_array(self.c, "c").copy()
         if Q.shape != (self.n, self.n):
             raise ValueError(f"Q must be {self.n}x{self.n}, got {Q.shape}")
         if c.shape != (self.n,):
             raise ValueError(f"c must have length {self.n}, got {c.shape}")
-        if not (np.isfinite(Q).all() and np.isfinite(c).all() and math.isfinite(self.offset)):
-            raise ValueError("problem coefficients must be finite")
         if not np.array_equal(Q, Q.T):
             raise ValueError("Q must be symmetric; use build_qubo to symmetrize")
         Q.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "offset", finite_number(self.offset, "offset"))
 
     def to_dict(self) -> dict:
         return {"type": "qubo", "Q": self.Q.tolist(), "c": self.c.tolist(), "offset": self.offset}
@@ -123,17 +124,17 @@ def build_qubo(Q, c=None, offset: float = 0.0) -> QuboProblem:
     Symmetrization never changes the cost of any assignment because
     x_i x_j = x_j x_i.
     """
-    Q = np.array(Q, dtype=float)
+    Q = finite_array(Q, "Q")
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be a square matrix, got shape {Q.shape}")
     n = Q.shape[0]
     Qs = (Q + Q.T) / 2.0
-    return QuboProblem(n=n, Q=Qs, c=np.zeros(n) if c is None else c, offset=float(offset))
+    return QuboProblem(n=n, Q=Qs, c=np.zeros(n) if c is None else c, offset=offset)
 
 
 def _real(v) -> bool:
     """Whether v is a real number that is not a bool (int() and float() also read "1" and true)."""
-    return type(v) is not bool and isinstance(v, (int, float, np.integer, np.floating))
+    return type(v) is not bool and isinstance(v, _REAL_TYPES)
 
 
 def brief(v) -> str:
@@ -170,7 +171,7 @@ def positive_number(v, field: str) -> float:
     return x
 
 
-def _finite_number(v, field: str) -> float:
+def finite_number(v, field: str) -> float:
     """v as a finite float, refusing what float() would convert (true, "1"), nan, inf and 10**400."""
     x = _float(v)
     if not math.isfinite(x):
@@ -178,15 +179,30 @@ def _finite_number(v, field: str) -> float:
     return x
 
 
+def finite_array(v, field: str) -> np.ndarray:
+    """v as a float ndarray, finite_number's rule on every leaf of its nested lists; an ndarray leaf passes
+    by its dtype (int or float, not bool or str), and a float64 ndarray v is returned without a copy."""
+    leaves = [v]
+    for x in leaves:  # grows as it goes, so nested lists are walked without recursion
+        if isinstance(x, (list, tuple)):
+            leaves.extend(x)
+        elif not isinstance(x, np.ndarray):
+            finite_number(x, field)
+        elif x.dtype.kind not in "iuf":
+            raise ValueError(f"{field} must be finite and a number, got an array of {x.dtype}")
+    a = np.asarray(v, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{field} must be finite and a number, got {a[~np.isfinite(a)][0]}")
+    return a
+
+
 def _check_terms(n: int, terms: dict, constant: float, name: str) -> None:
     """The term-table rule: keys non-empty, strictly increasing and inside [0, n); coefficients and constant finite."""
     for idx, coef in terms.items():
         if not (idx and 0 <= idx[0] and idx[-1] < n and list(idx) == sorted(set(idx))):
             raise ValueError(f"term key must be non-empty, strictly increasing and inside [0, {n}): {idx}")
-        if not math.isfinite(coef):
-            raise ValueError("term coefficients must be finite")
-    if not math.isfinite(constant):
-        raise ValueError(f"{name} must be finite")
+        finite_number(coef, "term coefficients")
+    finite_number(constant, name)
 
 
 def _canon(terms: dict) -> dict:
@@ -205,10 +221,10 @@ def build_pubo(n: int, terms, offset: float = 0.0) -> PuboProblem:
     n = whole_number(n, "n", 0)
     items = terms.items() if isinstance(terms, Mapping) else terms
     merged: dict[tuple[int, ...], float] = {}
-    offset = float(offset)
+    offset = finite_number(offset, "offset")
     for idx, coef in items:
         key = tuple(sorted(set(whole_number(i, "term idx", 0, n) for i in idx)))
-        coef = float(coef)
+        coef = finite_number(coef, "term coef")
         if not key:
             offset += coef
             continue
@@ -344,8 +360,8 @@ def _penalty_parts(spec: ConstraintSpec, n: int):
         all_idx = idx + tuple(range(n, n + m))
         const += _square_expansion(all_idx, weights + slack_weights, W, p1, qadd, ladd)
     elif kind is ConstraintKind.UNBALANCED_INEQUALITY:
-        weights = [_finite_number(w, "unbalanced_inequality weight") for w in spec.weights]
-        W = _finite_number(spec.bound, "unbalanced_inequality bound")
+        weights = [finite_number(w, "unbalanced_inequality weight") for w in spec.weights]
+        W = finite_number(spec.bound, "unbalanced_inequality bound")
         p2 = DEFAULT_UNBALANCED_P2 if spec.p2 is None else positive_number(spec.p2, "p2")
         # linear slope rewards slack below the bound, quadratic punishes distance
         for i, w in zip(idx, weights):
@@ -501,7 +517,7 @@ def build_knapsack(values, weights, capacity, p1: float | None = None, p2: float
     w = np.array([positive_number(x, "knapsack weight") for x in weights])
     if capacity is None:
         raise ValueError("knapsack requires an explicit capacity")
-    W = _finite_number(capacity, "capacity")
+    W = finite_number(capacity, "capacity")
     p1 = DEFAULT_UNBALANCED_P1 if p1 is None else positive_number(p1, "p1")
     p2 = DEFAULT_UNBALANCED_P2 if p2 is None else positive_number(p2, "p2")
     Q = p2 * np.outer(w, w)
@@ -517,17 +533,6 @@ def _require(d: Mapping, key: str, kind: str, listed: bool = False):
     return d[key]
 
 
-def _numbers(v, field: str, scalar: bool = False):
-    """v, once every leaf of its lists is a number (float() reads "1" and true); None passes unless scalar."""
-    leaves = [v] if scalar or v is not None else []
-    for x in leaves:  # grows as it goes, so nested lists are walked without recursion
-        if isinstance(x, (list, tuple)) and not scalar:
-            leaves.extend(x)
-        elif not _real(x):
-            raise ProblemFormatError(f"{field} must hold only numbers, got {x!r}")
-    return v
-
-
 def problem_from_dict(d: Mapping):
     """Build a problem from its dict form (see load_problem)."""
     if not isinstance(d, Mapping):
@@ -535,28 +540,27 @@ def problem_from_dict(d: Mapping):
     kind = d.get("type")
     try:
         if kind == "qubo":
-            Q = _numbers(_require(d, "Q", "qubo"), "Q")
-            return build_qubo(Q, _numbers(d.get("c"), "c"), offset=_numbers(d.get("offset", 0.0), "offset", scalar=True))
+            return build_qubo(_require(d, "Q", "qubo"), d.get("c"), offset=d.get("offset", 0.0))
         if kind == "pubo":
             terms = _require(d, "terms", "pubo", listed=True)
             for t in terms:
                 if not (isinstance(t, Mapping) and isinstance(t.get("idx"), (list, tuple)) and "coef" in t):
                     raise ProblemFormatError(f"pubo terms entries must be {{\"idx\": [i, ...], \"coef\": c}}, got {t!r}")
-            terms = [(t["idx"], _numbers(t["coef"], "coef", scalar=True)) for t in terms]
-            return build_pubo(_require(d, "n", "pubo"), terms, offset=_numbers(d.get("offset", 0.0), "offset", scalar=True))
+            terms = [(t["idx"], t["coef"]) for t in terms]
+            return build_pubo(_require(d, "n", "pubo"), terms, offset=d.get("offset", 0.0))
         if kind == "maxcut":
             return build_maxcut(_require(d, "vertices", "maxcut"), _require(d, "edges", "maxcut", listed=True))
         if kind == "knapsack":
+            for key in ("p1", "p2"):  # build_knapsack reads None as its default weight
+                if key in d and d[key] is None:
+                    raise ProblemFormatError(f"knapsack {key} must be a positive finite number, got null")
             return build_knapsack(
-                _numbers(_require(d, "values", "knapsack"), "values"),
-                _numbers(_require(d, "weights", "knapsack"), "weights"),
-                _numbers(_require(d, "capacity", "knapsack"), "capacity", scalar=True),
-                p1=_numbers(d.get("p1"), "p1", scalar="p1" in d),
-                p2=_numbers(d.get("p2"), "p2", scalar="p2" in d),
+                _require(d, "values", "knapsack"), _require(d, "weights", "knapsack"),
+                _require(d, "capacity", "knapsack"), p1=d.get("p1"), p2=d.get("p2"),
             )
     except ProblemFormatError:
         raise
-    except (ValueError, TypeError, KeyError, OverflowError) as e:
+    except (ValueError, TypeError, KeyError) as e:
         raise ProblemFormatError(f"invalid {kind} problem: {e}") from e
     raise ProblemFormatError(f"unknown problem type: {kind!r}")
 
@@ -566,9 +570,10 @@ def load_problem(source):
 
     Recognized types: qubo {Q, c?, offset?}, pubo {n, terms, offset?},
     maxcut {vertices, edges}, knapsack {values, weights, capacity, p1?, p2?};
-    other keys are ignored.  A string or boolean in a numeric field, or null or a
-    list in offset, coef, capacity, p1 or p2, raises ProblemFormatError; a missing
-    file raises FileNotFoundError, an unreadable one OSError.
+    other keys are ignored.  Fields go to the builders unchanged, and what they
+    refuse (finite_number and whole_number name the field; so does an explicit null
+    p1 or p2, which build_knapsack would read as its default) raises
+    ProblemFormatError; a missing file raises FileNotFoundError, an unreadable one OSError.
     """
     if isinstance(source, Mapping):
         return problem_from_dict(source)

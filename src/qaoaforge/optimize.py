@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import operator
 import time
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import OptimizerDivergence, SizeCapError
 from .ising import assignment_of_basis_index
-from .model import bits_to_string, brief, positive_number, whole_number
+from .model import bits_to_string, brief, finite_array, positive_number, whole_number
 from . import qaoa
 from . import simulator as sim
 
@@ -64,7 +64,7 @@ def _squash(raw: np.ndarray, domain: qaoa.DomainDescriptor) -> np.ndarray:
 
 def squash_params(raw, domain: qaoa.DomainDescriptor) -> qaoa.QaoaParams:
     """Map 2p raw reals monotonically into the open restricted box."""
-    raw = np.asarray(raw, dtype=float)
+    raw = finite_array(raw, "raw vector")
     if raw.size % 2 != 0 or raw.size == 0:
         raise ValueError("raw vector must have even positive length")
     return qaoa.QaoaParams.from_vector(_squash(raw, domain))
@@ -147,8 +147,32 @@ class Histogram(Mapping):
     def __len__(self) -> int:
         return self._values.size
 
+    def items(self):
+        return _HistogramItems(self)
+
+    def values(self):
+        return _HistogramValues(self)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _HistogramItems(ItemsView):
+    """Mapping's items view, iterated from the arrays in one pass instead of a lookup per key."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values.tolist())
+
+
+class _HistogramValues(ValuesView):
+    """Mapping's values view, iterated from the value array in one pass."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._values.tolist())
 
 
 @dataclass(eq=False)

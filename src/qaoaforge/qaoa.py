@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SizeCapError
 from .ising import SpinHamiltonian, diagonalize, scale, scaling_factor
-from .model import brief, whole_number
+from .model import brief, finite_array, finite_number, whole_number
 from . import simulator as sim
 
 # Largest landscape_scan resolution: a 4096^2 grid holds 128 MiB of values.
@@ -45,12 +45,9 @@ class QaoaParams:
     gamma: np.ndarray
 
     def __post_init__(self):
-        beta = np.atleast_1d(np.array(self.beta, dtype=float))
-        gamma = np.atleast_1d(np.array(self.gamma, dtype=float))
+        beta, gamma = (np.atleast_1d(finite_array(v, "parameters")).copy() for v in (self.beta, self.gamma))
         if beta.ndim != 1 or beta.shape != gamma.shape or beta.size < 1:
             raise ValueError("beta and gamma must be equal-length nonempty vectors")
-        if not (np.isfinite(beta).all() and np.isfinite(gamma).all()):
-            raise ValueError("parameters must be finite")
         beta.setflags(write=False)
         gamma.setflags(write=False)
         object.__setattr__(self, "beta", beta)
@@ -66,7 +63,7 @@ class QaoaParams:
 
     @staticmethod
     def from_vector(vec) -> "QaoaParams":
-        vec = np.asarray(vec, dtype=float)
+        vec = finite_array(vec, "parameters")
         if vec.size % 2 != 0 or vec.size == 0:
             raise ValueError("parameter vector must have even positive length")
         p = vec.size // 2
@@ -193,12 +190,10 @@ def _forward(spec: QaoaCircuitSpec, angles, read, k: int = 1) -> np.ndarray:
     block's slice of the rows, their angles and their evolved (b, 2^n)
     states, which it may overwrite; every row is bit for bit run()'s state.
     """
-    angles = np.asarray(angles, dtype=float)
+    angles = finite_array(angles, "parameters")
     p = spec.layers
     if angles.ndim != 2 or angles.shape[1] != 2 * p:
         raise ValueError(f"angle rows must hold 2p = {2 * p} entries for {p} layers, got shape {angles.shape}")
-    if not np.isfinite(angles).all():
-        raise ValueError("parameters must be finite")
     size = max(1, BLOCK_BYTES // (k * 16 << spec.n))
     out = np.empty(len(angles))
     for start in range(0, len(angles), size):
@@ -214,7 +209,7 @@ def energies(spec: QaoaCircuitSpec, angles) -> np.ndarray:
     """energy() of every row of a (B, 2p) array of [beta..., gamma...] rows, bit for bit.
 
     Like shot_energies and energy_and_gradient, raises ValueError before
-    anything evolves when a row does not hold 2p angles or one is not finite.
+    anything evolves when a row does not hold 2p angles or one is not a finite number.
     """
     return _forward(spec, angles, lambda rows, block, psi: sim.expectation_diagonal(psi, spec.energies))
 
@@ -225,8 +220,7 @@ def shot_energies(spec: QaoaCircuitSpec, angles, shots: int, rngs) -> np.ndarray
     Row i's counts are sim.sample of run() at its angles from rngs[i] (a
     Generator or a seed), drawn in row order.
     """
-    angles = np.asarray(angles, dtype=float)
-    if angles.ndim == 2 and len(rngs) != len(angles):
+    if np.ndim(angles) == 2 and len(rngs) != len(angles):
         raise ValueError(f"{len(rngs)} generators for {len(angles)} angle rows")
     return _forward(spec, angles, lambda rows, block, psi: [
         sim.sample(sim.StateVector(spec.n, amp), shots, rng) @ spec.energies / shots
@@ -301,9 +295,8 @@ def landscape_scan(
     resolution = whole_number(resolution, "resolution", 2)
     if resolution > SCAN_RESOLUTION_CAP:
         raise SizeCapError(f"scan resolution must be <= {SCAN_RESOLUTION_CAP}, got {brief(resolution)}")
-    box = [(-math.pi, math.pi) if bounds is None else bounds for bounds in (beta_range, gamma_range)]
-    if not np.isfinite(box).all():
-        raise ValueError("scan range bounds must be finite")
+    box = [(-math.pi, math.pi) if bounds is None else [finite_number(x, name) for x in bounds]
+           for name, bounds in (("beta_range", beta_range), ("gamma_range", gamma_range))]
     beta_axis, gamma_axis = (np.linspace(lo, hi, resolution) for lo, hi in box)
     degree = max(map(len, spec.hamiltonian.terms))
     count = 2 * degree + 1

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SizeCapError
 from .ising import DIAGONAL_CAP
-from .model import brief
+from .model import brief, whole_number
 
 # The engine needs the 2^n energy table too, so it shares its ceiling.
 STATEVECTOR_CAP = DIAGONAL_CAP
@@ -71,7 +71,8 @@ def init_plus(n: int, rows: int | None = None) -> StateVector:
 
     rows=B gives a (B, 2^n) block of B copies.
     """
-    if not 1 <= n <= STATEVECTOR_CAP:
+    n = whole_number(n, "qubit count", 1)
+    if n > STATEVECTOR_CAP:
         raise SizeCapError(f"qubit count must be in [1, {STATEVECTOR_CAP}], got {brief(n)}")
     shape = 1 << n if rows is None else (rows, 1 << n)
     return StateVector(n, np.full(shape, 2.0 ** (-n / 2.0), dtype=np.complex128))

@@ -32,6 +32,7 @@ from .model import (
     build_pubo,
     build_qubo,
     evaluate_qubo,
+    whole_number,
 )
 
 
@@ -989,4 +990,4 @@ SUITES = {
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](seed=seed)
+    return SUITES[name](seed=whole_number(seed, "seed", 0))

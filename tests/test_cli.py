@@ -270,6 +270,14 @@ def test_scan_range_flag(c4_file, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_scan_negative_range_with_equals_sign(c4_file, tmp_path):
+    # "--range -1.5:1.5" would read -1.5:1.5 as a flag; the help text and README show the = form
+    out = tmp_path / "grid.csv"
+    assert cli.main(["scan", str(c4_file), "--resolution", "3", "--range=-1.5:1.5", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().strip().split("\n")]
+    assert rows[0][1:] == ["-1.5", "0", "1.5"] and [row[0] for row in rows[1:]] == ["-1.5", "0", "1.5"]
+
+
 def test_scan_infinite_range_exits_2(c4_file, tmp_path, capsys):
     out = tmp_path / "grid.csv"
     with warnings.catch_warnings(record=True) as caught:
@@ -338,12 +346,13 @@ def test_malformed_entry_exits_2_naming_its_field(tmp_path, capsys):
     for doc, message in (
         ({"type": "maxcut", "vertices": 3, "edges": [[0, 1, 2]]}, "edges must be a list of [i, j] pairs"),
         ({"type": "maxcut", "vertices": 3, "edges": {}}, "edges must be a list"),
-        ({"type": "qubo", "Q": [[1, True]], "offset": 0}, "Q must hold only numbers"),
-        ({"type": "qubo", "Q": [[1]], "offset": "1"}, "offset must hold only numbers"),
-        ({"type": "pubo", "n": 1, "terms": [{"idx": [0], "coef": "1.5"}]}, "coef must hold only numbers"),
-        ({"type": "knapsack", "values": [1, "2"], "weights": [1, 1], "capacity": 1}, "values must hold only numbers"),
-        ({"type": "knapsack", "values": [1], "weights": [1], "capacity": True}, "capacity must hold only numbers"),
-        ({"type": "qubo", "Q": [[10 ** 400]]}, "invalid qubo problem: int too large to convert to float"),
+        ({"type": "qubo", "Q": [[1, True]], "offset": 0}, "Q must be finite and a number, got True"),
+        ({"type": "qubo", "Q": [[1]], "offset": "1"}, "offset must be finite and a number, got '1'"),
+        ({"type": "pubo", "n": 1, "terms": [{"idx": [0], "coef": "1.5"}]}, "coef must be finite and a number"),
+        ({"type": "knapsack", "values": [1, "2"], "weights": [1, 1], "capacity": 1},
+         "knapsack value must be a positive finite number, got '2'"),
+        ({"type": "knapsack", "values": [1], "weights": [1], "capacity": True}, "capacity must be finite and a number"),
+        ({"type": "qubo", "Q": [[10 ** 400]]}, "Q must be finite and a number, got an int of 1329 bits"),
     ):
         f.write_text(json.dumps(doc))
         assert cli.main(["brute", str(f)]) == 2
@@ -365,6 +374,8 @@ def test_verify_suite_exit_codes(capsys):
     assert "PASS" in out and "FAIL" not in out
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         cli.verify.run_suite("nope")
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        cli.verify.run_suite("gates", seed=-1)
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -1,4 +1,4 @@
-"""Source hygiene: unused imports, uncalled helpers, unread constants, private reads across modules, BLAS calls in the mixer, one forward route, Python 3.10 syntax, and README drift from the CLI, verify suites and module names."""
+"""Source hygiene: unused imports, uncalled helpers, unread constants, private reads across modules, BLAS calls in the mixer, one forward route, Python 3.10 syntax, names perfbench reads, and README drift from the CLI, verify suites and module names."""
 import argparse
 import ast
 import importlib
@@ -267,6 +267,38 @@ def test_readme_module_names_resolve():
         if obj is None:
             missing.append(ref)
     assert missing == []
+
+
+def qaoaforge_references(source: str) -> list[tuple[str, str]]:
+    """(module, name) for every name a source reads from a qaoaforge module: names imported from one,
+    and attributes of a name bound by `from qaoaforge import m` or `m = importlib.import_module("qaoaforge.m")`."""
+    tree = ast.parse(source)
+    modules, refs = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qaoaforge":
+            refs.update((node.module, a.name) for a in node.names)
+            if node.module == "qaoaforge":
+                modules.update((a.asname or a.name, f"qaoaforge.{a.name}") for a in node.names)
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and ast.unparse(node.value.func) == "importlib.import_module" and node.value.args
+              and isinstance(arg := node.value.args[0], ast.Constant) and str(arg.value).startswith("qaoaforge.")):
+            modules.update((t.id, arg.value) for t in node.targets if isinstance(t, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            refs.add((modules[node.value.id], node.attr))
+    return sorted(refs)
+
+
+def test_perfbench_reads_only_names_that_exist():
+    # perfbench calls the library through module attributes and runs only in a benchmark,
+    # so a renamed function would surface there; parsing it (running nothing) catches it here
+    demo = ("import importlib\nfrom qaoaforge import qaoa as q\nfrom qaoaforge.errors import E\n"
+            "o = importlib.import_module(\"qaoaforge.optimize\")\nq.run(o.optimize(x.y))\n")
+    assert qaoaforge_references(demo) == [("qaoaforge", "qaoa"), ("qaoaforge.errors", "E"),
+                                          ("qaoaforge.optimize", "optimize"), ("qaoaforge.qaoa", "run")]
+    refs = [r for p in sorted((ROOT / "perfbench").glob("*.py")) for r in qaoaforge_references(p.read_text())]
+    assert len(refs) >= 15, refs
+    assert [f"{m}.{name}" for m, name in refs if not hasattr(importlib.import_module(m), name)] == []
 
 
 def attribute_sites(source: str, names) -> dict[str, list[str]]:

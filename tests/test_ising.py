@@ -130,7 +130,7 @@ def test_scaling():
     with pytest.raises(ValueError):
         scaling_factor(SpinHamiltonian(2, {}))
     for k in (0.0, -2.0):
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="^scale factor must be a positive finite number, got "):
             scale(h, k)
 
 

@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from qaoaforge import model
+from qaoaforge import dense, model, qaoa, verify
+from qaoaforge import simulator as sim
 from qaoaforge.errors import ProblemFormatError, SizeCapError
-from qaoaforge.ising import SpinHamiltonian, assignment_of_basis_index, diagonalize, to_spin
+from qaoaforge.ising import SpinHamiltonian, assignment_of_basis_index, diagonalize, scale, to_spin
 from qaoaforge.model import (
     ConstraintKind,
     ConstraintSpec,
@@ -27,7 +28,7 @@ from qaoaforge.model import (
     positive_number,
     problem_from_dict,
 )
-from qaoaforge.optimize import OptimizerConfig
+from qaoaforge.optimize import OptimizerConfig, squash_params
 from qaoaforge.qaoa import build_circuit, landscape_scan
 
 
@@ -96,8 +97,10 @@ def test_pubo_problem_validates_itself(terms, offset, fragment):
 
 
 def test_build_pubo_refuses_non_finite_coefficients():
-    for items in ([((0,), float("nan"))], [((0, 1), float("inf"))], [((0,), 1e308), ((0,), 1e308)]):
-        with pytest.raises(ValueError, match="term coefficients must be finite"):
+    # a non-finite entry is refused as it is read, a merged sum that overflows by PuboProblem
+    for items, field in (([((0,), float("nan"))], "term coef"), ([((0, 1), float("inf"))], "term coef"),
+                         ([((0,), 1e308), ((0,), 1e308)], "term coefficients")):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and a number, got "):
             build_pubo(2, items)
 
 
@@ -260,7 +263,12 @@ RULES = {
     "whole": ("a whole number", (2.5,)),
     "positive": ("a positive finite number", (math.inf, 10 ** 400, 10 ** 5000)),
     "finite": ("finite and a number", (-math.inf, 10 ** 400, -10 ** 5000)),
+    # an entry of an array argument, where an ndarray is read by its dtype
+    "array": ("finite and a number", (-math.inf, 10 ** 400, -10 ** 5000, np.array(True), np.array("1"))),
 }
+
+H = SpinHamiltonian(2, {(0, 1): 1.0, (0,): 0.5})
+SPEC = build_circuit(H)
 
 
 @pytest.mark.parametrize("field, make, rule", [
@@ -289,6 +297,37 @@ RULES = {
     pytest.param("knapsack weight", lambda v: _knapsack(weights=(v, 2)), "positive", id="knapsack-weight"),
     pytest.param("capacity", lambda v: _knapsack(capacity=v), "finite", id="knapsack-capacity"),
     pytest.param("a0", lambda v: OptimizerConfig(a0=v), "positive", id="a0"),
+    pytest.param("Q", lambda v: build_qubo([[2, 0], [0, v]]).Q.tolist(), "array", id="build-qubo-Q"),
+    pytest.param("c", lambda v: build_qubo([[2]], [v]).c.tolist(), "array", id="build-qubo-c"),
+    pytest.param("offset", lambda v: build_qubo([[2]], offset=v).offset, "finite", id="build-qubo-offset"),
+    pytest.param("Q", lambda v: QuboProblem(1, [[v]], [0.0]).Q.tolist(), "array", id="qubo-Q"),
+    pytest.param("c", lambda v: QuboProblem(1, [[2.0]], [v]).c.tolist(), "array", id="qubo-c"),
+    pytest.param("offset", lambda v: QuboProblem(1, [[2.0]], [0.0], offset=v).offset, "finite", id="qubo-offset"),
+    pytest.param("term coef", lambda v: build_pubo(2, [((0,), v)]).terms, "finite", id="build-pubo-coef"),
+    pytest.param("offset", lambda v: build_pubo(2, [], offset=v).offset, "finite", id="build-pubo-offset"),
+    pytest.param("term coefficients", lambda v: PuboProblem(2, {(0,): v}).terms, "finite", id="pubo-coef"),
+    pytest.param("offset", lambda v: PuboProblem(2, {}, offset=v).offset, "finite", id="pubo-offset"),
+    pytest.param("term coefficients", lambda v: SpinHamiltonian(2, {(0,): v}).terms, "finite", id="spin-coef"),
+    pytest.param("constant", lambda v: SpinHamiltonian(2, {}, constant=v).constant, "finite", id="spin-constant"),
+    pytest.param("scale factor", lambda v: scale(H, v).terms, "positive", id="scale"),
+    pytest.param("parameters", lambda v: qaoa.QaoaParams([v], [0.2]).as_vector().tolist(), "array", id="params-beta"),
+    pytest.param("parameters", lambda v: qaoa.QaoaParams([0.1], [v]).as_vector().tolist(), "array", id="params-gamma"),
+    pytest.param("parameters", lambda v: qaoa.QaoaParams.from_vector([0.1, v]).as_vector().tolist(), "array",
+                 id="params-vector"),
+    pytest.param("parameters", lambda v: qaoa.energies(SPEC, [[0.1, v]]).tolist(), "array", id="energies"),
+    pytest.param("parameters", lambda v: qaoa.shot_energies(SPEC, [[0.1, v]], 10, [0]).tolist(), "array",
+                 id="shot-energies"),
+    pytest.param("parameters", lambda v: [a.tolist() for a in qaoa.energy_and_gradient(SPEC, [[0.1, v]])], "array",
+                 id="energy-and-gradient"),
+    pytest.param("beta_range", lambda v: landscape_scan(SPEC, 2, beta_range=(v, 2.0)).values.tolist(), "finite",
+                 id="scan-beta-range"),
+    pytest.param("gamma_range", lambda v: landscape_scan(SPEC, 2, gamma_range=(0.0, v)).values.tolist(), "finite",
+                 id="scan-gamma-range"),
+    pytest.param("raw vector", lambda v: squash_params([0.1, v], qaoa.restricted_domain(SPEC)).as_vector().tolist(),
+                 "array", id="squash-params"),
+    pytest.param("qubit count", lambda v: sim.init_plus(v).amp.tolist(), "whole", id="init-plus"),
+    pytest.param("qubit count", lambda v: dense.mixer_matrix(v).tolist(), "whole", id="dense-size"),
+    pytest.param("seed", lambda v: verify.run_suite("symmetry", seed=v), "whole", id="verify-seed"),
 ])
 def test_value_rules(field, make, rule):
     # int() and float() would read True and "1" as 1, nan would slip past a bare comparison,
@@ -297,7 +336,7 @@ def test_value_rules(field, make, rule):
     for bad in (True, "1", math.nan) + refused:
         with pytest.raises(ValueError, match=f"^{re.escape(field)} must be {message}, got "):
             make(bad)
-    for good in (1.0, np.int64(1), np.float32(1.0)):
+    for good in (1.0, np.int64(1), np.float32(1.0)) + ((np.array(1), np.array(1.0)) if rule == "array" else ()):
         assert make(good) == make(1)
 
 

@@ -621,6 +621,34 @@ def test_histogram_with_implicit_keys():
         values[0] = 1.0
 
 
+def test_histogram_views_read_the_arrays_once():
+    # items() and values() iterate the arrays in one pass, where Mapping's views look up
+    # every key, and still behave as those views: length, membership, order, set operations
+    class Counting(Histogram):
+        lookups = 0
+
+        def __getitem__(self, key):
+            Counting.lookups += 1
+            return super().__getitem__(key)
+
+    for hist in (Histogram(np.array([1, 4, 6]), np.array([0.25, 0.5, 0.25])),
+                 Histogram(None, np.array([0.5, 0.25, 0.125, 0.125])),
+                 Histogram(np.array([0, 3]), np.array([7, 3]))):
+        per_key = [(z, hist[z]) for z in hist]
+        items, values = hist.items(), hist.values()
+        assert list(items) == per_key and list(values) == [v for _, v in per_key]
+        assert [type(v) for v in values] == [type(v) for _, v in per_key]
+        assert len(items) == len(values) == len(hist) == len(per_key)
+        z, v = per_key[-1]
+        assert (z, v) in items and (z, v + 1) not in items and (99, v) not in items
+        assert v in values and -1 not in values
+        assert items == dict(per_key).items() and items & {(z, v), (99, 0)} == {(z, v)}
+        assert items - {(z, v)} == set(per_key[:-1]) and items | {(99, 0)} == set(per_key) | {(99, 0)}
+        spy = Counting(hist._keys, hist._values)
+        assert dict(spy.items()) == dict(per_key) and list(spy.values()) == list(values)
+        assert repr(spy) == f"Counting({dict(per_key)!r})" and Counting.lookups == 0
+
+
 def test_exact_histogram_memory_is_its_probabilities():
     # an exact n = 12 record keeps all 4096 outcomes as one float64 array, keyed implicitly
     n = 12

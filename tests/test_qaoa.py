@@ -719,6 +719,15 @@ def test_parallel_tiles_equal_one_thread(monkeypatch):
                 pooled = call()
                 monkeypatch.setattr(sim, "_WORKERS", 1)
                 assert np.array_equal(pooled, call()), (n, spec.level_table is None, name)
+        # spin-flip symmetry: with only even-degree terms amp[z] and amp[~z] get the same
+        # operations in the same order, so the state equals its reversal bit for bit
+        spec = qaoa.build_circuit(ring_with_chords(n), layers=2)
+        for routed in (spec, dataclasses.replace(spec, level_table=None)):
+            for workers in (max(2, sim._WORKERS), 1):
+                monkeypatch.setattr(sim, "_WORKERS", workers)
+                amp = qaoa.run(routed, qaoa.QaoaParams.from_vector(angles[0])).amp
+                assert np.array_equal(amp, amp[::-1]), (n, routed.level_table is None, workers)
+        assert spec.level_table is not None
 
 
 def test_landscape_csv_format():
